@@ -13,10 +13,8 @@ from .approx import (ApproxSample, BestApproximation, Scheme, best_approx,
                      decompose_val, scheme_cases, scheme_cong, scheme_eqk,
                      scheme_eval, scheme_formula, scheme_sign)
 from .catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
-from .chain import (INF, ChainSEReport, ChainSpec, ColourAll, ColourCofinite,
-                    ColourDenseCodense, ColourFinite, ColourNone, ColourRule,
-                    ColourSchematicSingletons, Cut, CutClass, CutKind,
-                    CutStatus, Position, SegKind, Segment,
+from .chain import (ALL, INF, NONE, ChainSEReport, ChainSpec, ColourRule, Cut,
+                    CutClass, CutKind, CutStatus, Position, SegKind, Segment,
                     chain_stably_embedded, classify_cut, cut_classes,
                     dense_complete, dense_q, fin, integers, omega, omega_star,
                     ordered_sum)

@@ -19,22 +19,13 @@ from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
                       make_term)
 from .group import Element, PairSpec
-from .pseudo import NoMaximum
+from .pseudo import ApproxSample, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
                   rib_divisible, rib_min_positive, rib_pair_stably_embedded,
                   rib_residue)
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
                         compare_spine_values, pred_cong_bullet,
                         pred_eq_bullet, sv_pos, val_m)
-
-
-@dataclass(frozen=True)
-class ApproxSample:
-    """One rung of a cofinal approximation ladder."""
-
-    g: Element
-    delta: SpineValue
-    rho: RibElement
 
 
 @dataclass(frozen=True)
@@ -334,11 +325,6 @@ def _term_x_minus(e: Element, var: str):
 
 def _term_minus_x(e: Element, var: str):
     return make_term({var: -1}, e)
-
-
-def _unit_element(pair: PairSpec, position) -> Element:
-    u = rib_min_positive(pair.small.rib_at(position))
-    return pair.small.el([(position, u)])
 
 
 def scheme_formula(pair: PairSpec, s: Scheme, var: str = "x"):

@@ -7,8 +7,7 @@ each position exactly.
 
 from __future__ import annotations
 
-from .chain import (ChainSpec, ColourDenseCodense, ColourRule,
-                    ColourSchematicSingletons, Segment, SegKind, fin, omega)
+from .chain import ChainSpec, ColourRule, Segment, SegKind, fin, omega
 from .errors import PresentationError
 from .group import Generator, GroupSpec, PairSpec, RibEntry, SchematicRib
 from .rib import (OMEGA_UNIT, RibElement, q_rib, r_proxy_rib, window_rib,
@@ -29,10 +28,6 @@ def q_group() -> GroupSpec:
 
 def r_group() -> GroupSpec:
     return GroupSpec("r", fin(1), (RibEntry(rib=r_proxy_rib()),), mode="sum")
-
-
-def z_local_group(p: int) -> GroupSpec:
-    return GroupSpec(f"z_({p})", fin(1), (RibEntry(rib=z_local_rib(p)),), mode="sum")
 
 
 def zn_group(n: int) -> GroupSpec:
@@ -91,7 +86,7 @@ def g2_group() -> GroupSpec:
     """Complete dense spine; integer ribs on a dense-codense class of
     positions, real-like ribs elsewhere."""
     spine = ChainSpec((Segment(SegKind.DENSE_COMPLETE),),
-                      (ColourRule("rational", (ColourDenseCodense(True),)),))
+                      (ColourRule("rational", (("dense", "rational", True),)),))
     return GroupSpec("g2", spine,
                      (RibEntry(rib=z_rib(), colour="rational"),
                       RibEntry(rib=r_proxy_rib())),
@@ -101,8 +96,7 @@ def g2_group() -> GroupSpec:
 def g3_group() -> GroupSpec:
     """Two facing discrete limits; each coordinate pair is marked by its
     own colour and carries a cut-complete rib pinned at its own prime."""
-    marked = ColourRule("marked", (ColourSchematicSingletons(),
-                                   ColourSchematicSingletons()))
+    marked = ColourRule("marked", (("schematic", ()), ("schematic", ())))
     spine = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
                       (marked,))
     return GroupSpec("g3", spine,

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import PositionOutOfDomain, PresentationError
 
@@ -42,10 +42,6 @@ class SegKind(enum.Enum):
     @property
     def is_dense(self) -> bool:
         return self in (SegKind.DENSE_Q, SegKind.DENSE_COMPLETE)
-
-    @property
-    def is_finite(self) -> bool:
-        return self is SegKind.FIN
 
 
 @dataclass(frozen=True)
@@ -95,69 +91,61 @@ def _local_key(kind: SegKind, coord: Coord):
     return coord
 
 
-# Per-segment colour rules.  Each is a small tagged tuple so they stay
-# hashable and easy to pattern match on.
+# ---------------------------------------------------------------------------
+# Pieces: finitely presented subsets of one segment.
+#
+# Colour rules, the piece sets of the cut classifier and the value sets of
+# val_m all describe a subset of a segment the same way, as one tagged
+# tuple per segment:
+#   ("all",)               whole segment
+#   ("none",)              empty on the segment
+#   ("only", S)            exactly the finite coordinate set S
+#   ("minus", S)           all but the finite coordinate set S
+#   ("dense", name, pol)   a dense, codense, cofinal and coinitial subset
+#                          (the class of colour ``name``); ``pol`` says
+#                          whether it holds the points we can name by
+#                          Fraction coordinates (True) or only phantom
+#                          ones (False), so the complement flips ``pol``
+#   ("schematic", params)  one singleton colour per coordinate n, given
+#                          uniformly in n; infinitely many predicates, so
+#                          not one definable set
+# The cut classifier also uses rays within a segment:
+#   ("lo", c, incl)        downward ray
+#   ("hi", c, incl)        upward ray
 
-@dataclass(frozen=True)
-class ColourNone:
-    pass
-
-
-@dataclass(frozen=True)
-class ColourAll:
-    pass
-
-
-@dataclass(frozen=True)
-class ColourFinite:
-    coords: frozenset
-
-
-@dataclass(frozen=True)
-class ColourCofinite:
-    excluded: frozenset
-
-
-@dataclass(frozen=True)
-class ColourDenseCodense:
-    """A dense, codense, cofinal and coinitial subset of a dense segment.
-
-    ``representable`` says whether the marked points are the ones we can
-    name by Fraction coordinates (True) or a phantom complementary class
-    (False).
-    """
-
-    representable: bool = True
+ALL = ("all",)
+NONE = ("none",)
 
 
-@dataclass(frozen=True)
-class ColourSchematicSingletons:
-    """One singleton colour per coordinate n, given uniformly in n.
-
-    ``params`` carries the per-index datum (for instance a prime for each
-    n).  A schematic family is infinitely many unary predicates, so no
-    single formula can use the whole family; the cut classifier treats it
-    as naming finitely many points only.
-    """
-
-    params: tuple = ()
-
-
-SegmentColourRule = Union[
-    ColourNone, ColourAll, ColourFinite, ColourCofinite,
-    ColourDenseCodense, ColourSchematicSingletons,
-]
+def piece_contains(piece, coord: Coord) -> bool:
+    """Whether the point at local coordinate ``coord`` lies in the piece."""
+    tag = piece[0]
+    if tag == "all":
+        return True
+    if tag == "none":
+        return False
+    if tag == "only":
+        return coord in piece[1]
+    if tag == "minus":
+        return coord not in piece[1]
+    if tag == "dense":
+        return piece[2]
+    if tag == "schematic":
+        # family of singletons: "some member colours p" is true at
+        # every coordinate the family enumerates
+        return isinstance(coord, int) and coord >= 0
+    raise PresentationError(f"unhandled piece {piece!r}")
 
 
 @dataclass(frozen=True)
 class ColourRule:
     name: str
-    rules: tuple  # one SegmentColourRule per segment; short tuples pad with ColourNone
+    rules: tuple  # one piece per segment; short tuples pad with NONE
 
-    def rule_at(self, seg: int) -> SegmentColourRule:
+    def rule_at(self, seg: int):
         if seg < len(self.rules):
             return self.rules[seg]
-        return ColourNone()
+        return NONE
 
 
 @dataclass(frozen=True)
@@ -208,15 +196,6 @@ class ChainSpec:
 
     def le(self, a, b) -> bool:
         return self.sort_key(a) <= self.sort_key(b)
-
-    def min_position(self) -> Optional[Position]:
-        """Least point of the chain, or None if the chain has no minimum."""
-        if self.is_empty:
-            return None
-        seg = self.segments[0]
-        if seg.kind.has_min:
-            return Position(0, 0)
-        return None
 
     def max_position(self) -> Optional[Position]:
         if self.is_empty:
@@ -309,22 +288,7 @@ class ChainSpec:
 
     def has_colour(self, name: str, p: Position) -> bool:
         """Membership of a named colour at a representable position."""
-        rule = self.colour_named(name).rule_at(p.seg)
-        if isinstance(rule, ColourNone):
-            return False
-        if isinstance(rule, ColourAll):
-            return True
-        if isinstance(rule, ColourFinite):
-            return p.coord in rule.coords
-        if isinstance(rule, ColourCofinite):
-            return p.coord not in rule.excluded
-        if isinstance(rule, ColourDenseCodense):
-            return rule.representable
-        if isinstance(rule, ColourSchematicSingletons):
-            # family of singletons: "some member colours p" is true at
-            # every coordinate the family enumerates
-            return isinstance(p.coord, int) and p.coord >= 0
-        raise PresentationError("unhandled colour rule")
+        return piece_contains(self.colour_named(name).rule_at(p.seg), p.coord)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +346,9 @@ class CutClass:
 
 
 # ---------------------------------------------------------------------------
-# Piece sets: finitely presented subsets of the chain plus INF.
-#
-# One piece per segment, drawn from:
-#   ("all",)            whole segment
-#   ("none",)           empty on the segment
-#   ("only", S)         exactly the finite coordinate set S
-#   ("minus", S)        all but the finite coordinate set S
-#   ("dense", tag, pos) a dense-codense subset (pos False = its complement)
-#   ("lo", c, incl)     downward ray within the segment
-#   ("hi", c, incl)     upward ray within the segment
-#   ("schematic",)      poisoned: not one definable set
-#
-# plus a flag for membership of INF.
-
-ALL = ("all",)
-NONE = ("none",)
-SCHEMATIC = ("schematic",)
+# Piece sets: finitely presented subsets of the chain plus INF.  One piece
+# per segment, a flag for membership of INF, and a poison flag for sets
+# with a schematic piece.
 
 
 @dataclass(frozen=True)
@@ -469,7 +419,7 @@ def _complement_piece(piece):
         return ("hi", piece[1], not piece[2])
     if tag == "hi":
         return ("lo", piece[1], not piece[2])
-    return SCHEMATIC
+    return piece  # schematic stays poisoned
 
 
 def complement(ps: PieceSet) -> PieceSet:
@@ -661,26 +611,9 @@ def predecessor_set(chain: ChainSpec) -> PieceSet:
 
 
 def colour_piece_set(chain: ChainSpec, colour: ColourRule) -> PieceSet:
-    pieces = []
-    poisoned = False
-    for i, seg in enumerate(chain.segments):
-        rule = colour.rule_at(i)
-        if isinstance(rule, ColourNone):
-            pieces.append(NONE)
-        elif isinstance(rule, ColourAll):
-            pieces.append(ALL)
-        elif isinstance(rule, ColourFinite):
-            pieces.append(("only", frozenset(rule.coords)))
-        elif isinstance(rule, ColourCofinite):
-            pieces.append(("minus", frozenset(rule.excluded)))
-        elif isinstance(rule, ColourDenseCodense):
-            pieces.append(("dense", colour.name, True))
-        elif isinstance(rule, ColourSchematicSingletons):
-            pieces.append(SCHEMATIC)
-            poisoned = True
-        else:
-            raise PresentationError("unhandled colour rule")
-    return PieceSet(tuple(pieces), inf=False, poisoned=poisoned)
+    pieces = tuple(colour.rule_at(i) for i in range(len(chain.segments)))
+    return PieceSet(pieces, inf=False,
+                    poisoned=any(p[0] == "schematic" for p in pieces))
 
 
 def _boundary_left_set(chain: ChainSpec, j: int) -> PieceSet:
@@ -691,7 +624,8 @@ def _boundary_left_set(chain: ChainSpec, j: int) -> PieceSet:
 # ---------------------------------------------------------------------------
 # Cut classification.
 
-_PLAIN_RULES = (ColourNone, ColourFinite, ColourSchematicSingletons)
+# colour pieces that name only finitely many points of a segment
+_PLAIN_TAGS = ("none", "only", "schematic")
 
 
 def _candidate_sets(chain: ChainSpec):
@@ -736,7 +670,7 @@ def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
     left_ok = left.kind in (SegKind.OMEGA, SegKind.INT, SegKind.DENSE_Q)
     right_ok = right.kind in (SegKind.OMEGA_STAR, SegKind.INT, SegKind.DENSE_Q)
     colours_plain = all(
-        isinstance(c.rule_at(j), _PLAIN_RULES) and isinstance(c.rule_at(j + 1), _PLAIN_RULES)
+        c.rule_at(j)[0] in _PLAIN_TAGS and c.rule_at(j + 1)[0] in _PLAIN_TAGS
         for c in chain.colours)
     if left_ok and right_ok and colours_plain:
         return CutClass(
@@ -834,20 +768,11 @@ def chain_stably_embedded(chain: ChainSpec) -> ChainSEReport:
 # Ordered concatenation.
 
 
-def _explicit_fin_rule(rule: SegmentColourRule, size: int) -> SegmentColourRule:
-    if isinstance(rule, ColourAll):
-        return ColourFinite(frozenset(range(size)))
-    if isinstance(rule, ColourCofinite):
-        return ColourFinite(frozenset(range(size)) - rule.excluded)
-    if isinstance(rule, ColourNone):
-        return ColourFinite(frozenset())
-    if isinstance(rule, ColourFinite):
-        return ColourFinite(frozenset(c for c in rule.coords if 0 <= c < size))
-    raise PresentationError("colour rule not usable on a finite segment")
-
-
-def _shift_fin_rule(rule: ColourFinite, offset: int) -> ColourFinite:
-    return ColourFinite(frozenset(c + offset for c in rule.coords))
+def _fin_coords(piece, size: int, offset: int = 0) -> frozenset:
+    """The coordinates of a finite segment inside a piece, shifted."""
+    if piece[0] in ("dense", "schematic"):
+        raise PresentationError("colour rule not usable on a finite segment")
+    return frozenset(c + offset for c in range(size) if piece_contains(piece, c))
 
 
 def ordered_sum(a: ChainSpec, b: ChainSpec) -> ChainSpec:
@@ -865,7 +790,7 @@ def ordered_sum(a: ChainSpec, b: ChainSpec) -> ChainSpec:
         try:
             col = spec.colour_named(name)
         except PresentationError:
-            return tuple(ColourNone() for _ in spec.segments)
+            return (NONE,) * len(spec.segments)
         return tuple(col.rule_at(i) for i in range(len(spec.segments)))
 
     segs = list(a.segments)
@@ -878,9 +803,8 @@ def ordered_sum(a: ChainSpec, b: ChainSpec) -> ChainSpec:
         left, right = segs[-1], b_segs[0]
         segs[-1] = Segment(SegKind.FIN, left.size + right.size)
         for n in names:
-            lr = _explicit_fin_rule(per_name[n][-1], left.size)
-            rr = _shift_fin_rule(_explicit_fin_rule(b_rules[n][0], right.size), left.size)
-            per_name[n][-1] = ColourFinite(lr.coords | rr.coords)
+            per_name[n][-1] = ("only", _fin_coords(per_name[n][-1], left.size)
+                               | _fin_coords(b_rules[n][0], right.size, left.size))
         start = 1
     for i in range(start, len(b_segs)):
         segs.append(b_segs[i])

@@ -12,15 +12,15 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .chain import CutStatus, SegKind, chain_stably_embedded
+from .chain import CutStatus, chain_stably_embedded
 from .errors import HypothesisViolated, NotFRRError, NotRegularError
 from .group import Element, GroupSpec, PairSpec
 from .pseudo import NoMaximum, immediate_ext_check
 from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, rib_contains,
                   rib_elem_equiv, rib_pair_stably_embedded,
                   rib_stably_embedded)
-from .valuation import (check_m, check_ur, regular_spine, segment_layout,
-                        spine_m)
+from .valuation import (check_m, check_ur, finite_positions, regular_spine,
+                        segment_layout, spine_m)
 
 
 class Status(enum.Enum):
@@ -50,17 +50,6 @@ class Verdict:
 # -- finite decompositions ----------------------------------------------------
 
 
-def _all_positions(g: GroupSpec):
-    """Every position of a finite spine, in order; None when infinite."""
-    out = []
-    for i, seg in enumerate(g.spine.segments):
-        if seg.kind is not SegKind.FIN:
-            return None
-        from .chain import Position
-        out.extend(Position(i, j) for j in range(seg.size))
-    return out
-
-
 def _is_p_point(g: GroupSpec, p) -> bool:
     """Positions whose rib resists division by some prime."""
     return g.rib_at(p).nondivisible_primes != ()
@@ -69,7 +58,7 @@ def _is_p_point(g: GroupSpec, p) -> bool:
 def frr_classes(g: GroupSpec):
     """Convex blocks of the spine, each closed on top at a resisting
     position; a trailing block of divisible positions may remain."""
-    positions = _all_positions(g)
+    positions = finite_positions(g.spine)
     if positions is None:
         raise NotFRRError(
             f"{g.name}: the spine is infinite, so the chain of full convex "
@@ -160,10 +149,8 @@ def classify_frr(g: GroupSpec) -> Verdict:
 
 def _segment_ribs(g: GroupSpec, i: int):
     lay = segment_layout(g, i)
-    if lay.kind == "uniform":
-        return (lay.rib,)
-    if lay.kind == "split":
-        return (lay.rib, lay.rib_off)
+    if lay.schematic is None:
+        return lay.ribs
     return tuple(lay.schematic.rib_for(n) for n in range(3))
 
 
@@ -238,7 +225,7 @@ def classify_main(g: GroupSpec, bound: int = 12) -> Verdict:
             "spine-cut-open", rep.witness, rep.detail)))
     reasons.append(Reason("spine-cuts", None, rep.detail))
 
-    if _all_positions(g) is not None:
+    if finite_positions(g.spine) is not None:
         frr = classify_frr(g)
         return Verdict(frr.status, (*reasons, *frr.reasons))
     return Verdict(Status.SE, tuple(reasons))

@@ -234,10 +234,9 @@ def _cmd_eval(args) -> int:
 
 def _corpus_cases():
     from .catalogue import builtin_group, builtin_pair
-    from .chain import (ChainSpec, ColourAll, ColourDenseCodense, ColourNone,
-                        ColourRule, CutStatus, Position, Segment, SegKind,
-                        chain_stably_embedded, omega, omega_star, integers,
-                        ordered_sum)
+    from .chain import (ALL, NONE, ChainSpec, ColourRule, CutStatus, Position,
+                        Segment, SegKind, chain_stably_embedded, omega,
+                        omega_star, integers, ordered_sum)
     from .rib import RibElement
     from .valuation import SpineValueKind, value_set_contains, sv_pos
 
@@ -297,10 +296,10 @@ def _corpus_cases():
     def chain_suite():
         coloured = ChainSpec(
             (Segment(SegKind.DENSE_COMPLETE),),
-            (ColourRule("rational", (ColourDenseCodense(True),)),))
+            (ColourRule("rational", (("dense", "rational", True),)),))
         marked = ChainSpec(
             (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-            (ColourRule("head", (ColourAll(), ColourNone())),))
+            (ColourRule("head", (ALL, NONE)),))
         want = [
             (omega(), CutStatus.DEFINABLE),
             (omega_star(), CutStatus.DEFINABLE),

@@ -15,9 +15,8 @@ import os
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .chain import (INF, ChainSpec, ColourAll, ColourCofinite,
-                    ColourDenseCodense, ColourFinite, ColourNone, ColourRule,
-                    ColourSchematicSingletons, Position, SegKind, Segment)
+from .chain import (ALL, INF, NONE, ChainSpec, ColourRule, Position, SegKind,
+                    Segment)
 from .errors import PresentationError
 from .formula import element_text, spine_value_text
 from .group import (Generator, GroupSpec, PairSpec, RibEntry, SchematicRib,
@@ -81,38 +80,41 @@ def dumps(obj, indent=None) -> str:
 # -- presentation codecs ------------------------------------------------------
 
 
-def _colour_rule_data(rule):
-    if isinstance(rule, ColourNone):
+def _colour_rule_data(piece):
+    tag = piece[0]
+    if tag == "none":
         return {"rule": "none"}
-    if isinstance(rule, ColourAll):
+    if tag == "all":
         return {"rule": "all"}
-    if isinstance(rule, ColourFinite):
+    if tag == "only":
         return {"rule": "finite",
-                "coords": sorted(map(_coord_data, rule.coords), key=str)}
-    if isinstance(rule, ColourCofinite):
+                "coords": sorted(map(_coord_data, piece[1]), key=str)}
+    if tag == "minus":
         return {"rule": "cofinite",
-                "excluded": sorted(map(_coord_data, rule.excluded), key=str)}
-    if isinstance(rule, ColourDenseCodense):
-        return {"rule": "dense_codense", "representable": rule.representable}
-    if isinstance(rule, ColourSchematicSingletons):
-        return {"rule": "schematic_singletons", "params": list(rule.params)}
-    raise PresentationError(f"unknown colour rule {rule!r}")
+                "excluded": sorted(map(_coord_data, piece[1]), key=str)}
+    if tag == "dense":
+        return {"rule": "dense_codense", "representable": piece[2]}
+    if tag == "schematic":
+        return {"rule": "schematic_singletons", "params": list(piece[1])}
+    raise PresentationError(f"unknown colour rule {piece!r}")
 
 
-def _colour_rule_from(d):
+def _colour_rule_from(d, name: str):
+    """The piece a JSON colour rule stands for; ``name`` names the colour,
+    which is its own dense class."""
     tag = d["rule"]
     if tag == "none":
-        return ColourNone()
+        return NONE
     if tag == "all":
-        return ColourAll()
+        return ALL
     if tag == "finite":
-        return ColourFinite(frozenset(map(_coord_from, d["coords"])))
+        return ("only", frozenset(map(_coord_from, d["coords"])))
     if tag == "cofinite":
-        return ColourCofinite(frozenset(map(_coord_from, d["excluded"])))
+        return ("minus", frozenset(map(_coord_from, d["excluded"])))
     if tag == "dense_codense":
-        return ColourDenseCodense(d.get("representable", True))
+        return ("dense", name, d.get("representable", True))
     if tag == "schematic_singletons":
-        return ColourSchematicSingletons(tuple(d.get("params", ())))
+        return ("schematic", tuple(d.get("params", ())))
     raise PresentationError(f"unknown colour rule tag {tag!r}")
 
 
@@ -198,7 +200,7 @@ def group_from_data(d: dict) -> GroupSpec:
                          for s in d["spine"]["segments"])
         colours = tuple(
             ColourRule(c["name"],
-                       tuple(_colour_rule_from(r) for r in c["rules"]))
+                       tuple(_colour_rule_from(r, c["name"]) for r in c["rules"]))
             for c in d["spine"].get("colours", ()))
         ribs = []
         for e in d["ribs"]:

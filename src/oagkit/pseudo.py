@@ -22,7 +22,7 @@ from .errors import (ElementInG, LiftObstruction, NotPseudoCauchy,
 from .group import Element, GroupSpec, PairSpec
 from .rib import RibElement, rib_contains
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        compare_spine_values, sv_pos, val_m)
+                        compare_spine_values, val_m)
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,20 @@ class BestInGroupWitness:
 
 
 @dataclass(frozen=True)
+class ApproxSample:
+    """One rung of a cofinal approximation ladder."""
+
+    g: Element
+    delta: SpineValue
+    rho: RibElement
+
+
+@dataclass(frozen=True)
 class NoMaximum:
     """The distance values approach the limit point cofinally, with no best
-    approximation; ``samples`` list (approximation, achieved value) pairs."""
+    approximation; ``samples`` list ever better rungs."""
 
-    samples: Tuple[Tuple[Element, SpineValue], ...]
+    samples: Tuple[ApproxSample, ...]
     note: str = ""
 
 
@@ -214,9 +223,10 @@ def delta_max(g: GroupSpec, a: Element, m: int, depth: int = 4):
     t = v.seg
     samples = []
     for n in range(1, depth + 1):
-        cut = sv_pos(Position(t, n))
         x = _absorb_below(g, a, m, Position(t, n))
-        samples.append((x, val_m(g, g.sub(a, x), 0)))
+        rest = g.sub(a, x)
+        value = val_m(g, rest, 0)
+        samples.append(ApproxSample(x, value, g.coordinate(rest, value.position)))
     return NoMaximum(tuple(samples),
                      note="every m-th multiple is beaten by absorbing one "
                           "more coordinate")

@@ -18,17 +18,14 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from .chain import (ALL, NONE, ChainSpec, ColourAll, ColourCofinite,
-                    ColourDenseCodense, ColourFinite, ColourNone,
-                    ColourRule, ColourSchematicSingletons, INF, Position,
-                    SegKind, Segment)
+from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
+                    _complement_piece, fin, piece_contains)
 from .errors import PresentationError, ZeroArgument
-from .group import (Element, Generator, GroupSpec, RibEntry, SchematicRib,
-                    nth_prime, prime_index, _primes_of)
-from .rib import (RIB_ONE, RibElement, RibSpec, rib_divisible,
-                  rib_min_positive)
+from .group import (Element, GroupSpec, SchematicRib, nth_prime, prime_index,
+                    _primes_of)
+from .rib import RibElement, RibSpec, rib_divisible, rib_min_positive
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +134,6 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
     return sv_limit(g.terminal_omega)
 
 
-def nat_val_sv(g: GroupSpec, e: Element) -> SpineValue:
-    return val_m(g, e, 0)
-
-
 # ---------------------------------------------------------------------------
 # Leading-coefficient predicates.
 
@@ -187,9 +180,8 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
 @dataclass(frozen=True)
 class SegmentLayout:
     kind: str                 # "uniform" | "split" | "schematic"
-    rib: Optional[RibSpec] = None
+    ribs: Tuple[RibSpec, ...] = ()  # (rib,), or (rib on colour, rib off it)
     colour: Optional[str] = None
-    rib_off: Optional[RibSpec] = None
     schematic: Optional[SchematicRib] = None
 
 
@@ -206,34 +198,31 @@ def segment_layout(g: GroupSpec, i: int) -> SegmentLayout:
         if not rest:
             raise PresentationError(
                 f"segment {i}: colour clause needs a fallback clause")
-        return SegmentLayout("split", rib=head.rib, colour=head.colour,
-                             rib_off=rest[0].rib)
-    return SegmentLayout("uniform", rib=head.rib)
+        return SegmentLayout("split", ribs=(head.rib, rest[0].rib),
+                             colour=head.colour)
+    return SegmentLayout("uniform", ribs=(head.rib,))
+
+
+def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
+    """The piece of segment i on whose ribs the predicate ``holds`` is
+    true; ``schematic_piece(s)`` answers for a schematic rib assignment."""
+    lay = segment_layout(g, i)
+    if lay.kind == "schematic":
+        return schematic_piece(lay.schematic)
+    hits = [holds(rib) for rib in lay.ribs]
+    if all(hits):
+        return ALL
+    if not any(hits):
+        return NONE
+    piece = g.spine.colour_named(lay.colour).rule_at(i)
+    if piece[0] == "schematic":
+        raise PresentationError("schematic colours cannot split a rib assignment")
+    return piece if hits[0] else _complement_piece(piece)
 
 
 def _m_hits(rib: RibSpec, m: int) -> bool:
     """Whether the rib contributes values modulo m (some index above 1)."""
     return any(rib.index_at(p) > 1 for p in _primes_of(m))
-
-
-def _colour_region_piece(chain: ChainSpec, i: int, colour: str, positive: bool):
-    rule = chain.colour_named(colour).rule_at(i)
-    if isinstance(rule, ColourNone):
-        base = NONE
-    elif isinstance(rule, ColourAll):
-        base = ALL
-    elif isinstance(rule, ColourFinite):
-        base = ("only", frozenset(rule.coords))
-    elif isinstance(rule, ColourCofinite):
-        base = ("minus", frozenset(rule.excluded))
-    elif isinstance(rule, ColourDenseCodense):
-        base = ("dense", colour, True)
-    else:
-        raise PresentationError("schematic colours cannot split a rib assignment")
-    if positive:
-        return base
-    from .chain import _complement_piece
-    return _complement_piece(base)
 
 
 def _schematic_hit_coords(s: SchematicRib, m: int) -> frozenset:
@@ -253,18 +242,8 @@ def _schematic_hit_coords(s: SchematicRib, m: int) -> frozenset:
 
 
 def _segment_value_piece(g: GroupSpec, i: int, m: int):
-    lay = segment_layout(g, i)
-    if lay.kind == "uniform":
-        return ALL if _m_hits(lay.rib, m) else NONE
-    if lay.kind == "schematic":
-        return ("only", _schematic_hit_coords(lay.schematic, m))
-    on = _m_hits(lay.rib, m)
-    off = _m_hits(lay.rib_off, m)
-    if on and off:
-        return ALL
-    if not on and not off:
-        return NONE
-    return _colour_region_piece(g.spine, i, lay.colour, positive=on)
+    return _layout_piece(g, i, lambda rib: _m_hits(rib, m),
+                         lambda s: ("only", _schematic_hit_coords(s, m)))
 
 
 def _limit_in_value_set(g: GroupSpec, m: int) -> Optional[Element]:
@@ -320,20 +299,7 @@ def value_set_contains(g: GroupSpec, vs: ValueSet, v: SpineValue) -> bool:
         return vs.inf
     if v.kind is SpineValueKind.LIMIT:
         return vs.limit_seg == v.seg
-    p = v.position
-    piece = vs.pieces[p.seg]
-    tag = piece[0]
-    if tag == "all":
-        return True
-    if tag == "none":
-        return False
-    if tag == "only":
-        return p.coord in piece[1]
-    if tag == "minus":
-        return p.coord not in piece[1]
-    if tag == "dense":
-        return g.spine.has_colour(piece[1], p) == piece[2]
-    raise PresentationError(f"unhandled value piece {piece!r}")
+    return piece_contains(vs.pieces[v.position.seg], v.position.coord)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +314,10 @@ def relevant_primes(g: GroupSpec):
     unbounded = False
     for i in range(len(g.spine.segments)):
         lay = segment_layout(g, i)
-        ribs = []
-        if lay.kind == "uniform":
-            ribs = [lay.rib]
-        elif lay.kind == "split":
-            ribs = [lay.rib, lay.rib_off]
-        else:
-            for n, p in enumerate(lay.schematic.primes):
-                primes.add(p)
+        if lay.schematic is not None:
+            primes.update(lay.schematic.primes)
             unbounded = True  # the tail enumeration runs through all primes
-        for r in ribs:
+        for r in lay.ribs:
             nd = r.nondivisible_primes
             if nd is None:
                 wildcard = True
@@ -372,18 +332,9 @@ def relevant_primes(g: GroupSpec):
 
 def _union_piece(g: GroupSpec, i: int):
     """Piece of the union of all prime value sets on segment i."""
-    lay = segment_layout(g, i)
-    if lay.kind == "uniform":
-        return NONE if lay.rib.nondivisible_primes == () else ALL
-    if lay.kind == "schematic":
-        return ALL  # coordinate n is pinned by its own prime
-    on = lay.rib.nondivisible_primes != ()
-    off = lay.rib_off.nondivisible_primes != ()
-    if on and off:
-        return ALL
-    if not on and not off:
-        return NONE
-    return _colour_region_piece(g.spine, i, lay.colour, positive=on)
+    # a schematic coordinate n is pinned by its own prime
+    return _layout_piece(g, i, lambda rib: rib.nondivisible_primes != (),
+                         lambda s: ALL)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +361,17 @@ def _piece_identity_like(piece) -> bool:
     return piece[0] in ("all", "dense")
 
 
-def _finite_spine_classes(g: GroupSpec, member) -> tuple:
-    """Bottom-closed classes of a finite spine under the point set given
-    by the membership predicate."""
-    positions = sorted((p for p in _all_fin_positions(g.spine)),
-                       key=g.spine.sort_key)
+def finite_positions(chain: ChainSpec) -> Optional[list]:
+    """Every position of a finite spine, in order; None when infinite."""
+    if any(seg.kind is not SegKind.FIN for seg in chain.segments):
+        return None
+    return [Position(i, c) for i, seg in enumerate(chain.segments)
+            for c in range(seg.size)]
+
+
+def _finite_spine_classes(positions, member) -> tuple:
+    """Bottom-closed classes of a finite spine, listed in order, under the
+    point set given by the membership predicate."""
     classes = []
     current = []
     for p in positions:
@@ -427,38 +384,22 @@ def _finite_spine_classes(g: GroupSpec, member) -> tuple:
     return tuple(classes)
 
 
-def _all_fin_positions(chain: ChainSpec) -> Iterator[Position]:
-    for i, seg in enumerate(chain.segments):
-        if seg.kind is not SegKind.FIN:
-            raise PresentationError("explicit classes need a finite spine")
-        for c in range(seg.size):
-            yield Position(i, c)
-
-
-def _is_finite_spine(chain: ChainSpec) -> bool:
-    return all(s.kind is SegKind.FIN for s in chain.segments)
-
-
 def t_spine(g: GroupSpec, m: int) -> SpineQuotient:
     """Quotient of the spine by equality of val_m value sets strictly above."""
     vs = spine_m(g, m)
     if all(_piece_identity_like(p) for p in vs.pieces):
         return SpineQuotient(identity=True, chain=g.spine,
                              note="every position starts its own class")
-    if _is_finite_spine(g.spine):
+    positions = finite_positions(g.spine)
+    if positions is not None:
         classes = _finite_spine_classes(
-            g, lambda p: value_set_contains(g, vs, sv_pos(p)))
+            positions, lambda p: value_set_contains(g, vs, sv_pos(p)))
         return SpineQuotient(identity=False, classes=classes,
-                             chain=_fin_chain(len(classes)),
+                             chain=fin(len(classes)),
                              note="finite spine: classes listed in ascending order")
     return SpineQuotient(identity=False,
                          note="infinite spine with a sparse value set: "
                               "classes are infinite convex blocks")
-
-
-def _fin_chain(n: int) -> ChainSpec:
-    from .chain import fin
-    return fin(n)
 
 
 # Derived colours on the regular spine -------------------------------------
@@ -467,21 +408,6 @@ def _fin_chain(n: int) -> ChainSpec:
 def _informative(pieces: Sequence) -> bool:
     tags = {p[0] for p in pieces}
     return not (tags <= {"all"} or tags <= {"none"})
-
-
-def _piece_to_colour_rule(piece) -> object:
-    tag = piece[0]
-    if tag == "all":
-        return ColourAll()
-    if tag == "none":
-        return ColourNone()
-    if tag == "only":
-        return ColourFinite(piece[1])
-    if tag == "minus":
-        return ColourCofinite(piece[1])
-    if tag == "dense":
-        return ColourDenseCodense(representable=piece[2])
-    raise PresentationError(f"piece {piece!r} has no colour form")
 
 
 def regular_spine(g: GroupSpec) -> SpineQuotient:
@@ -493,11 +419,13 @@ def regular_spine(g: GroupSpec) -> SpineQuotient:
     union_pieces = tuple(_union_piece(g, i) for i in range(n))
     identity = all(_piece_identity_like(p) for p in union_pieces)
     if not identity:
-        if _is_finite_spine(g.spine):
-            vs_member = _union_membership(g, union_pieces)
-            classes = _finite_spine_classes(g, vs_member)
+        positions = finite_positions(g.spine)
+        if positions is not None:
+            classes = _finite_spine_classes(
+                positions,
+                lambda p: piece_contains(union_pieces[p.seg], p.coord))
             return SpineQuotient(identity=False, classes=classes,
-                                 chain=_fin_chain(len(classes)),
+                                 chain=fin(len(classes)),
                                  note="finite spine: classes listed ascending")
         return SpineQuotient(identity=False,
                              note="sparse prime value sets over an infinite "
@@ -509,57 +437,24 @@ def regular_spine(g: GroupSpec) -> SpineQuotient:
         probe = sorted(set(probe) | {2})
     if unbounded:
         probe = sorted(set(probe) | {nth_prime(0), nth_prime(1)})
-    existing = {tuple(c.rules): c.name for c in colours}
+    existing = {tuple(c.rules) for c in colours}
     for p in probe[:6]:
         vs = spine_m(g, p)
-        if not _informative(vs.pieces):
+        if not _informative(vs.pieces) or vs.pieces in existing:
             continue
-        rules = tuple(_piece_to_colour_rule(pc) for pc in vs.pieces)
-        if rules in existing:
-            continue
-        name = f"mod-{p} values"
-        existing[rules] = name
-        colours.append(ColourRule(name, rules))
+        existing.add(vs.pieces)
+        colours.append(ColourRule(f"mod-{p} values", vs.pieces))
     disc = tuple(_discreteness_piece(g, i) for i in range(n))
-    if _informative(disc):
-        rules = tuple(_piece_to_colour_rule(pc) for pc in disc)
-        if rules not in existing:
-            colours.append(ColourRule("discrete ribs", rules))
+    if _informative(disc) and disc not in existing:
+        colours.append(ColourRule("discrete ribs", disc))
     chain = ChainSpec(g.spine.segments, tuple(colours))
     return SpineQuotient(identity=True, chain=chain,
                          note="identity quotient with derived colours")
 
 
-def _union_membership(g: GroupSpec, pieces):
-    def member(p: Position) -> bool:
-        piece = pieces[p.seg]
-        tag = piece[0]
-        if tag == "all":
-            return True
-        if tag == "none":
-            return False
-        if tag == "only":
-            return p.coord in piece[1]
-        if tag == "minus":
-            return p.coord not in piece[1]
-        if tag == "dense":
-            return g.spine.has_colour(piece[1], p) == piece[2]
-        raise PresentationError(f"unhandled piece {piece!r}")
-    return member
-
-
 def _discreteness_piece(g: GroupSpec, i: int):
-    lay = segment_layout(g, i)
-    if lay.kind == "uniform":
-        return ALL if lay.rib.discrete else NONE
-    if lay.kind == "schematic":
-        return NONE  # both templates are dense
-    on, off = lay.rib.discrete, lay.rib_off.discrete
-    if on and off:
-        return ALL
-    if not on and not off:
-        return NONE
-    return _colour_region_piece(g.spine, i, lay.colour, positive=on)
+    # both schematic templates are dense
+    return _layout_piece(g, i, lambda rib: rib.discrete, lambda s: NONE)
 
 
 # ---------------------------------------------------------------------------

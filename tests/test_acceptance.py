@@ -13,10 +13,10 @@ from oracles import (big_targets, direct_relation, mod2_staircase,
 
 from oagkit.approx import best_approx, decompose_val, scheme_cong, scheme_eqk, scheme_eval, scheme_sign
 from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
-from oagkit.chain import (ChainSpec, ColourAll, ColourDenseCodense,
-                          ColourNone, ColourRule, CutKind, CutStatus, Position,
-                          SegKind, Segment, chain_stably_embedded, integers,
-                          omega, omega_star, ordered_sum)
+from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, CutKind,
+                          CutStatus, Position, SegKind, Segment,
+                          chain_stably_embedded, integers, omega, omega_star,
+                          ordered_sum)
 from oagkit.classify import Status, classify_frr, classify_main, classify_pair
 from oagkit.pseudo import (NoMaximum, PseudoSequence, immediate_ext_check,
                            is_pseudo_cauchy, is_pseudo_limit, lift_mod_m)
@@ -90,10 +90,10 @@ def test_criterion_06_finite_rank_table():
 def test_criterion_07_chain_suite():
     coloured = ChainSpec(
         (Segment(SegKind.DENSE_COMPLETE),),
-        (ColourRule("rational", (ColourDenseCodense(True),)),))
+        (ColourRule("rational", (("dense", "rational", True),)),))
     marked = ChainSpec(
         (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-        (ColourRule("head", (ColourAll(), ColourNone())),))
+        (ColourRule("head", (ALL, NONE)),))
     suite = [
         (omega(), CutStatus.DEFINABLE),
         (omega_star(), CutStatus.DEFINABLE),

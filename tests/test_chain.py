@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oagkit.chain import (ChainSpec, ColourAll, ColourDenseCodense,
-                          ColourFinite, ColourNone, ColourRule, Cut, CutKind,
+from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Cut, CutKind,
                           CutStatus, Position, SegKind, Segment,
                           chain_stably_embedded, classify_cut, cut_classes,
                           dense_complete, dense_q, fin, integers, omega,
@@ -68,7 +67,7 @@ def test_dense_coordinates_are_fractions():
 
 def test_colour_membership():
     ch = ChainSpec((Segment(SegKind.OMEGA),),
-                   (ColourRule("start", (ColourFinite(frozenset({0, 2})),)),))
+                   (ColourRule("start", (("only", frozenset({0, 2})),)),))
     assert ch.has_colour("start", Position(0, 0))
     assert not ch.has_colour("start", Position(0, 1))
     assert ch.has_colour("start", Position(0, 2))
@@ -106,7 +105,7 @@ def test_double_ladder_boundary_not_definable():
 
 def test_marked_boundary_becomes_definable():
     ch = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-                   (ColourRule("head", (ColourAll(), ColourNone())),))
+                   (ColourRule("head", (ALL, NONE)),))
     cc = classify_cut(ch, Cut(CutKind.SEGMENT_BOUNDARY, index=0))
     assert cc.status is CutStatus.DEFINABLE
 
@@ -122,10 +121,10 @@ def test_cut_classes_cover_the_report():
 def test_chain_suite():
     coloured = ChainSpec(
         (Segment(SegKind.DENSE_COMPLETE),),
-        (ColourRule("rational", (ColourDenseCodense(True),)),))
+        (ColourRule("rational", (("dense", "rational", True),)),))
     marked = ChainSpec(
         (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-        (ColourRule("head", (ColourAll(), ColourNone())),))
+        (ColourRule("head", (ALL, NONE)),))
     expectations = [
         (omega(), CutStatus.DEFINABLE),
         (omega_star(), CutStatus.DEFINABLE),

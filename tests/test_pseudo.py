@@ -6,6 +6,7 @@ import pytest
 
 from oracles import mod2_staircase as _mod2_staircase
 
+from oagkit.approx import ApproxSample
 from oagkit.catalogue import builtin_group, builtin_pair
 from oagkit.chain import Position
 from oagkit.errors import ElementInG, NotPseudoCauchy, NotRepresentable, TooShort
@@ -125,6 +126,7 @@ def test_delta_max_cofinal_without_witness():
     got = delta_max(g, a, 2, depth=4)
     assert isinstance(got, NoMaximum)
     assert len(got.samples) >= 3
+    assert all(isinstance(smp, ApproxSample) for smp in got.samples)
 
 
 # -- immediate extensions -----------------------------------------------------
