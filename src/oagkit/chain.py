@@ -18,6 +18,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .errors import PositionOutOfDomain, PresentationError
@@ -83,12 +84,6 @@ class Position:
 
     def __repr__(self) -> str:
         return f"pos({self.seg}, {self.coord})"
-
-
-def _local_key(kind: SegKind, coord: Coord):
-    if kind is SegKind.OMEGA_STAR:
-        return -coord
-    return coord
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +183,18 @@ class ChainSpec:
         if p is INF:
             return (1, 0, 0)
         self.check_position(p)
-        kind = self.segments[p.seg].kind
-        return (0, p.seg, _local_key(kind, p.coord))
+        return self.unchecked_key(p)
+
+    @cached_property
+    def _reversed_segments(self) -> frozenset:
+        return frozenset(i for i, s in enumerate(self.segments)
+                         if s.kind is SegKind.OMEGA_STAR)
+
+    def unchecked_key(self, p: Position):
+        """``sort_key`` of a position already checked against this chain."""
+        if p.seg in self._reversed_segments:
+            return (0, p.seg, -p.coord)
+        return (0, p.seg, p.coord)
 
     def lt(self, a, b) -> bool:
         return self.sort_key(a) < self.sort_key(b)

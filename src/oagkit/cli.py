@@ -58,15 +58,20 @@ def _verdict_data(v: cls.Verdict, trace: bool) -> dict:
 
 def _bound(args, default: int) -> int:
     if args.bound is not None:
-        return args.bound
-    env = os.environ.get("OAGKIT_BOUND")
-    if env is not None:
+        bound = args.bound
+    else:
+        env = os.environ.get("OAGKIT_BOUND")
+        if env is None:
+            return default
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
             raise PresentationError(f"OAGKIT_BOUND must be an integer, "
                                     f"got {env!r}")
-    return default
+    if bound < 0:
+        raise PresentationError(f"the search bound must be nonnegative, "
+                                f"got {bound}")
+    return bound
 
 
 # -- subcommands ---------------------------------------------------------------

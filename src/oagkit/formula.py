@@ -272,7 +272,11 @@ class _Parser:
         n = self.expect_int()
         if self.at("/"):
             self.next()
-            return Fraction(n, self.expect_int())
+            pos = self.peek()[2]
+            d = self.expect_int()
+            if d == 0:
+                raise FormulaSyntaxError("zero denominator", pos)
+            return Fraction(n, d)
         return Fraction(n)
 
     def value_part(self) -> RibElement:

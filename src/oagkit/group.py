@@ -19,31 +19,78 @@ free and makes eventual behaviour a property of the tail alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .chain import INF, ChainSpec, Position, SegKind
 from .errors import PositionOutOfDomain, PresentationError
-from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divisible)
+from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, script_z_rib,
+                  z_local_rib)
 
 
 def _as_rib_value(v) -> RibElement:
     if isinstance(v, RibElement):
         return v
-    return RibElement(Fraction(v))
+    return RibElement(v)
+
+
+# ---------------------------------------------------------------------------
+# Primes: one ascending table, sieved afresh at twice the size whenever a
+# caller needs more of it.  Nothing is sieved at import.
+
+SIEVE_LIMIT = 1 << 24
+_PRIMES = array("l")    # every prime up to _sieved_to
+_sieved_to = 1
+
+
+def _sieve_past(n: int) -> None:
+    """Grow the prime table until it holds every prime up to n."""
+    global _sieved_to
+    if n <= _sieved_to:
+        return
+    if n > SIEVE_LIMIT:
+        raise PresentationError(f"primes past {SIEVE_LIMIT} are out of range")
+    limit = max(_sieved_to, 512)
+    while limit < n:
+        limit *= 2
+    limit = min(limit, SIEVE_LIMIT)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    _PRIMES[:] = array("l", itertools.compress(range(limit + 1), sieve))
+    _sieved_to = limit
+
+
+def _trial_divisors() -> Iterator[int]:
+    """The primes in order, then every integer past the prime table."""
+    i = 0
+    while True:
+        if i < len(_PRIMES):
+            yield _PRIMES[i]
+            i += 1
+        elif _sieved_to < SIEVE_LIMIT:
+            _sieve_past(2 * _sieved_to)
+        else:
+            yield from itertools.count(SIEVE_LIMIT + 1)
 
 
 def _primes_of(n: int) -> Tuple[int, ...]:
     n = abs(n)
     out = []
-    d = 2
-    while d * d <= n:
+    for d in _trial_divisors():
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
     if n > 1:
         out.append(n)
     return tuple(out)
@@ -53,24 +100,18 @@ def nth_prime(n: int) -> int:
     """The n-th prime, counting from n = 0 (2, 3, 5, ...)."""
     if n < 0:
         raise PresentationError("prime index must be nonnegative")
-    count, cand = -1, 1
-    while count < n:
-        cand += 1
-        if all(cand % d for d in range(2, int(cand ** 0.5) + 1)):
-            count += 1
-    return cand
+    while len(_PRIMES) <= n:
+        _sieve_past(2 * _sieved_to)
+    return _PRIMES[n]
 
 
 def prime_index(p: int) -> int:
     """Position of the prime p in the enumeration used by nth_prime."""
-    i = 0
-    while True:
-        q = nth_prime(i)
-        if q == p:
-            return i
-        if q > p:
-            raise PresentationError(f"{p} is not prime")
-        i += 1
+    _sieve_past(p)
+    i = bisect_left(_PRIMES, p)
+    if i < len(_PRIMES) and _PRIMES[i] == p:
+        return i
+    raise PresentationError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -94,7 +135,6 @@ class SchematicRib:
         return nth_prime(n)
 
     def rib_for(self, n: int) -> RibSpec:
-        from .rib import script_z_rib, z_local_rib
         p = self.prime_for(n)
         return script_z_rib(p) if self.template == "script_z" else z_local_rib(p)
 
@@ -180,17 +220,21 @@ class Element:
     """Deviations (position -> rib value) plus a tail.
 
     ``fp`` pairs are sorted in chain order; zero deviations are dropped.
-    Build elements through :meth:`GroupSpec.el`, which canonicalizes.
+    Build elements through :meth:`GroupSpec.el`, which canonicalizes and
+    checks every position against the chain.
     """
 
     fp: Tuple[Tuple[Position, RibElement], ...] = ()
     tail: RibElement = RIB_ZERO
 
+    @cached_property
+    def _index(self) -> dict:
+        # built on first lookup, outside the fields, so == and hash stay on
+        # (fp, tail); reversed so that a repeated position keeps its first value
+        return dict(reversed(self.fp))
+
     def deviation(self, p: Position) -> RibElement:
-        for pos, v in self.fp:
-            if pos == p:
-                return v
-        return RIB_ZERO
+        return self._index.get(p, RIB_ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -241,7 +285,7 @@ class GroupSpec:
 
     # -- geometry ------------------------------------------------------
 
-    @property
+    @cached_property
     def terminal_omega(self) -> Optional[int]:
         """Index of the last segment if it is an omega segment."""
         segs = self.spine.segments
@@ -251,6 +295,10 @@ class GroupSpec:
 
     def rib_at(self, p: Position) -> RibSpec:
         self.spine.check_position(p)
+        return self._rib_at(p)
+
+    def _rib_at(self, p: Position) -> RibSpec:
+        """``rib_at`` a position already checked against the chain."""
         for entry in self.ribs:
             if entry.matches(self.spine, p):
                 return entry.rib_at(p)
@@ -311,25 +359,45 @@ class GroupSpec:
             dev = v - tail if pos.seg == t else v
             if dev:
                 devs.append((pos, dev))
-        devs.sort(key=lambda pv: self.spine.sort_key(pv[0]))
-        return Element(tuple(devs), tail)
+        return self._sorted(devs, tail)
 
     def _raw(self, devs: Sequence[Tuple[Position, RibElement]],
              tail: RibElement) -> Element:
+        """Canonicalize entries read from outside (parsed literals, term
+        constants): check each nonzero entry's position, then sort."""
         devs = [(p, v) for p, v in devs if v]
-        devs.sort(key=lambda pv: self.spine.sort_key(pv[0]))
+        for p, _ in devs:
+            self.spine.check_position(p)
+        return self._sorted(devs, tail)
+
+    def _sorted(self, devs: list, tail: RibElement) -> Element:
+        key = self.spine.unchecked_key
+        devs.sort(key=lambda pv: key(pv[0]))
         return Element(tuple(devs), tail)
 
     def coordinate(self, e: Element, p: Position) -> RibElement:
         self.spine.check_position(p)
-        base = e.tail if p.seg == self.terminal_omega else RIB_ZERO
-        return base + e.deviation(p)
+        return self._coord(e, p)
+
+    def _coord(self, e: Element, p: Position) -> RibElement:
+        """``coordinate`` at a position already checked against the chain."""
+        dev = e._index.get(p)
+        if p.seg != self.terminal_omega or not e.tail:
+            return RIB_ZERO if dev is None else dev
+        return e.tail if dev is None else e.tail + dev
 
     def add(self, a: Element, b: Element) -> Element:
-        merged = {}
-        for pos, v in itertools.chain(a.fp, b.fp):
-            merged[pos] = merged.get(pos, RIB_ZERO) + v
-        return self._raw(list(merged.items()), a.tail + b.tail)
+        # both deviation lists are sorted, so the sort is one linear merge
+        # that leaves equal positions side by side
+        key = self.spine.unchecked_key
+        merged = sorted(a.fp + b.fp, key=lambda pv: key(pv[0]))
+        out = []
+        for p, v in merged:
+            if out and out[-1][0] == p:
+                out[-1] = (p, out[-1][1] + v)
+            else:
+                out.append((p, v))
+        return Element(tuple(pv for pv in out if pv[1]), a.tail + b.tail)
 
     def neg(self, a: Element) -> Element:
         return Element(tuple((p, -v) for p, v in a.fp), -a.tail)
@@ -353,35 +421,46 @@ class GroupSpec:
 
     # -- support and order ----------------------------------------------
 
-    def support_candidates(self, e: Element) -> Iterator[Position]:
+    def _candidates(self, e: Element, bad: Iterable[int] = (),
+                   extra: int = 0) -> List[Position]:
+        """The positions of e's deviations, in order, with the terminal
+        ones replaced by the run 0..top of the terminal segment when e has
+        a tail.  ``top`` passes every terminal deviation and every
+        coordinate in ``bad``, then ``extra`` more.
+
+        The run covers every terminal deviation and the terminal segment
+        comes last, so appending it to the other deviations keeps the
+        chain order without a sort.
+        """
+        t = self.terminal_omega
+        out: List[Position] = []
+        if t is None or not e.tail:
+            for p, _ in e.fp:
+                if not out or out[-1] != p:
+                    out.append(p)
+            return out
+        top = max(bad, default=-1) + 1
+        for p, _ in e.fp:
+            if p.seg == t:
+                top = max(top, p.coord + 1)
+            elif not out or out[-1] != p:
+                out.append(p)
+        out.extend(Position(t, n) for n in range(top + extra + 1))
+        return out
+
+    def support_candidates(self, e: Element) -> List[Position]:
         """Positions where the coordinate might be nonzero, in order.
 
         Finitely many: the deviation positions, and an initial run of the
         terminal segment long enough to pass every deviation there and
         every coordinate the tail leaves its rib at.
         """
-        t = self.terminal_omega
-        extra: list = []
-        if t is not None and e.tail:
-            top = 0
-            for pos, _ in e.fp:
-                if pos.seg == t:
-                    top = max(top, pos.coord + 1)
-            for n in self._tail_bad_coords(e.tail):
-                top = max(top, n + 1)
-            extra = [Position(t, n) for n in range(top + 1)]
-        seen = set()
-        allpos = [p for p, _ in e.fp] + extra
-        allpos.sort(key=self.spine.sort_key)
-        for p in allpos:
-            if p not in seen:
-                seen.add(p)
-                yield p
+        return self._candidates(e, self._tail_bad_coords(e.tail))
 
     def nat_val(self, e: Element):
         """Least position with a nonzero coordinate; INF for zero."""
         for p in self.support_candidates(e):
-            if self.coordinate(e, p):
+            if self._coord(e, p):
                 return p
         return INF if not e.tail else self._first_free_terminal(e)
 
@@ -425,7 +504,7 @@ class GroupSpec:
 
     def contains(self, e: Element) -> bool:
         for p in self.support_candidates(e):
-            if not rib_contains(self.rib_at(p), self.coordinate(e, p)):
+            if not rib_contains(self._rib_at(p), self._coord(e, p)):
                 return False
         if e.tail and not self._tail_cofinally_ok(e.tail):
             return False

@@ -142,7 +142,8 @@ def _strip_below(g: GroupSpec, e: Element, v: SpineValue) -> Element:
     if v.kind is SpineValueKind.LIMIT:
         return Element()
     cutoff = g.spine.sort_key(v.position)
-    kept = tuple((p, val) for p, val in e.fp if g.spine.sort_key(p) >= cutoff)
+    key = g.spine.unchecked_key
+    kept = tuple((p, val) for p, val in e.fp if key(p) >= cutoff)
     return Element(kept, e.tail)
 
 
@@ -237,23 +238,24 @@ def _absorb_below(g: GroupSpec, a: Element, m: int, stop: Position) -> Element:
     cutoff = g.spine.sort_key(stop)
     pairs = []
     for p in _coords_below(g, a, m, cutoff):
-        c = g.coordinate(a, p)
+        c = g._coord(a, p)
         pairs.append((p, c))
     return g.el(pairs)
 
 
 def _coords_below(g: GroupSpec, a: Element, m: int, cutoff) -> Iterator[Position]:
     t = g.terminal_omega
+    key = g.spine.unchecked_key
     positions = {p for p, _ in a.fp}
     if t is not None and a.tail:
         n = 0
-        while g.spine.sort_key(Position(t, n)) < cutoff:
+        while key(Position(t, n)) < cutoff:
             positions.add(Position(t, n))
             n += 1
             if n > 64:
                 raise PresentationError("absorption window too deep")
-    for p in sorted(positions, key=g.spine.sort_key):
-        if g.spine.sort_key(p) < cutoff and g.coordinate(a, p):
+    for p in sorted(positions, key=key):
+        if key(p) < cutoff and g._coord(a, p):
             yield p
 
 

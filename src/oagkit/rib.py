@@ -35,17 +35,18 @@ class RibElement:
         object.__setattr__(self, "w", Fraction(w))
 
     def __add__(self, other: "RibElement") -> "RibElement":
-        return RibElement(self.q + other.q, self.w + other.w)
+        return _trusted(self.q + other.q, self.w + other.w)
 
     def __sub__(self, other: "RibElement") -> "RibElement":
-        return RibElement(self.q - other.q, self.w - other.w)
+        return _trusted(self.q - other.q, self.w - other.w)
 
     def __neg__(self) -> "RibElement":
-        return RibElement(-self.q, -self.w)
+        return _trusted(-self.q, -self.w)
 
     def scale(self, k) -> "RibElement":
-        k = Fraction(k)
-        return RibElement(self.q * k, self.w * k)
+        if type(k) is not Fraction and type(k) is not int:
+            k = Fraction(k)
+        return _trusted(self.q * k, self.w * k)
 
     def __mul__(self, k):
         return self.scale(k)
@@ -67,6 +68,19 @@ class RibElement:
         if not self.w:
             return f"rib({self.q})"
         return f"rib({self.q}+{self.w}*OMEGA)"
+
+
+def _trusted(q: Fraction, w: Fraction) -> RibElement:
+    """A RibElement from two values that are already Fractions.
+
+    Arithmetic on elements yields Fractions, so its results skip the
+    conversion in ``RibElement.__init__``.
+    """
+    out = object.__new__(RibElement)
+    d = out.__dict__
+    d["q"] = q
+    d["w"] = w
+    return out
 
 
 RIB_ZERO = RibElement(0)

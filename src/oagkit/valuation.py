@@ -18,7 +18,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
@@ -82,7 +82,7 @@ def compare_spine_values(chain: ChainSpec, a: SpineValue, b: SpineValue) -> int:
 # The valuation itself.
 
 
-def _divisibility_candidates(g: GroupSpec, e: Element, m: int) -> Iterator[Position]:
+def _divisibility_candidates(g: GroupSpec, e: Element, m: int) -> List[Position]:
     """Positions where the coordinate of e might fail m-divisibility.
 
     Deviations, plus terminal coordinates where the tail (or tail/m)
@@ -90,26 +90,15 @@ def _divisibility_candidates(g: GroupSpec, e: Element, m: int) -> Iterator[Posit
     0 or a tail value that divides cleanly.
     """
     t = g.terminal_omega
-    positions = [p for p, _ in e.fp]
-    if t is not None and e.tail:
-        top = 0
-        for pos, _ in e.fp:
-            if pos.seg == t:
-                top = max(top, pos.coord + 1)
-        scaled = e.tail.scale(Fraction(1, m))
-        for n in g._tail_bad_coords(e.tail) + g._tail_bad_coords(scaled):
-            top = max(top, n + 1)
-        entry = g._terminal_entry()
-        if (entry is not None and entry.schematic is None
-                and not rib_divisible(entry.rib_at(Position(t, 0)), e.tail, m)[0]):
-            top += 1  # the first free terminal coordinate already fails
-        positions.extend(Position(t, n) for n in range(top + 1))
-    seen = set()
-    positions.sort(key=g.spine.sort_key)
-    for p in positions:
-        if p not in seen:
-            seen.add(p)
-            yield p
+    if t is None or not e.tail:
+        return g._candidates(e)
+    scaled = e.tail.scale(Fraction(1, m))
+    bad = g._tail_bad_coords(e.tail) + g._tail_bad_coords(scaled)
+    entry = g._terminal_entry()
+    # the first free terminal coordinate already fails when the tail does
+    fails = (entry is not None and entry.schematic is None
+             and not rib_divisible(entry.rib_at(Position(t, 0)), e.tail, m)[0])
+    return g._candidates(e, bad, extra=1 if fails else 0)
 
 
 def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
@@ -122,7 +111,7 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
         v = g.nat_val(e)
         return SV_INF if v is INF else sv_pos(v)
     for p in _divisibility_candidates(g, e, m):
-        ok, _ = rib_divisible(g.rib_at(p), g.coordinate(e, p), m)
+        ok, _ = rib_divisible(g._rib_at(p), g._coord(e, p), m)
         if not ok:
             return sv_pos(p)
     if not e.tail:
@@ -232,10 +221,7 @@ def _schematic_hit_coords(s: SchematicRib, m: int) -> frozenset:
         if p in primes:
             coords.add(n)
     for p in primes:
-        try:
-            idx = prime_index(p)
-        except PresentationError:
-            continue
+        idx = prime_index(p)
         if idx >= len(s.primes) and _m_hits(s.rib_for(idx), m):
             coords.add(idx)
     return frozenset(coords)
@@ -284,6 +270,8 @@ class ValueSet:
 
 
 def spine_m(g: GroupSpec, m: int) -> ValueSet:
+    if m < 0:
+        raise PresentationError("modulus must be nonnegative")
     n = len(g.spine.segments)
     if m == 0:
         return ValueSet(0, (ALL,) * n, None)

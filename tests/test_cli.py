@@ -200,3 +200,35 @@ def test_bound_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("OAGKIT_BOUND", "frog")
     code, out, _ = run(capsys, "check-ur", "z")
     assert code == 64
+
+
+def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
+    code, data = run_json(capsys, "--json", "--bound", "-1", "check-m", "g4")
+    assert code == 64
+    assert data["kind"] == "PresentationError"
+    monkeypatch.setenv("OAGKIT_BOUND", "-3")
+    code, data = run_json(capsys, "--json", "classify", "g1")
+    assert code == 64
+    assert data["kind"] == "PresentationError"
+    monkeypatch.setenv("OAGKIT_BOUND", "0")
+    assert run(capsys, "check-ur", "z")[0] == 0
+
+
+def test_negative_modulus_for_spine_is_a_usage_error(capsys):
+    code, data = run_json(capsys, "--json", "spine", "-1", "g1")
+    assert code == 64
+    assert data["kind"] == "PresentationError"
+
+
+@pytest.mark.parametrize("literal", ["el(pos(3, 0): 1)", "el(pos(0, -1): 1)"])
+def test_literal_positions_are_checked_against_the_group(capsys, literal):
+    code, data = run_json(capsys, "--json", "val", "0", "g1", literal)
+    assert code == 64
+    assert data["kind"] == "PositionOutOfDomain"
+
+
+def test_zero_denominator_in_a_literal_is_a_usage_error(capsys):
+    code, data = run_json(capsys, "--json", "val", "2", "g1",
+                          "el(pos(0, 0): 1/0)")
+    assert code == 64
+    assert data["kind"] == "FormulaSyntaxError"

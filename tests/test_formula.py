@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from oagkit.catalogue import builtin_group
-from oagkit.errors import FormulaSyntaxError, UnboundVariable
+from oagkit.errors import (FormulaSyntaxError, PositionOutOfDomain,
+                           UnboundVariable)
 from oagkit.formula import (FALSE, TRUE, And, Bool, CongBullet, EqBullet, Gt0,
                             Not, Or, ValCmp, element_text, eval_formula,
                             eval_term, formula_text, make_term, parse_element,
@@ -84,7 +85,7 @@ def test_element_literals_round_trip():
 def test_element_parse_against_group_checks_positions():
     g = builtin_group("z")
     parse_element("el(pos(0, 0): 4)", g)
-    with pytest.raises(Exception):
+    with pytest.raises(PositionOutOfDomain):
         parse_element("el(pos(3, 0): 4)", g)
 
 
@@ -105,6 +106,14 @@ def test_syntax_errors_carry_positions():
         parse_formula("x ==={} 1")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("2 > 0")
+
+
+def test_zero_denominator_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_element("el(pos(0, 0): 1/0)")
+    assert info.value.pos == len("el(pos(0, 0): 1/")
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("x + el(tail: 3/0) > 0")
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""The element layer scales linearly with support size, and the prime
+helpers stay fast and exact.
+
+Timings compare one operation at two sizes on the same machine, so they
+hold on slow and fast hardware alike: quadrupling the support of a
+linear operation multiplies its time by about 4, a quadratic one by
+about 16.  The bound of 8 sits between the two.
+"""
+
+import statistics
+import time
+from fractions import Fraction
+
+import pytest
+
+from oagkit.catalogue import builtin_group
+from oagkit.chain import Position
+from oagkit.errors import PresentationError
+from oagkit.group import SIEVE_LIMIT, _primes_of, nth_prime, prime_index
+from oagkit.rib import RibElement
+from oagkit.valuation import val_m
+
+SMALL, LARGE = 800, 3200
+MAX_RATIO = 8.0
+
+
+def _median_seconds(fn, runs=3):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _element(g, n, offset):
+    """n deviations, all divisible by 6 except the last, which is 1: every
+    scan below has to walk the whole support."""
+    pairs = [(Position(0, c), 6 * ((c + offset) % 5 + 1)) for c in range(n - 1)]
+    pairs.append((Position(0, n - 1), 1))
+    return g.el(pairs)
+
+
+OPS = {
+    "val_m0": lambda g, a, b: val_m(g, a, 0),
+    "val_m2": lambda g, a, b: val_m(g, a, 2),
+    "val_m3": lambda g, a, b: val_m(g, a, 3),
+    "contains": lambda g, a, b: g.contains(a),
+    "in_m_multiples": lambda g, a, b: g.in_m_multiples(a, 2),
+    "add": lambda g, a, b: g.add(a, b),
+    "compare": lambda g, a, b: g.compare(a, b),
+}
+
+
+@pytest.mark.parametrize("group", ["g1", "sigma_ext"])
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_element_ops_scale_linearly(group, op):
+    g = builtin_group(group)
+    fn = OPS[op]
+    times = {}
+    for n in (SMALL, LARGE):
+        a, b = _element(g, n, 0), _element(g, n, 2)
+        fn(g, a, b)  # builds the deviation indexes outside the timing
+        times[n] = _median_seconds(lambda: fn(g, a, b))
+    ratio = times[LARGE] / times[SMALL]
+    assert ratio < MAX_RATIO, (
+        f"{op} on {group}: {times[SMALL] * 1e3:.2f} ms at N = {SMALL}, "
+        f"{times[LARGE] * 1e3:.2f} ms at N = {LARGE} (x{ratio:.1f})")
+
+
+def _tail_checks_seconds(p):
+    h = builtin_group("h_primes")
+    e = h.el((), RibElement(Fraction(1, p)))
+    start = time.perf_counter()
+    assert not h.contains(e)
+    assert val_m(h, e, 3).position == Position(0, 1)
+    return time.perf_counter() - start
+
+
+def test_schematic_tail_with_a_large_prime_is_fast():
+    assert _tail_checks_seconds(7919) < 0.5
+
+
+def test_schematic_tail_with_a_seven_digit_prime_finishes():
+    assert _tail_checks_seconds(1000003) < 2.0
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_helpers_round_trip_against_trial_division():
+    reference = [n for n in range(2, 17500) if _is_prime(n)][:2000]
+    assert len(reference) == 2000
+    for i, p in enumerate(reference):
+        assert nth_prime(i) == p
+        assert prime_index(p) == i
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 7917, 7921])
+def test_prime_index_rejects_non_primes(n):
+    with pytest.raises(PresentationError):
+        prime_index(n)
+
+
+def test_primes_past_the_table_are_refused_without_sieving():
+    start = time.perf_counter()
+    with pytest.raises(PresentationError):
+        prime_index(SIEVE_LIMIT + 43)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_nth_prime_rejects_negative_indexes():
+    with pytest.raises(PresentationError):
+        nth_prime(-1)
+
+
+def _factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return tuple(out + [n] if n > 1 else out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 2 ** 60, 7919 * 7907,
+                               1000003 * 2, 1000003 ** 2, 3 * 5 * 1000003])
+def test_prime_factors_match_trial_division(n):
+    assert _primes_of(n) == _factors(n)
+    assert _primes_of(-n) == _factors(n)
