@@ -41,10 +41,10 @@ from .pseudo import (BestInGroupWitness, ImmediateReport, NoMaximum,
                      hahn_pseudo_limit, immediate_ext_check, is_pseudo_cauchy,
                      is_pseudo_limit, lift_mod_m)
 from .rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec, q_rib,
-                  r_proxy_rib, rib_contains, rib_divisible, rib_elem_equiv,
-                  rib_min_positive, rib_pair_stably_embedded, rib_residue,
-                  rib_stably_embedded, script_z_rib, window_rib, z_local_rib,
-                  z_rib)
+                  r_proxy_rib, rib_contains, rib_divides, rib_divisible,
+                  rib_elem_equiv, rib_min_positive, rib_pair_stably_embedded,
+                  rib_residue, rib_stably_embedded, script_z_rib, window_rib,
+                  z_local_rib, z_rib)
 from .valuation import (HypothesisResult, SegmentLayout, SpineQuotient,
                         SpineValue, SpineValueKind, SV_INF, ValueSet, check_m,
                         check_ur, compare_spine_values, pred_cong_bullet,

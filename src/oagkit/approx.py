@@ -21,7 +21,7 @@ from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
 from .group import Element, PairSpec
 from .pseudo import ApproxSample, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
-                  rib_divisible, rib_min_positive, rib_pair_stably_embedded,
+                  rib_divides, rib_min_positive, rib_pair_stably_embedded,
                   rib_residue)
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
                         compare_spine_values, pred_cong_bullet,
@@ -46,14 +46,14 @@ def _match_coordinate(rib_s: RibSpec, rib_b: RibSpec, c: RibElement, m: int):
         return True, c
     if m == 0:
         return False, None
-    if rib_divisible(rib_b, c, m)[0]:
+    if rib_divides(rib_b, c, m):
         return True, RIB_ZERO
     if rib_s.discrete and rib_b.discrete:
         u = rib_min_positive(rib_s)
         for j in range(1, m):
             cand = u.scale(j)
             if rib_contains(rib_s, cand) and \
-                    rib_divisible(rib_b, c - cand, m)[0]:
+                    rib_divides(rib_b, c - cand, m):
                 return True, cand
     return False, None
 
@@ -174,7 +174,7 @@ def _bullet_cong_value(rib: RibSpec, value: RibElement, m: int,
                        k: int) -> bool:
     if not rib.discrete:
         return False
-    return rib_divisible(rib, value - rib_min_positive(rib).scale(k), m)[0]
+    return rib_divides(rib, value - rib_min_positive(rib).scale(k), m)
 
 
 def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
@@ -268,7 +268,7 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
                     return w.sign > 0
                 continue
             rib_b = big.rib_at(smp.delta.position)
-            if s.kind == "cong" and rib_divisible(rib_b, w, s.m)[0]:
+            if s.kind == "cong" and rib_divides(rib_b, w, s.m):
                 continue
             if s.kind == "eqk" and not w:
                 continue
@@ -304,7 +304,7 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
             raise GuardGap("coefficient collision at the best approximation")
         return w.sign > 0
     rib_b = big.rib_at(s.beta.position)
-    if s.kind == "cong" and rib_divisible(rib_b, w, s.m)[0]:
+    if s.kind == "cong" and rib_divides(rib_b, w, s.m):
         raise GuardGap("residue collision at the best approximation")
     if s.kind == "eqk" and not w:
         raise GuardGap("coefficient collision at the best approximation")

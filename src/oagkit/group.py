@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .chain import INF, ChainSpec, Position, SegKind
 from .errors import PositionOutOfDomain, PresentationError
-from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, script_z_rib,
-                  z_local_rib)
+from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
+                  script_z_rib, z_local_rib)
 
 
 def _as_rib_value(v) -> RibElement:
@@ -219,9 +219,9 @@ class Generator:
 class Element:
     """Deviations (position -> rib value) plus a tail.
 
-    ``fp`` pairs are sorted in chain order; zero deviations are dropped.
-    Build elements through :meth:`GroupSpec.el`, which canonicalizes and
-    checks every position against the chain.
+    ``fp`` pairs are sorted in chain order, one per position; zero
+    deviations are dropped.  Build elements through :meth:`GroupSpec.el`,
+    which canonicalizes and checks every position against the chain.
     """
 
     fp: Tuple[Tuple[Position, RibElement], ...] = ()
@@ -230,8 +230,8 @@ class Element:
     @cached_property
     def _index(self) -> dict:
         # built on first lookup, outside the fields, so == and hash stay on
-        # (fp, tail); reversed so that a repeated position keeps its first value
-        return dict(reversed(self.fp))
+        # (fp, tail)
+        return dict(self.fp)
 
     def deviation(self, p: Position) -> RibElement:
         return self._index.get(p, RIB_ZERO)
@@ -344,36 +344,33 @@ class GroupSpec:
         """Build an element from absolute coordinates plus a tail value."""
         tail = _as_rib_value(tail)
         t = self.terminal_omega
-        if tail and t is None:
-            raise PresentationError("a tail needs a terminal omega segment")
-        seen = set()
         devs = []
         for pos, v in pairs:
             if isinstance(pos, tuple):
                 pos = Position(*pos)
-            self.spine.check_position(pos)
-            if pos in seen:
-                raise PresentationError(f"duplicate coordinate at {pos}")
-            seen.add(pos)
             v = _as_rib_value(v)
-            dev = v - tail if pos.seg == t else v
-            if dev:
-                devs.append((pos, dev))
-        return self._sorted(devs, tail)
+            devs.append((pos, v - tail if pos.seg == t else v))
+        return self._raw(devs, tail)
 
     def _raw(self, devs: Sequence[Tuple[Position, RibElement]],
              tail: RibElement) -> Element:
-        """Canonicalize entries read from outside (parsed literals, term
-        constants): check each nonzero entry's position, then sort."""
-        devs = [(p, v) for p, v in devs if v]
-        for p, _ in devs:
-            self.spine.check_position(p)
-        return self._sorted(devs, tail)
-
-    def _sorted(self, devs: list, tail: RibElement) -> Element:
-        key = self.spine.unchecked_key
-        devs.sort(key=lambda pv: key(pv[0]))
-        return Element(tuple(devs), tail)
+        """Canonicalize deviations read from outside (``el``, parsed
+        literals, term constants): check the tail and every position, zero
+        entries included, refuse repeats, drop zeros and sort."""
+        if tail and self.terminal_omega is None:
+            raise PresentationError("a tail needs a terminal omega segment")
+        sort_key = self.spine.sort_key
+        seen = set()
+        keyed = []
+        for p, v in devs:
+            k = sort_key(p)
+            if k in seen:
+                raise PresentationError(f"duplicate coordinate at {p}")
+            seen.add(k)
+            if v:
+                keyed.append((k, p, v))
+        keyed.sort()  # the keys are distinct, so positions are never compared
+        return Element(tuple((p, v) for _, p, v in keyed), tail)
 
     def coordinate(self, e: Element, p: Position) -> RibElement:
         self.spine.check_position(p)
@@ -386,24 +383,60 @@ class GroupSpec:
             return RIB_ZERO if dev is None else dev
         return e.tail if dev is None else e.tail + dev
 
-    def add(self, a: Element, b: Element) -> Element:
-        # both deviation lists are sorted, so the sort is one linear merge
-        # that leaves equal positions side by side
+    def _aligned(self, a: Element, b: Element) -> Iterator[
+            Tuple[Position, Optional[RibElement], Optional[RibElement]]]:
+        """(position, deviation of a, deviation of b) over both supports in
+        chain order, None on a side without one: a lazy merge of the two
+        sorted deviation lists."""
         key = self.spine.unchecked_key
-        merged = sorted(a.fp + b.fp, key=lambda pv: key(pv[0]))
+        done = self.spine.sort_key(INF)  # after every position
+        fa, fb = a.fp, b.fp
+        na, nb = len(fa), len(fb)
+        i = j = 0
+        ka = key(fa[0][0]) if na else done
+        kb = key(fb[0][0]) if nb else done
+        while i < na or j < nb:
+            x = y = None
+            if ka <= kb:
+                p, x = fa[i]
+                i += 1
+            if kb <= ka:
+                p, y = fb[j]
+                j += 1
+            yield p, x, y
+            if x is not None:
+                ka = key(fa[i][0]) if i < na else done
+            if y is not None:
+                kb = key(fb[j][0]) if j < nb else done
+
+    def add(self, a: Element, b: Element) -> Element:
         out = []
-        for p, v in merged:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + v)
-            else:
-                out.append((p, v))
-        return Element(tuple(pv for pv in out if pv[1]), a.tail + b.tail)
+        for p, x, y in self._aligned(a, b):
+            if y is None:
+                out.append((p, x))
+            elif x is None:
+                out.append((p, y))
+            elif s := x + y:
+                out.append((p, s))
+        return Element(tuple(out), a.tail + b.tail)
 
     def neg(self, a: Element) -> Element:
         return Element(tuple((p, -v) for p, v in a.fp), -a.tail)
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        return Element(tuple(pd for pd in self._differences(a, b) if pd[1]),
+                       a.tail - b.tail)
+
+    def _differences(self, a: Element, b: Element
+                     ) -> Iterator[Tuple[Position, RibElement]]:
+        """The deviations of a - b, zeros included, lazily in chain order."""
+        for p, x, y in self._aligned(a, b):
+            if y is None:
+                yield p, x
+            elif x is None:
+                yield p, -y
+            else:
+                yield p, x - y
 
     def scale(self, a: Element, k) -> Element:
         k = Fraction(k)
@@ -421,32 +454,62 @@ class GroupSpec:
 
     # -- support and order ----------------------------------------------
 
-    def _candidates(self, e: Element, bad: Iterable[int] = (),
-                   extra: int = 0) -> List[Position]:
-        """The positions of e's deviations, in order, with the terminal
-        ones replaced by the run 0..top of the terminal segment when e has
-        a tail.  ``top`` passes every terminal deviation and every
-        coordinate in ``bad``, then ``extra`` more.
+    @cached_property
+    def _terminal_schematic(self) -> Optional[SchematicRib]:
+        """The schematic rib of the terminal segment when a single clause
+        assigns it there, at every coordinate; else None."""
+        t = self.terminal_omega
+        if t is None:
+            return None
+        for entry in self.ribs:
+            if entry.position is not None:
+                if entry.position.seg == t:
+                    return None
+            elif entry.segment is None or entry.segment == t:
+                return entry.schematic if entry.colour is None else None
+        return None
 
-        The run covers every terminal deviation and the terminal segment
-        comes last, so appending it to the other deviations keeps the
-        chain order without a sort.
+    def _walk(self, e: Element, bad: Iterable[int] = (), extra: int = 0,
+              sparse: bool = False) -> Iterator[Tuple[Position, RibElement]]:
+        """(position, coordinate) at e's deviations in chain order and, when
+        e has a tail, at terminal coordinates; lazily.
+
+        Off its deviations a terminal coordinate holds the tail.  The
+        default walk reads the run 0..top of the terminal segment, where
+        ``top`` passes every terminal deviation and every coordinate in
+        ``bad``, then ``extra`` more.  A ``sparse`` walk reads only the
+        terminal deviations and the coordinates in ``bad``.  The terminal
+        segment comes last, so either follows the other deviations in
+        chain order.
         """
         t = self.terminal_omega
-        out: List[Position] = []
-        if t is None or not e.tail:
-            for p, _ in e.fp:
-                if not out or out[-1] != p:
-                    out.append(p)
-            return out
-        top = max(bad, default=-1) + 1
-        for p, _ in e.fp:
-            if p.seg == t:
-                top = max(top, p.coord + 1)
-            elif not out or out[-1] != p:
-                out.append(p)
-        out.extend(Position(t, n) for n in range(top + extra + 1))
-        return out
+        tail = e.tail
+        fp = e.fp
+        if t is None or not tail:
+            yield from fp
+            return
+        i, n_fp = 0, len(fp)
+        while i < n_fp and fp[i][0].seg != t:
+            yield fp[i]
+            i += 1
+        if sparse:
+            coords = sorted(set(bad))
+        else:
+            top = max(max(bad, default=-1), fp[-1][0].coord if i < n_fp else -1) + 1
+            coords = range(top + extra + 1)
+        for n in coords:
+            while i < n_fp and fp[i][0].coord < n:
+                p, v = fp[i]
+                yield p, tail + v
+                i += 1
+            if i < n_fp and fp[i][0].coord == n:
+                p, v = fp[i]
+                yield p, tail + v
+                i += 1
+            else:
+                yield Position(t, n), tail
+        for p, v in fp[i:]:
+            yield p, tail + v
 
     def support_candidates(self, e: Element) -> List[Position]:
         """Positions where the coordinate might be nonzero, in order.
@@ -455,31 +518,53 @@ class GroupSpec:
         terminal segment long enough to pass every deviation there and
         every coordinate the tail leaves its rib at.
         """
-        return self._candidates(e, self._tail_bad_coords(e.tail))
+        return [p for p, _ in self._walk(e, self._tail_bad_coords(e.tail))]
+
+    def _first_indivisible(self, e: Element, m: int, scaled_tail: RibElement,
+                           extra: int = 0) -> Optional[Position]:
+        """The first position whose coordinate of e is not m times a value
+        of its rib, or None.  ``scaled_tail`` is e.tail / m: off the
+        deviations a terminal coordinate fails exactly where that leaves
+        its rib.  On a schematic terminal segment a standard tail leaves
+        it at exactly ``bad_coords``, so the walk reads only those and the
+        deviations; a nonstandard one leaves it everywhere."""
+        sparse = self._terminal_schematic is not None and not scaled_tail.w
+        walk = self._walk(e, self._tail_bad_coords(scaled_tail), extra, sparse)
+        for p, c in walk:
+            if not rib_divides(self._rib_at(p), c, m):
+                return p
+        return None
+
+    def _leading(self, devs: Iterable[Tuple[Position, RibElement]],
+                 tail: RibElement) -> Tuple[object, RibElement]:
+        """The least position with a nonzero coordinate, and that
+        coordinate, of the element with these deviations (in chain order,
+        zeros allowed) and this tail; (INF, RIB_ZERO) for zero."""
+        t = self.terminal_omega
+        n = 0  # the least terminal coordinate not yet passed
+        for p, d in devs:
+            if tail and p.seg == t:
+                if p.coord > n:
+                    break  # coordinate n holds the tail alone
+                d = tail + d
+                n = p.coord + 1
+            if d:
+                return p, d
+        if tail:
+            return Position(t, n), tail
+        return INF, RIB_ZERO
 
     def nat_val(self, e: Element):
         """Least position with a nonzero coordinate; INF for zero."""
-        for p in self.support_candidates(e):
-            if self._coord(e, p):
-                return p
-        return INF if not e.tail else self._first_free_terminal(e)
-
-    def _first_free_terminal(self, e: Element) -> Position:
-        t = self.terminal_omega
-        taken = {p.coord for p, _ in e.fp if p.seg == t}
-        n = 0
-        while n in taken:
-            n += 1
-        return Position(t, n)
+        return self._leading(e.fp, e.tail)[0]
 
     def sign_of(self, e: Element) -> int:
-        v = self.nat_val(e)
-        if v is INF:
-            return 0
-        return self.coordinate(e, v).sign
+        return self._leading(e.fp, e.tail)[1].sign
 
     def compare(self, a: Element, b: Element) -> int:
-        return self.sign_of(self.sub(a, b))
+        """The sign of a - b, read at the first position where a and b
+        differ without building a - b."""
+        return self._leading(self._differences(a, b), a.tail - b.tail)[1].sign
 
     # -- membership ------------------------------------------------------
 
@@ -502,15 +587,19 @@ class GroupSpec:
             return (int(c1), int(c2))
         return None
 
-    def contains(self, e: Element) -> bool:
-        for p in self.support_candidates(e):
-            if not rib_contains(self._rib_at(p), self._coord(e, p)):
-                return False
-        if e.tail and not self._tail_cofinally_ok(e.tail):
+    def _is_multiple(self, e: Element, m: int) -> bool:
+        """Whether e / m lies in the group, without building e / m."""
+        tail = e.tail if m == 1 else e.tail.scale(Fraction(1, m))
+        if self._first_indivisible(e, m, tail) is not None:
+            return False
+        if tail and not self._tail_cofinally_ok(tail):
             return False
         if self.mode == "sum":
-            return self.tail_coefficients(e.tail) is not None
+            return self.tail_coefficients(tail) is not None
         return True
+
+    def contains(self, e: Element) -> bool:
+        return self._is_multiple(e, 1)
 
     def in_m_multiples(self, e: Element, m: int):
         """Whether e is an m-th multiple of a group element.
@@ -518,16 +607,14 @@ class GroupSpec:
         Returns (True, witness) with m * witness == e, else (False, None).
         An exact witness must have coordinate e_p / m everywhere, so the
         test is coordinate-wise rib divisibility plus, in sum mode, the
-        tail landing back in the generator lattice.
+        tail landing back in the generator lattice; the witness is built
+        only once the test passes.
         """
         if m <= 0:
             raise PresentationError("modulus must be positive")
-        if m == 1:
-            return (True, e) if self.contains(e) else (False, None)
-        candidate = self.scale(e, Fraction(1, m))
-        if self.contains(candidate):
-            return True, candidate
-        return False, None
+        if not self._is_multiple(e, m):
+            return False, None
+        return True, e if m == 1 else self.scale(e, Fraction(1, m))
 
     # -- presentation summary ---------------------------------------------
 

@@ -34,19 +34,34 @@ class RibElement:
         object.__setattr__(self, "q", Fraction(q))
         object.__setattr__(self, "w", Fraction(w))
 
+    # Arithmetic skips the Fraction operation wherever one side is zero:
+    # w is 0 on every standard rib, and many tails are 0 or purely OMEGA.
+
     def __add__(self, other: "RibElement") -> "RibElement":
-        return _trusted(self.q + other.q, self.w + other.w)
+        oq, ow = other.q, other.w
+        if not oq and not ow:
+            return self
+        q, w = self.q, self.w
+        return _trusted((q + oq if q else oq) if oq else q,
+                        (w + ow if w else ow) if ow else w)
 
     def __sub__(self, other: "RibElement") -> "RibElement":
-        return _trusted(self.q - other.q, self.w - other.w)
+        oq, ow = other.q, other.w
+        if not oq and not ow:
+            return self
+        q, w = self.q, self.w
+        return _trusted((q - oq if q else -oq) if oq else q,
+                        (w - ow if w else -ow) if ow else w)
 
     def __neg__(self) -> "RibElement":
-        return _trusted(-self.q, -self.w)
+        q, w = self.q, self.w
+        return _trusted(-q if q else q, -w if w else w)
 
     def scale(self, k) -> "RibElement":
         if type(k) is not Fraction and type(k) is not int:
             k = Fraction(k)
-        return _trusted(self.q * k, self.w * k)
+        q, w = self.q, self.w
+        return _trusted(q * k if q else q, w * k if w else w)
 
     def __mul__(self, k):
         return self.scale(k)
@@ -162,19 +177,33 @@ def rib_contains(rib: RibSpec, x: RibElement) -> bool:
     return _denominator_ok(x.q, rib.domain[1])
 
 
+def rib_divides(rib: RibSpec, x: RibElement, m: int) -> bool:
+    """Whether x / m lies in the rib, read off x without building x / m."""
+    if m <= 0:
+        raise PresentationError("modulus must be positive")
+    q, w = x.q, x.w
+    if w:
+        if not rib.nonstandard:
+            return False
+        s = q + w
+        return s.denominator == 1 and s.numerator % m == 0
+    if rib.nonstandard or rib.domain == "int":
+        return q.denominator == 1 and q.numerator % m == 0
+    if rib.domain == "rat":
+        return True
+    # the reduced denominator of q / m is den(q) * (m / gcd(num(q), m))
+    denom = q.denominator * (m // math.gcd(q.numerator, m))
+    return all(denom % p for p in rib.domain[1])
+
+
 def rib_divisible(rib: RibSpec, x: RibElement, m: int):
     """Whether x is an m-th multiple within the rib.
 
     Returns (True, witness) with witness*m == x, or (False, None).
     """
-    if m <= 0:
-        raise PresentationError("modulus must be positive")
-    if m == 1:
-        return True, x
-    y = x.scale(Fraction(1, m))
-    if rib_contains(rib, y):
-        return True, y
-    return False, None
+    if not rib_divides(rib, x, m):
+        return False, None
+    return True, x if m == 1 else x.scale(Fraction(1, m))
 
 
 def rib_min_positive(rib: RibSpec) -> Optional[RibElement]:

@@ -18,14 +18,14 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
 from .errors import PresentationError, ZeroArgument
 from .group import (Element, GroupSpec, SchematicRib, nth_prime, prime_index,
                     _primes_of)
-from .rib import RibElement, RibSpec, rib_divisible, rib_min_positive
+from .rib import RibElement, RibSpec, rib_divides, rib_min_positive
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +82,6 @@ def compare_spine_values(chain: ChainSpec, a: SpineValue, b: SpineValue) -> int:
 # The valuation itself.
 
 
-def _divisibility_candidates(g: GroupSpec, e: Element, m: int) -> List[Position]:
-    """Positions where the coordinate of e might fail m-divisibility.
-
-    Deviations, plus terminal coordinates where the tail (or tail/m)
-    misbehaves, in ascending order.  Outside this list the coordinate is
-    0 or a tail value that divides cleanly.
-    """
-    t = g.terminal_omega
-    if t is None or not e.tail:
-        return g._candidates(e)
-    scaled = e.tail.scale(Fraction(1, m))
-    bad = g._tail_bad_coords(e.tail) + g._tail_bad_coords(scaled)
-    entry = g._terminal_entry()
-    # the first free terminal coordinate already fails when the tail does
-    fails = (entry is not None and entry.schematic is None
-             and not rib_divisible(entry.rib_at(Position(t, 0)), e.tail, m)[0])
-    return g._candidates(e, bad, extra=1 if fails else 0)
-
-
 def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
     """The valuation of e modulo m (m = 0: natural valuation)."""
     if m < 0:
@@ -110,15 +91,23 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
     if m == 0:
         v = g.nat_val(e)
         return SV_INF if v is INF else sv_pos(v)
-    for p in _divisibility_candidates(g, e, m):
-        ok, _ = rib_divisible(g._rib_at(p), g._coord(e, p), m)
-        if not ok:
-            return sv_pos(p)
+    scaled = e.tail.scale(Fraction(1, m))
+    extra = 0
+    if e.tail:
+        # the first free terminal coordinate already fails when the tail does
+        entry = g._terminal_entry()
+        if (entry is not None and entry.schematic is None
+                and not rib_divides(entry.rib_at(Position(g.terminal_omega, 0)),
+                                    e.tail, m)):
+            extra = 1
+    p = g._first_indivisible(e, m, scaled, extra)
+    if p is not None:
+        return sv_pos(p)
     if not e.tail:
         return SV_INF
     if g.mode == "hahn":
         return SV_INF
-    if g.generators and g.tail_coefficients(e.tail.scale(Fraction(1, m))) is not None:
+    if g.generators and g.tail_coefficients(scaled) is not None:
         return SV_INF
     return sv_limit(g.terminal_omega)
 
@@ -158,8 +147,7 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
     one = rib_min_positive(rib)
     if one is None:
         return False
-    ok, _ = rib_divisible(rib, g.coordinate(a, v.position) - one.scale(k), m)
-    return ok
+    return rib_divides(rib, g.coordinate(a, v.position) - one.scale(k), m)
 
 
 # ---------------------------------------------------------------------------

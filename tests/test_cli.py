@@ -220,7 +220,8 @@ def test_negative_modulus_for_spine_is_a_usage_error(capsys):
     assert data["kind"] == "PresentationError"
 
 
-@pytest.mark.parametrize("literal", ["el(pos(3, 0): 1)", "el(pos(0, -1): 1)"])
+@pytest.mark.parametrize("literal", ["el(pos(3, 0): 1)", "el(pos(0, -1): 1)",
+                                     "el(pos(3, 0): 0)", "el(pos(0, -1): 0)"])
 def test_literal_positions_are_checked_against_the_group(capsys, literal):
     code, data = run_json(capsys, "--json", "val", "0", "g1", literal)
     assert code == 64
@@ -232,3 +233,23 @@ def test_zero_denominator_in_a_literal_is_a_usage_error(capsys):
                           "el(pos(0, 0): 1/0)")
     assert code == 64
     assert data["kind"] == "FormulaSyntaxError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["val", "0", "z", "el(tail: 1/3)"],
+    ["val", "2", "z", "el(tail: 1/3)"],
+    ["preds", "z", "el(tail: 1/3)"],
+    ["eval", "z", "x > 0", "--env", "x=el(tail: 1/3)"],
+    ["eval", "z", "el(tail: 1) > 0"],
+])
+def test_a_tail_without_a_terminal_omega_segment_is_a_usage_error(capsys, argv):
+    code, data = run_json(capsys, "--json", *argv)
+    assert code == 64
+    assert data["kind"] == "PresentationError"
+
+
+def test_a_repeated_literal_position_is_a_usage_error(capsys):
+    code, data = run_json(capsys, "--json", "val", "0", "g1",
+                          "el(pos(0, 1): 1, pos(0, 1): 2)")
+    assert code == 64
+    assert data["kind"] == "PresentationError"

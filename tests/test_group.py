@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
-from oagkit.chain import INF, Position
+from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
+from oagkit.chain import INF, ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.errors import PresentationError
-from oagkit.group import ZERO_ELEMENT, PairSpec
-from oagkit.rib import RibElement
+from oagkit.group import (ZERO_ELEMENT, GroupSpec, PairSpec, RibEntry,
+                          SchematicRib)
+from oagkit.rib import RibElement, rib_contains, z_rib
+from oagkit.valuation import SV_INF, sv_limit, sv_pos, val_m
 
 H = builtin_group("g1")
 SIGMA = builtin_group("sigma")
@@ -141,3 +143,144 @@ def test_generator_requires_nonzero_tail():
     from oagkit.group import Generator
     with pytest.raises(Exception):
         Generator("t", tail=0)
+
+
+# -- the element layer against its definitions, on every catalogue group --
+
+GROUP_NAMES = sorted(GROUPS)
+rib_values = st.builds(
+    RibElement,
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+    st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]))
+
+
+@st.composite
+def group_elements(draw, g):
+    """Deviations at sampled positions of every segment (dense, omega_star
+    and terminal ones included) and, over a terminal omega segment, a
+    tail."""
+    slots = list(g.spine.sample_positions(per_segment=5))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=6))
+    pairs = [(p, draw(rib_values)) for p in chosen]
+    tail = draw(rib_values) if g.terminal_omega is not None else 0
+    return g.el(pairs, tail)
+
+
+def _brute_sign(g, a, b):
+    """Sign of a - b from the first differing coordinate, read position by
+    position over both supports and a terminal run past them."""
+    positions = {p for p, _ in a.fp + b.fp}
+    t = g.terminal_omega
+    if t is not None:
+        top = max([p.coord for p in positions if p.seg == t], default=0)
+        positions |= {Position(t, n) for n in range(top + 2)}
+    for p in sorted(positions, key=g.spine.sort_key):
+        x, y = g.coordinate(a, p), g.coordinate(b, p)
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+@given(st.sampled_from(GROUP_NAMES), st.data())
+def test_compare_is_the_sign_of_the_difference(name, data):
+    g = builtin_group(name)
+    a, b = data.draw(group_elements(g)), data.draw(group_elements(g))
+    want = g.sign_of(g.add(a, g.neg(b)))
+    assert g.compare(a, b) == want == _brute_sign(g, a, b)
+    assert g.compare(b, a) == -want
+    assert g.compare(a, a) == 0
+
+
+@given(st.sampled_from(GROUP_NAMES), st.data())
+def test_sub_is_addition_of_the_negation(name, data):
+    g = builtin_group(name)
+    a, b = data.draw(group_elements(g)), data.draw(group_elements(g))
+    assert g.sub(a, b) == g.add(a, g.neg(b))
+    assert g.sub(a, a) == ZERO_ELEMENT
+
+
+@given(st.sampled_from(GROUP_NAMES), st.data(), st.integers(1, 6),
+       st.booleans())
+def test_in_m_multiples_is_membership_of_the_quotient(name, data, m, lift):
+    g = builtin_group(name)
+    e = data.draw(group_elements(g))
+    if lift:  # so that the quotient lands inside when e does
+        e = g.scale(e, m)
+    ok, witness = g.in_m_multiples(e, m)
+    assert ok == g.contains(g.scale(e, Fraction(1, m)))
+    if ok:
+        assert g.contains(witness) and g.scale(witness, m) == e
+    else:
+        assert witness is None
+
+
+def _brute_val_m(g, e, m):
+    """val_m by a scan of every deviation and the first 40 terminal
+    coordinates, which passes every coordinate where a tail drawn above
+    leaves its rib."""
+    positions = {p for p, _ in e.fp}
+    t = g.terminal_omega
+    if e.tail:
+        positions |= {Position(t, n) for n in range(40)}
+    for p in sorted(positions, key=g.spine.sort_key):
+        c = g.coordinate(e, p)
+        if m == 0 and c or m and not rib_contains(g.rib_at(p),
+                                                 c.scale(Fraction(1, m))):
+            return sv_pos(p)
+    if m == 0 or not e.tail or g.mode == "hahn" or g.in_m_multiples(e, m)[0]:
+        return SV_INF
+    return sv_limit(t)
+
+
+@given(st.sampled_from(GROUP_NAMES), st.data(), st.sampled_from([0, 2, 3, 6]))
+def test_val_m_is_the_first_coordinate_that_fails(name, data, m):
+    g = builtin_group(name)
+    e = data.draw(group_elements(g))
+    assert val_m(g, e, m) == _brute_val_m(g, e, m)
+
+
+def test_a_nonstandard_tail_leaves_a_schematic_rib_at_every_free_coordinate():
+    h = builtin_group("h_primes")
+    e = h.el([(Position(0, n), 6 * (n + 1)) for n in range(6)],
+             RibElement(0, Fraction(3, 2)))
+    assert not h.contains(e)
+    assert val_m(h, e, 2) == val_m(h, e, 3) == sv_pos(Position(0, 6))
+    assert not h.in_m_multiples(e, 2)[0]
+
+
+def test_a_schematic_walk_reads_the_deviations_past_the_failing_coordinates():
+    h = builtin_group("h_primes")
+    # coordinate 3 carries the prime 7; the tail 1 leaves no rib, and
+    # halving it fails only at coordinate 0, which the deviation repairs
+    e = h.el([(Position(0, 0), 2), (Position(0, 3), Fraction(1, 7))], 1)
+    assert not h.contains(e)
+    assert val_m(h, e, 2) == sv_pos(Position(0, 3))
+    assert not h.in_m_multiples(e, 2)[0]
+    assert h.contains(h.el([(Position(0, 0), 2), (Position(0, 3), 5)], 1))
+
+
+def _z_at_two(kind):
+    """h_primes with an integer rib at coordinate 2, set by a colour or by
+    a position clause."""
+    template = SchematicRib("z_local")
+    if kind == "colour":
+        spine = ChainSpec((Segment(SegKind.OMEGA),),
+                          (ColourRule("most", (("minus", frozenset({2})),)),))
+        ribs = (RibEntry(schematic=template, colour="most"),
+                RibEntry(rib=z_rib()))
+    else:
+        spine = ChainSpec((Segment(SegKind.OMEGA),))
+        ribs = (RibEntry(rib=z_rib(), position=Position(0, 2)),
+                RibEntry(schematic=template))
+    return GroupSpec(f"z_at_two_{kind}", spine, ribs)
+
+
+@pytest.mark.parametrize("kind", ["colour", "position"])
+def test_a_schematic_segment_with_other_clauses_keeps_the_full_walk(kind):
+    g = _z_at_two(kind)
+    # the template names only coordinate 1 (the prime 3) for the tail
+    # 1/3, and the deviation clears it; 1/3 also leaves the integer rib
+    # at coordinate 2
+    e = g.el([(Position(0, 1), 0)], Fraction(1, 3))
+    assert not g.contains(e)
+    assert not g.in_m_multiples(g.scale(e, 7), 7)[0]

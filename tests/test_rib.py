@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oagkit.errors import PresentationError
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
-                        q_rib, r_proxy_rib, rib_contains, rib_divisible,
-                        rib_elem_equiv, rib_min_positive, rib_pair_stably_embedded,
-                        rib_residue, rib_stably_embedded, script_z_rib,
-                        window_rib, z_local_rib, z_rib)
+                        q_rib, r_proxy_rib, rib_contains, rib_divides,
+                        rib_divisible, rib_elem_equiv, rib_min_positive,
+                        rib_pair_stably_embedded, rib_residue,
+                        rib_stably_embedded, script_z_rib, window_rib,
+                        z_local_rib, z_rib)
 
 rib_elems = st.builds(
     RibElement,
@@ -70,6 +72,46 @@ def test_divisibility_and_witnesses():
     assert ok and w == RibElement(Fraction(5, 2))
     ok, w = rib_divisible(z_local_rib(3), RibElement(Fraction(5)), 3)
     assert not ok
+
+
+SHAPES = [z_rib(), q_rib(), r_proxy_rib(), z_local_rib(2), z_local_rib(3),
+          script_z_rib(5), RibSpec("z_(6)", domain=("coprime", (2, 3)),
+                                   cut_complete=False), window_rib()]
+wide_rib_elems = st.builds(
+    RibElement,
+    st.fractions(min_value=-60, max_value=60, max_denominator=36),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    | st.sampled_from([0, 1, -2]))
+
+
+@given(st.sampled_from(SHAPES), wide_rib_elems, st.integers(1, 12))
+def test_divides_is_membership_of_the_quotient(rib, x, m):
+    want = rib_contains(rib, x.scale(Fraction(1, m)))
+    assert rib_divides(rib, x, m) == want
+    ok, witness = rib_divisible(rib, x, m)
+    assert ok == want
+    if ok:
+        assert witness.scale(m) == x
+    else:
+        assert witness is None
+
+
+@given(wide_rib_elems, wide_rib_elems, st.integers(-4, 4))
+def test_zero_skipping_arithmetic_keeps_fractions(a, b, k):
+    for v in (a + b, a - b, -a, a.scale(k), a + RIB_ZERO, RIB_ZERO - b):
+        assert type(v.q) is Fraction and type(v.w) is Fraction
+    assert (a + b).q == a.q + b.q and (a + b).w == a.w + b.w
+    assert (a - b).q == a.q - b.q and (a - b).w == a.w - b.w
+    assert a.scale(k) == RibElement(a.q * k, a.w * k)
+    assert -a == RibElement(-a.q, -a.w)
+
+
+def test_divisibility_rejects_nonpositive_moduli():
+    for m in (0, -3):
+        with pytest.raises(PresentationError):
+            rib_divides(z_rib(), RIB_ONE, m)
+        with pytest.raises(PresentationError):
+            rib_divisible(z_rib(), RIB_ONE, m)
 
 
 def test_residue_ranges_over_modulus():
