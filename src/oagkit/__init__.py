@@ -28,8 +28,7 @@ from .errors import (ElementInG, FormulaSyntaxError, GuardGap,
                      HypothesisViolated, LiftObstruction, NotFRRError,
                      NotPseudoCauchy, NotRegularError, NotRepresentable,
                      OagError, PositionOutOfDomain, PresentationError,
-                     RibCutNotDefinable, TooShort, UnboundVariable,
-                     ZeroArgument)
+                     RibCutNotDefinable, TooShort, UnboundVariable)
 from .formula import (And, Bool, CongBullet, CongM, EqBullet, Gt0, Not, Or,
                       Term, ValCmp, element_text, eval_formula, eval_term,
                       formula_text, make_term, parse_element, parse_formula,

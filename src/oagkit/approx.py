@@ -11,21 +11,21 @@ congruence, and leading-coefficient relations against ``n*a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .chain import Position
 from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
-                      make_term)
+                      atom_holds, make_term)
 from .group import Element, PairSpec
 from .pseudo import ApproxSample, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
-                  rib_divides, rib_min_positive, rib_pair_stably_embedded,
-                  rib_residue)
+                  rib_divides, rib_min_positive, rib_pair_stably_embedded)
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        compare_spine_values, pred_cong_bullet,
-                        pred_eq_bullet, sv_pos, val_m)
+                        coefficient_bullet, compare_spine_values, sv_pos,
+                        val_m)
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,20 @@ def decompose_val(pair: PairSpec, ap: BestApproximation,
 
 # -- schemes ------------------------------------------------------------------
 
+_ZERO_TERM = make_term()
+
 
 @dataclass(frozen=True)
 class Scheme:
     """Case formula deciding a relation of n*a - x inside the small
-    group.  Guards compare val of (x - approx) against beta; plus a
-    cofinal variant that walks the sample ladder instead."""
+    group.  A fixed approximation (approx, beta, rho) is the one-rung
+    ladder; a cofinal ladder lists its sampled rungs in ``samples``.  On
+    each rung the guard compares val of (x - g) against the rung's
+    value."""
 
     kind: str  # "sign" | "cong" | "eqk"
     n: int
-    m: int
+    m: int  # the modulus of a congruence scheme, 0 for the other kinds
     k: int
     approx: Optional[Element] = None
     beta: Optional[SpineValue] = None
@@ -163,18 +167,28 @@ class Scheme:
     samples: Tuple[ApproxSample, ...] = ()
     note: str = ""
 
+    @cached_property
+    def _rungs(self) -> Tuple[ApproxSample, ...]:
+        """The ladder the scheme walks: its samples, or the fixed
+        approximation as the one rung."""
+        return self.samples or (ApproxSample(self.approx, self.beta, self.rho),)
 
-def _bullet_eq_value(rib: RibSpec, value: RibElement, k: int) -> bool:
-    if not rib.discrete:
-        return False
-    return value == rib_min_positive(rib).scale(k)
+    @cached_property
+    def _relation(self):
+        """The relation on one element, as a formula atom on the zero
+        term: t > 0, t ===_m k or t =** k once a term t is put in."""
+        if self.kind == "sign":
+            return Gt0(_ZERO_TERM)
+        if self.kind == "cong":
+            return CongBullet(_ZERO_TERM, self.m, self.k)
+        return EqBullet(_ZERO_TERM, self.k)
 
 
-def _bullet_cong_value(rib: RibSpec, value: RibElement, m: int,
-                       k: int) -> bool:
-    if not rib.discrete:
-        return False
-    return rib_divides(rib, value - rib_min_positive(rib).scale(k), m)
+def _coefficient_relation(s: Scheme, rib: RibSpec, c: RibElement) -> bool:
+    """The scheme's relation on a leading coefficient c, read in rib."""
+    if s.kind == "sign":
+        return c.sign > 0
+    return coefficient_bullet(rib, c, s.m, s.k)
 
 
 def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
@@ -194,15 +208,21 @@ def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
         f"small rib: {reason}")
 
 
+def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int, k: int,
+            depth: int) -> Scheme:
+    ap = best_approx(pair, a, n, m, depth)
+    if isinstance(ap, NoMaximum):
+        return Scheme(kind, n, m, k, samples=ap.samples, note=ap.note)
+    return Scheme(kind, n, m, k, ap.approx, ap.beta, ap.rho, ap.exact)
+
+
 def scheme_sign(pair: PairSpec, a: Element, n: int = 1,
                 depth: int = 8) -> Scheme:
     """Decides n*a - x > 0 over small x."""
-    ap = best_approx(pair, a, n, 0, depth)
-    if isinstance(ap, NoMaximum):
-        return Scheme("sign", n, 0, 0, samples=ap.samples, note=ap.note)
-    if not ap.exact and ap.beta.kind is SpineValueKind.POS:
-        _rib_cut_definable(pair, ap.beta, ap.rho)
-    return Scheme("sign", n, 0, 0, ap.approx, ap.beta, ap.rho, ap.exact)
+    s = _scheme(pair, a, "sign", n, 0, 0, depth)
+    if s.rho is not None:
+        _rib_cut_definable(pair, s.beta, s.rho)
+    return s
 
 
 def scheme_cong(pair: PairSpec, a: Element, n: int, m: int, k: int,
@@ -211,108 +231,45 @@ def scheme_cong(pair: PairSpec, a: Element, n: int, m: int, k: int,
     if m < 2:
         raise PresentationError("congruence schemes need a modulus of at "
                                 "least 2")
-    ap = best_approx(pair, a, n, m, depth)
-    if isinstance(ap, NoMaximum):
-        return Scheme("cong", n, m, k, samples=ap.samples, note=ap.note)
-    return Scheme("cong", n, m, k, ap.approx, ap.beta, ap.rho, ap.exact)
+    return _scheme(pair, a, "cong", n, m, k, depth)
 
 
 def scheme_eqk(pair: PairSpec, a: Element, n: int, k: int,
                depth: int = 8) -> Scheme:
     """Decides (n*a - x) with leading coefficient exactly k steps, over
     small x."""
-    ap = best_approx(pair, a, n, 0, depth)
-    if isinstance(ap, NoMaximum):
-        return Scheme("eqk", n, 0, k, samples=ap.samples, note=ap.note)
-    return Scheme("eqk", n, 0, k, ap.approx, ap.beta, ap.rho, ap.exact)
-
-
-def _payload_lt(pair: PairSpec, s: Scheme, d: Element) -> bool:
-    """x deviates before beta: d = x - approx carries the verdict."""
-    small = pair.small
-    if s.kind == "sign":
-        return small.sign_of(d) < 0
-    flipped = small.neg(d)
-    if s.kind == "cong":
-        return pred_cong_bullet(small, flipped, s.m, s.k)
-    return pred_eq_bullet(small, flipped, s.k)
-
-
-def _payload_const(pair: PairSpec, s: Scheme, value: RibElement,
-                   position) -> bool:
-    rib_b = pair.big.rib_at(position)
-    if s.kind == "sign":
-        return value.sign > 0
-    if s.kind == "cong":
-        return _bullet_cong_value(rib_b, value, s.m, s.k)
-    return _bullet_eq_value(rib_b, value, s.k)
+    return _scheme(pair, a, "eqk", n, 0, k, depth)
 
 
 def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
-    small, big = pair.small, pair.big
-    chain = big.spine
-    mm = s.m if s.kind == "cong" else 0
-
+    """The scheme's relation of n*a - x, read rung by rung.  Below a
+    rung's value it is the relation of g - x; past it, the relation of
+    the rung's coefficient; at it, the relation of what the coefficient
+    of x leaves over, unless that vanishes modulo m and the next rung
+    decides."""
+    big = pair.big
+    for smp in s._rungs:
+        d = big.sub(smp.g, x)
+        if smp.rho is None:
+            # an exact or limit-valued rung has no coefficient to read:
+            # n*a - x and g - x differ by an m-th multiple, or agree below
+            # the limit and have no coordinate at their val_m past it
+            return atom_holds(big, s._relation, d)
+        cmp = compare_spine_values(big.spine, val_m(big, d, s.m), smp.delta)
+        if cmp < 0:
+            return atom_holds(big, s._relation, d)
+        position = smp.delta.position
+        rib = big.rib_at(position)
+        c = smp.rho
+        if cmp == 0:
+            c = c + big.coordinate(d, position)
+            if rib_divides(rib, c, s.m) if s.m else not c:
+                continue
+        return _coefficient_relation(s, rib, c)
     if s.samples:
-        for smp in s.samples:
-            d = big.sub(x, smp.g)
-            v = val_m(big, d, mm)
-            cmp = compare_spine_values(chain, v, smp.delta)
-            if cmp < 0:
-                return _payload_lt(pair, s, d)
-            if cmp > 0:
-                return _payload_const(pair, s, smp.rho, smp.delta.position)
-            w = smp.rho - big.coordinate(d, smp.delta.position)
-            if s.kind == "sign":
-                if w:
-                    return w.sign > 0
-                continue
-            rib_b = big.rib_at(smp.delta.position)
-            if s.kind == "cong" and rib_divides(rib_b, w, s.m):
-                continue
-            if s.kind == "eqk" and not w:
-                continue
-            return _payload_const(pair, s, w, smp.delta.position)
         raise GuardGap("x tracks the ladder past its sampled depth")
-
-    if s.exact:
-        d = big.sub(s.approx, x)
-        if s.kind == "sign":
-            return big.sign_of(d) > 0
-        if s.kind == "cong":
-            return pred_cong_bullet(big, d, s.m, s.k)
-        if big.sign_of(d) == 0:
-            # zero difference: no leading coefficient to compare
-            return s.k == 0
-        return pred_eq_bullet(big, d, s.k)
-
-    d = big.sub(x, s.approx)
-    v = val_m(big, d, mm)
-    cmp = compare_spine_values(chain, v, s.beta)
-    if cmp < 0:
-        return _payload_lt(pair, s, d)
-    if cmp > 0:
-        if s.beta.kind is SpineValueKind.LIMIT:
-            # the leading value is a limit: no coordinate carries it
-            return False if s.kind != "sign" else _limit_sign_gap()
-        return _payload_const(pair, s, s.rho, s.beta.position)
-    if s.beta.kind is SpineValueKind.LIMIT:
-        raise GuardGap("x meets the limit value head on")
-    w = s.rho - big.coordinate(d, s.beta.position)
-    if s.kind == "sign":
-        if not w:
-            raise GuardGap("coefficient collision at the best approximation")
-        return w.sign > 0
-    rib_b = big.rib_at(s.beta.position)
-    if s.kind == "cong" and rib_divides(rib_b, w, s.m):
-        raise GuardGap("residue collision at the best approximation")
-    if s.kind == "eqk" and not w:
-        raise GuardGap("coefficient collision at the best approximation")
-    return _payload_const(pair, s, w, s.beta.position)
-
-
-def _limit_sign_gap():
-    raise GuardGap("sign undetermined past a limit-valued approximation")
+    raise GuardGap(f"{'residue' if s.m else 'coefficient'} collision at the "
+                   f"best approximation")
 
 
 # -- rendering schemes as formulas --------------------------------------------
@@ -349,73 +306,49 @@ def scheme_cases(pair: PairSpec, s: Scheme, var: str = "x"):
     payload) triples; the guard is None for an exact scheme, which holds
     everywhere.  Returns (rows, complete); a cofinal ladder yields one
     "lt" row per sampled rung and is flagged incomplete."""
+    rows = []
+    for smp in s._rungs:
+        payload = replace(s._relation, term=_term_minus_x(smp.g, var))
+        if s.exact:
+            return (("eq", None, payload),), True
+        rows.append(("lt", ValCmp(_term_x_minus(smp.g, var), s.m, "<",
+                                  smp.delta), payload))
     if s.samples:
-        rows = []
-        for smp in s.samples:
-            guard = ValCmp(_term_x_minus(smp.g, var),
-                           s.m if s.kind == "cong" else 0, "<", smp.delta)
-            rows.append(("lt", guard, _payload_lt_formula(s, smp.g, var)))
         return tuple(rows), False
-    if s.exact:
-        return (("eq", None, _payload_exact_formula(s, var)),), True
-    mm = s.m if s.kind == "cong" else 0
     t = _term_x_minus(s.approx, var)
-    rows = [("lt", ValCmp(t, mm, "<", s.beta),
-             _payload_lt_formula(s, s.approx, var))]
-    if s.beta.kind is SpineValueKind.POS:
-        eq = _payload_eq_formula(pair, s, var)
-        rows.append(("eq", ValCmp(t, mm, "=", s.beta),
-                     eq if eq is not None else Bool(False)))
-        rows.append(("gt", ValCmp(t, mm, ">", s.beta),
-                     Bool(_payload_const(pair, s, s.rho, s.beta.position))))
-    elif s.kind != "sign":
-        # a limit-valued approximation: no coordinate meets it head on
-        rows.append(("gt", ValCmp(t, mm, ">", s.beta), Bool(False)))
+    if s.rho is None:
+        # a limit value: no coordinate carries it, so past it no
+        # coefficient is congruent to anything
+        rows.append(("gt", ValCmp(t, s.m, ">", s.beta), Bool(False)))
+        return tuple(rows), True
+    rows.append(("eq", ValCmp(t, s.m, "=", s.beta),
+                 _boundary_formula(pair, s, t, var)))
+    rib_b = pair.big.rib_at(s.beta.position)
+    rows.append(("gt", ValCmp(t, s.m, ">", s.beta),
+                 Bool(_coefficient_relation(s, rib_b, s.rho))))
     return tuple(rows), True
 
 
-def _payload_lt_formula(s: Scheme, approx: Element, var: str):
-    t = _term_minus_x(approx, var)
-    if s.kind == "sign":
-        return Gt0(t)
-    if s.kind == "cong":
-        return CongBullet(t, s.m, s.k)
-    return EqBullet(t, s.k)
-
-
-def _payload_exact_formula(s: Scheme, var: str):
-    t = _term_minus_x(s.approx, var)
-    if s.kind == "sign":
-        return Gt0(t)
-    if s.kind == "cong":
-        return CongBullet(t, s.m, s.k)
-    return EqBullet(t, s.k)
-
-
-def _payload_eq_formula(pair: PairSpec, s: Scheme, var: str):
-    """Boundary clause at beta; None drops the clause (payload false)."""
+def _boundary_formula(pair: PairSpec, s: Scheme, t, var: str):
+    """The relation on rho - c, where c is the coefficient of x - approx
+    at beta, as a formula on x."""
     position = s.beta.position
     rib_s, rib_b = pair.rib_pair_at(position)
-    t = _term_x_minus(s.approx, var)
     if s.kind == "sign":
         if s.rho.w:
             return Bool(s.rho.w > 0)
         if not rib_s.discrete:
-            return None
+            return Bool(False)
         u = rib_min_positive(rib_s)  # integer threshold between steps
         steps = -(-s.rho.q // u.q)  # first step above rho
         shift = pair.small.el([(position, u.scale(int(steps)))])
         t2 = _term_minus_x(pair.small.add(s.approx, shift), var)
-        return And((ValCmp(t2, 0, "=", s.beta), Gt0(t2)))
-    if s.kind == "cong":
-        if not rib_b.discrete:
-            return None
-        r = rib_residue(rib_b, s.rho, s.m)
-        return CongBullet(t, s.m, (r - s.k) % s.m)
-    if not rib_b.discrete:
-        return None
-    target = s.rho - rib_min_positive(rib_b).scale(s.k)
-    u = rib_min_positive(rib_s)
-    if target.w or (target.q % u.q):
-        return None
-    return EqBullet(t, int(target.q / u.q))
+        return And((ValCmp(t2, 0, "=", s.beta), replace(s._relation, term=t2)))
+    # c must be j units (j modulo m for a congruence); the check fails
+    # where rho leaves no such j, as in a dense rib
+    j = int(s.rho.q + s.rho.w) - s.k
+    if s.m:
+        j %= s.m
+    if not _coefficient_relation(s, rib_b, s.rho - RibElement(j)):
+        return Bool(False)
+    return replace(s._relation, term=t, k=j)

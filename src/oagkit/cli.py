@@ -20,7 +20,8 @@ from .codec import dumps, load_group, load_pair, to_jsonable
 from .errors import (FormulaSyntaxError, HypothesisViolated, NotRepresentable,
                      OagError, PositionOutOfDomain, PresentationError,
                      UnboundVariable)
-from .formula import formula_text, parse_element, parse_formula
+from .formula import (eval_formula, formula_text, parse_element,
+                      parse_formula)
 from .pseudo import (NoMaximum, PseudoSequence, hahn_pseudo_limit,
                      immediate_ext_check, is_pseudo_cauchy, lift_mod_m)
 from .valuation import (check_m, check_ur, pred_cong_bullet, pred_eq_bullet,
@@ -228,7 +229,6 @@ def _cmd_eval(args) -> int:
         if not _:
             raise PresentationError(f"--env needs NAME=ELEMENT, got {item!r}")
         env[name] = parse_element(text, g)
-    from .formula import eval_formula
     value = eval_formula(g, f, env)
     _emit(args, {"formula": formula_text(f), "value": value})
     return 0

@@ -38,10 +38,6 @@ class ElementInG(OagError):
     immediate-extension question is vacuous."""
 
 
-class ZeroArgument(OagError):
-    """An operation that inspects a leading coefficient was handed 0."""
-
-
 class NotRegularError(OagError):
     """The group is not regular, so the regular-case classifier does not
     apply."""

@@ -511,18 +511,22 @@ def eval_formula(g: GroupSpec, f, env: Optional[Dict[str, Element]] = None) -> b
         return all(eval_formula(g, p, env) for p in f.parts)
     if isinstance(f, Or):
         return any(eval_formula(g, p, env) for p in f.parts)
+    if isinstance(f, (Gt0, CongM, CongBullet, EqBullet, ValCmp)):
+        return atom_holds(g, f, eval_term(g, f.term, env))
+    raise FormulaSyntaxError(f"not a formula: {f!r}")
+
+
+def atom_holds(g: GroupSpec, f, value: Element) -> bool:
+    """Whether the atom f holds when its term takes the given value."""
     if isinstance(f, Gt0):
-        return g.sign_of(eval_term(g, f.term, env)) > 0
+        return g.sign_of(value) > 0
     if isinstance(f, CongM):
-        ok, _ = g.in_m_multiples(eval_term(g, f.term, env), f.m)
+        ok, _ = g.in_m_multiples(value, f.m)
         return ok
     if isinstance(f, CongBullet):
-        return pred_cong_bullet(g, eval_term(g, f.term, env), f.m, f.k)
+        return pred_cong_bullet(g, value, f.m, f.k)
     if isinstance(f, EqBullet):
-        return pred_eq_bullet(g, eval_term(g, f.term, env), f.k)
-    if isinstance(f, ValCmp):
-        v = val_m(g, eval_term(g, f.term, env), f.m)
-        c = compare_spine_values(g.spine, v, f.target)
-        return {"<": c < 0, "<=": c <= 0, "=": c == 0,
-                ">=": c >= 0, ">": c > 0}[f.op]
-    raise FormulaSyntaxError(f"not a formula: {f!r}")
+        return pred_eq_bullet(g, value, f.k)
+    c = compare_spine_values(g.spine, val_m(g, value, f.m), f.target)
+    return {"<": c < 0, "<=": c <= 0, "=": c == 0,
+            ">=": c >= 0, ">": c > 0}[f.op]

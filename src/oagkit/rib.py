@@ -136,8 +136,6 @@ class RibSpec:
         _check_domain(self.domain)
         if self.nonstandard and self.domain != "int":
             raise PresentationError("the nonstandard window extends the integers")
-        if self.domain == "rat" and not self.nonstandard:
-            pass
         if self.domain == "int" and not self.cut_complete:
             raise PresentationError("a discrete rank-1 group is cut complete")
 

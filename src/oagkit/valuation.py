@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
-from .errors import PresentationError, ZeroArgument
+from .errors import PresentationError
 from .group import (Element, GroupSpec, SchematicRib, nth_prime, prime_index,
                     _primes_of)
 from .rib import RibElement, RibSpec, rib_divides, rib_min_positive
@@ -116,20 +116,30 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
 # Leading-coefficient predicates.
 
 
-def pred_eq_bullet(g: GroupSpec, a: Element, k: int) -> bool:
-    """Leading coefficient equals k times the least positive rib element.
+def coefficient_bullet(rib: RibSpec, c: RibElement, m: int, k: int) -> bool:
+    """Whether the coefficient c is k times the least positive element of
+    the rib (m = 0), or congruent to it modulo m (m >= 2).
 
-    Meaningful only where the rib at the leading position is discrete;
-    elsewhere the predicate is false.
+    False in a rib without a least positive element.
     """
-    v = g.nat_val(a)
-    if v is INF:
-        raise ZeroArgument("the zero element has no leading coefficient")
-    rib = g.rib_at(v)
     one = rib_min_positive(rib)
     if one is None:
         return False
-    return g.coordinate(a, v) == one.scale(k)
+    target = one.scale(k)
+    return c == target if m == 0 else rib_divides(rib, c - target, m)
+
+
+def pred_eq_bullet(g: GroupSpec, a: Element, k: int) -> bool:
+    """Leading coefficient equals k times the least positive rib element.
+
+    The zero element has no nonzero coefficient: the predicate holds of it
+    exactly when k == 0.  Where the rib at the leading position is not
+    discrete the predicate is false.
+    """
+    v = g.nat_val(a)
+    if v is INF:
+        return k == 0
+    return coefficient_bullet(g.rib_at(v), g.coordinate(a, v), 0, k)
 
 
 def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
@@ -143,11 +153,8 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
     v = val_m(g, a, m)
     if v.kind is not SpineValueKind.POS:
         return False
-    rib = g.rib_at(v.position)
-    one = rib_min_positive(rib)
-    if one is None:
-        return False
-    return rib_divides(rib, g.coordinate(a, v.position) - one.scale(k), m)
+    return coefficient_bullet(g.rib_at(v.position),
+                              g.coordinate(a, v.position), m, k)
 
 
 # ---------------------------------------------------------------------------

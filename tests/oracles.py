@@ -10,7 +10,6 @@ under test.
 from fractions import Fraction
 
 from oagkit.chain import SegKind
-from oagkit.errors import ZeroArgument
 from oagkit.rib import RibElement
 from oagkit.valuation import (SV_INF, pred_cong_bullet, pred_eq_bullet,
                               sv_limit, sv_pos)
@@ -27,16 +26,17 @@ def _domain_tag(rib):
 
 
 def _in_domain(tag, value):
-    q, w = value.q, value.w
+    q, w = Fraction(value.q), Fraction(value.w)
     if tag[0] == "window":
-        return Fraction(q).denominator == 1
+        # D = {q + w*OMEGA : q + w an integer}
+        return (q + w).denominator == 1
     if w != 0:
-        return False
+        return False  # standard ribs live in the w = 0 slice
     if tag[0] == "int":
-        return Fraction(q).denominator == 1
+        return q.denominator == 1
     if tag[0] == "rat":
         return True
-    den = Fraction(q).denominator
+    den = q.denominator
     for p in tag[1]:
         if den % p == 0:
             return False
@@ -44,14 +44,9 @@ def _in_domain(tag, value):
 
 
 def coordinate_divisible(rib, value, m):
-    # torsion-free: q = m*h has the single candidate h = q/m
-    tag = _domain_tag(rib)
-    if tag[0] == "window":
-        if value.w % m != 0:
-            return False
-        return _in_domain(tag, RibElement(Fraction(value.q) / m,
-                                          value.w // m))
-    return _in_domain(tag, RibElement(Fraction(value.q) / m, 0))
+    # torsion-free: x = m*h has the single candidate h = x/m
+    return _in_domain(_domain_tag(rib),
+                      RibElement(Fraction(value.q) / m, Fraction(value.w) / m))
 
 
 def oracle_val_m(g, x, m):
@@ -119,10 +114,7 @@ def direct_relation(pair, s, a, x):
         return big.sign_of(d) > 0
     if s.kind == "cong":
         return pred_cong_bullet(big, d, s.m, s.k)
-    try:
-        return pred_eq_bullet(big, d, s.k)
-    except ZeroArgument:
-        return s.k == 0
+    return pred_eq_bullet(big, d, s.k)
 
 
 def mod2_staircase(g, rng, n=6):

@@ -19,7 +19,7 @@ from oagkit.approx import (BestApproximation, Scheme, best_approx,
                            decompose_val, scheme_cases, scheme_cong,
                            scheme_eqk, scheme_eval, scheme_formula,
                            scheme_sign)
-from oagkit.catalogue import PAIRS, builtin_pair
+from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
 from oagkit.chain import Position
 from oagkit.formula import eval_formula, formula_text
 from oagkit.group import GroupSpec, PairSpec, RibEntry
@@ -54,11 +54,14 @@ def test_scheme_formulas_agree_with_scheme_eval():
         pair = builtin_pair(name)
         xs = _small_samples(pair, rng, 12)
         for a in _big_targets(pair, rng, 4):
-            for s in (scheme_sign(pair, a, 2), scheme_cong(pair, a, 1, 2, 0)):
+            schemes = [scheme_sign(pair, a, 2), scheme_cong(pair, a, 1, 2, 0)]
+            schemes += [scheme_eqk(pair, a, n, k)
+                        for n in (1, 2) for k in (-1, 0, 1, 2)]
+            for s in schemes:
                 formula, complete = scheme_formula(pair, s)
                 if not complete:
                     continue
-                for x in xs:
+                for x in xs + [s.approx]:
                     want = scheme_eval(pair, s, x)
                     got = eval_formula(pair.small, formula, {"x": x})
                     assert got == want, (name, s.kind, formula_text(formula))
@@ -129,8 +132,6 @@ def test_cofinal_scheme_reports_incomplete():
 
 
 def _half_pair():
-    small = builtin_pair("z2").small if "z2" in PAIRS else None
-    from oagkit.catalogue import builtin_group
     small = builtin_group("z2")
     big = GroupSpec("z2q", small.spine, (RibEntry(rib=q_rib()),), "hahn")
     return PairSpec(small, big)

@@ -142,6 +142,9 @@ def test_preds_subcommand(capsys):
     code, data = run_json(capsys, "--json", "preds", "z", "el(pos(0, 0): 5)")
     assert code == 0
     assert data
+    code, data = run_json(capsys, "--json", "preds", "z", "el()")
+    assert code == 0
+    assert data["eq_bullet"] == {"0": True, "1": False, "2": False, "3": False}
 
 
 def test_best_approx_subcommand(capsys):

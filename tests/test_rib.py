@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import coordinate_divisible
+
 from oagkit.errors import PresentationError
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
                         q_rib, r_proxy_rib, rib_contains, rib_divides,
@@ -94,6 +96,16 @@ def test_divides_is_membership_of_the_quotient(rib, x, m):
         assert witness.scale(m) == x
     else:
         assert witness is None
+
+
+@given(st.sampled_from([z_rib(), q_rib(), z_local_rib(3), script_z_rib(5),
+                        window_rib()]),
+       st.fractions(min_value=-60, max_value=60, max_denominator=36),
+       st.fractions(min_value=-6, max_value=6, max_denominator=4)
+       .filter(bool), st.integers(1, 12))
+def test_divisibility_oracle_reads_the_omega_part(rib, q, w, m):
+    x = RibElement(q, w)
+    assert coordinate_divisible(rib, x, m) == rib_divides(rib, x, m)
 
 
 @given(wide_rib_elems, wide_rib_elems, st.integers(-4, 4))
