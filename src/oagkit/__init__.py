@@ -34,7 +34,7 @@ from .formula import (And, Bool, CongBullet, CongM, EqBullet, Gt0, Not, Or,
                       formula_text, make_term, parse_element, parse_formula,
                       spine_value_text, term_text)
 from .group import (Element, Generator, GroupSpec, PairSpec, RibEntry,
-                    SchematicRib, ZERO_ELEMENT)
+                    SchematicRib, SegmentLayout, ZERO_ELEMENT)
 from .pseudo import (BestInGroupWitness, ImmediateReport, NoMaximum,
                      PseudoSequence, TruncationRule, delta_max,
                      hahn_pseudo_limit, immediate_ext_check, is_pseudo_cauchy,
@@ -44,11 +44,11 @@ from .rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec, q_rib,
                   rib_elem_equiv, rib_min_positive, rib_pair_stably_embedded,
                   rib_residue, rib_stably_embedded, script_z_rib, window_rib,
                   z_local_rib, z_rib)
-from .valuation import (HypothesisResult, SegmentLayout, SpineQuotient,
+from .valuation import (HypothesisResult, SpineQuotient,
                         SpineValue, SpineValueKind, SV_INF, ValueSet, check_m,
                         check_ur, compare_spine_values, pred_cong_bullet,
                         pred_eq_bullet, regular_spine, relevant_primes,
-                        segment_layout, spine_m, sv_limit, sv_pos, t_spine,
+                        spine_m, sv_limit, sv_pos, t_spine,
                         val_m, value_set_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

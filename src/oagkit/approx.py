@@ -60,7 +60,8 @@ def _match_coordinate(rib_s: RibSpec, rib_b: RibSpec, c: RibElement, m: int):
 
 def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
                 depth: int = 6):
-    """Best approximation of n*a from the small group, at modulus m.
+    """Best approximation of n*a from the small group, at modulus m, for
+    an element a of the big group.
 
     Returns a BestApproximation, or a NoMaximum certificate whose
     samples climb cofinally.
@@ -70,6 +71,8 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
     if m < 0 or m == 1:
         raise PresentationError("the modulus must be 0 or at least 2")
     small, big = pair.small, pair.big
+    if not big.contains(a):
+        raise PresentationError("the target lies outside the big group")
     if small.generators:
         raise GuardGap("tail lattices with generators are not searched")
     x = big.scale(a, n)

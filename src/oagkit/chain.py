@@ -158,10 +158,6 @@ class ChainSpec:
 
     # -- basic geometry ------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.segments
-
     def check_position(self, p: Position) -> None:
         if not (0 <= p.seg < len(self.segments)):
             raise PositionOutOfDomain(f"segment {p.seg} out of range")
@@ -199,74 +195,6 @@ class ChainSpec:
     def lt(self, a, b) -> bool:
         return self.sort_key(a) < self.sort_key(b)
 
-    def le(self, a, b) -> bool:
-        return self.sort_key(a) <= self.sort_key(b)
-
-    def max_position(self) -> Optional[Position]:
-        if self.is_empty:
-            return None
-        i = len(self.segments) - 1
-        seg = self.segments[i]
-        if seg.kind is SegKind.FIN:
-            return Position(i, seg.size - 1)
-        if seg.kind is SegKind.OMEGA_STAR:
-            return Position(i, 0)
-        return None
-
-    def succ_of(self, p: Position):
-        """Immediate successor in the chain with INF on top.
-
-        Returns a Position, INF, or None when no immediate successor
-        exists (dense neighbourhood above).
-        """
-        self.check_position(p)
-        seg = self.segments[p.seg]
-        k, c = seg.kind, p.coord
-        if k is SegKind.FIN and c < seg.size - 1:
-            return Position(p.seg, c + 1)
-        if k is SegKind.OMEGA or k is SegKind.INT:
-            return Position(p.seg, c + 1)
-        if k is SegKind.OMEGA_STAR and c > 0:
-            return Position(p.seg, c - 1)
-        if k.is_dense:
-            return None
-        # at the top of a segment with a maximum: look right
-        j = p.seg + 1
-        if j >= len(self.segments):
-            return INF
-        nxt = self.segments[j]
-        if nxt.kind.has_min:
-            return Position(j, 0)
-        return None
-
-    def pred_of(self, p):
-        """Immediate predecessor, or None.  Accepts INF."""
-        if p is INF:
-            mp = self.max_position()
-            return mp
-        self.check_position(p)
-        seg = self.segments[p.seg]
-        k, c = seg.kind, p.coord
-        if k is SegKind.FIN and c > 0:
-            return Position(p.seg, c - 1)
-        if k is SegKind.INT:
-            return Position(p.seg, c - 1)
-        if k is SegKind.OMEGA and c > 0:
-            return Position(p.seg, c - 1)
-        if k is SegKind.OMEGA_STAR:
-            return Position(p.seg, c + 1)
-        if k.is_dense:
-            return None
-        j = p.seg - 1
-        if j < 0:
-            return None
-        prv = self.segments[j]
-        if prv.kind is SegKind.FIN:
-            return Position(j, prv.size - 1)
-        if prv.kind is SegKind.OMEGA_STAR:
-            return Position(j, 0)
-        return None
-
     def sample_positions(self, per_segment: int = 4) -> Iterator[Position]:
         for i, seg in enumerate(self.segments):
             k = seg.kind
@@ -290,10 +218,6 @@ class ChainSpec:
             if c.name == name:
                 return c
         raise PresentationError(f"no colour named {name!r}")
-
-    def has_colour(self, name: str, p: Position) -> bool:
-        """Membership of a named colour at a representable position."""
-        return piece_contains(self.colour_named(name).rule_at(p.seg), p.coord)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +535,7 @@ def predecessor_set(chain: ChainSpec) -> PieceSet:
             pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
         else:  # OMEGA
             pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
-    last_max = not chain.is_empty and chain.segments[-1].kind.has_max
+    last_max = bool(chain.segments) and chain.segments[-1].kind.has_max
     return PieceSet(tuple(pieces), inf=last_max)
 
 

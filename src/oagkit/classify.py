@@ -14,13 +14,13 @@ from typing import Optional, Tuple
 
 from .chain import CutStatus, chain_stably_embedded
 from .errors import HypothesisViolated, NotFRRError, NotRegularError
-from .group import Element, GroupSpec, PairSpec
+from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
 from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, rib_contains,
                   rib_elem_equiv, rib_pair_stably_embedded,
                   rib_stably_embedded)
 from .valuation import (check_m, check_ur, finite_positions, regular_spine,
-                        segment_layout, spine_m)
+                        spine_m)
 
 
 class Status(enum.Enum):
@@ -148,10 +148,10 @@ def classify_frr(g: GroupSpec) -> Verdict:
 
 
 def _segment_ribs(g: GroupSpec, i: int):
-    lay = segment_layout(g, i)
-    if lay.schematic is None:
-        return lay.ribs
-    return tuple(lay.schematic.rib_for(n) for n in range(3))
+    """Every rib segment i's layout puts down; a schematic rule is read at
+    one coordinate, since its template fixes the verdict."""
+    return tuple(rule.rib_for(0) if isinstance(rule, SchematicRib) else rule
+                 for rule in g.layouts[i].rules)
 
 
 def _hahnification(g: GroupSpec) -> PairSpec:
@@ -268,18 +268,15 @@ def check_elementary_pair(pair: PairSpec):
     """(True | False | None, detail) for smallness sitting elementarily."""
     if pair.small == pair.big:
         return True, "the two groups are the same presentation"
-    for p in pair.small.spine.sample_positions():
-        rib_s, rib_b = pair.rib_pair_at(p)
+    rib_pairs = list(pair.rib_pairs())
+    for where, rib_s, rib_b in rib_pairs:
         if not rib_elem_equiv(rib_s, rib_b):
-            return False, (f"at {p} the ribs are not elementarily "
+            return False, (f"at {where} the ribs are not elementarily "
                            "equivalent")
-    for p in pair.small.spine.sample_positions():
-        rib_s, rib_b = pair.rib_pair_at(p)
-        if rib_s == rib_b:
-            continue
-        if rib_s.domain == "int" and rib_b.nonstandard:
-            continue  # integers under a nonstandard window
-        return None, f"rib change at {p} is outside the known rules"
+    for where, rib_s, rib_b in rib_pairs:
+        # integers under a nonstandard window are a known change
+        if rib_s != rib_b and not (rib_s.domain == "int" and rib_b.nonstandard):
+            return None, f"rib change at {where} is outside the known rules"
     return True, ("identical spines, with rib changes limited to "
                   "elementary window extensions")
 
@@ -361,14 +358,13 @@ def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
                     f"a cofinal residue ladder modulo {m} was found but the "
                     "small group fails a value-set hypothesis"))
 
-    for p in pair.small.spine.sample_positions():
-        rib_s, rib_b = pair.rib_pair_at(p)
+    for where, rib_s, rib_b in pair.rib_pairs():
         ok, why = rib_pair_stably_embedded(rib_s, rib_b)
         if ok is False:
             return Verdict(Status.NOT_SE, (*reasons, Reason(
-                "rib-pair-cut", p, why)))
+                "rib-pair-cut", where, why)))
         if ok is None:
-            open_points.append(Reason("rib-pair-open", p, why))
+            open_points.append(Reason("rib-pair-open", where, why))
 
     reasons.append(Reason("spine", None,
                           "the pair shares one spine; no new cuts appear"))

@@ -27,8 +27,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .chain import INF, ChainSpec, Position, SegKind
-from .errors import PositionOutOfDomain, PresentationError
+from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
+                    _complement_piece, piece_contains)
+from .errors import PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
                   script_z_rib, z_local_rib)
 
@@ -138,16 +139,11 @@ class SchematicRib:
         p = self.prime_for(n)
         return script_z_rib(p) if self.template == "script_z" else z_local_rib(p)
 
-    def bad_coords(self, value: RibElement, horizon: int = 4) -> Tuple[int, ...]:
-        """Coordinates n where value fails to lie in rib_for(n).
-
-        Membership in these templates only constrains the denominator, so
-        the failing set is finite and computable from the denominator's
-        prime factors (each prime occurs at most once per explicit list
-        plus once in the tail enumeration).
-        """
-        if value.w:
-            return tuple(range(horizon))  # no template rib is nonstandard
+    def bad_coords(self, value: RibElement) -> Tuple[int, ...]:
+        """Coordinates n where the standard value fails to lie in
+        rib_for(n): finitely many, since membership in these templates
+        only constrains the denominator.  (No template rib holds a
+        nonstandard value.)"""
         bad = set()
         denom = value.q.denominator
         for n, p in enumerate(self.primes):
@@ -158,6 +154,10 @@ class SchematicRib:
             if idx >= len(self.primes):
                 bad.add(idx)
         return tuple(sorted(bad))
+
+
+# the rib at a coordinate: one rib, a schematic rib read there, or None
+Rule = Union[RibSpec, SchematicRib, None]
 
 
 @dataclass(frozen=True)
@@ -178,22 +178,49 @@ class RibEntry:
         if (self.rib is None) == (self.schematic is None):
             raise PresentationError("exactly one of rib or schematic per clause")
 
-    def matches(self, chain: ChainSpec, p: Position) -> bool:
-        if self.position is not None:
-            return self.position == p
-        if self.segment is not None and p.seg != self.segment:
-            return False
-        if self.colour is not None:
-            return chain.has_colour(self.colour, p)
-        return True
 
-    def rib_at(self, p: Position) -> RibSpec:
-        if self.rib is not None:
-            return self.rib
-        coord = p.coord
-        if not isinstance(coord, int):
-            raise PresentationError("schematic ribs need integer coordinates")
-        return self.schematic.rib_for(coord)
+@dataclass(frozen=True)
+class SegmentLayout:
+    """The rib clauses as they read on one segment, compiled once.
+
+    ``ribs`` maps each coordinate an explicit position clause reaches to
+    its rule.  Off those coordinates the rule is ``on`` where ``piece``
+    holds and ``off`` elsewhere; ``piece`` is the piece on this segment
+    of the one splitting ``colour``, or ALL when no colour splits it.
+    """
+
+    ribs: dict
+    colour: Optional[str]
+    piece: tuple
+    on: Rule
+    off: Rule
+
+    @cached_property
+    def named(self) -> frozenset:
+        """The coordinates an exception or a finite colour piece names."""
+        finite = self.piece[1] if self.piece[0] in ("only", "minus") else ()
+        return frozenset(self.ribs).union(finite)
+
+    @cached_property
+    def horizon(self):
+        """One past the largest named coordinate."""
+        return max(self.named, default=-1) + 1
+
+    def rule_at(self, coord) -> Rule:
+        return self.ribs.get(coord) or (
+            self.on if piece_contains(self.piece, coord) else self.off)
+
+    @cached_property
+    def eventual(self) -> Rule:
+        """The rule off the named coordinates of a segment without a
+        dense colour; on an omega segment, the rule past ``horizon``."""
+        return self.rule_at(self.horizon)
+
+    @cached_property
+    def rules(self) -> Tuple[Rule, ...]:
+        """Every rule the clauses put on the segment, once each."""
+        return tuple(rule for rule in dict.fromkeys(
+            (self.on, self.off, *self.ribs.values())) if rule is not None)
 
 
 @dataclass(frozen=True)
@@ -233,9 +260,6 @@ class Element:
         # (fp, tail)
         return dict(self.fp)
 
-    def deviation(self, p: Position) -> RibElement:
-        return self._index.get(p, RIB_ZERO)
-
     @property
     def is_zero(self) -> bool:
         return not self.fp and not self.tail
@@ -261,6 +285,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.mode not in ("hahn", "sum"):
             raise PresentationError(f"unknown mode {self.mode!r}")
+        self.layouts  # compile the clauses now, so a bad one is refused here
         if self.generators:
             if self.mode != "sum":
                 raise PresentationError("generators only extend a sum presentation")
@@ -275,11 +300,10 @@ class GroupSpec:
                         "generator tails must be independent over the integers")
             for g in self.generators:
                 for pos, v in g.prefix:
-                    self.spine.check_position(pos)
                     if not rib_contains(self.rib_at(pos), v):
                         raise PresentationError(
                             f"generator {g.name!r} prefix value {v!r} outside its rib")
-                if not self._tail_cofinally_ok(g.tail):
+                if self._tail_exits(g.tail)[0]:
                     raise PresentationError(
                         f"generator {g.name!r} tail {g.tail!r} leaves the ribs cofinally")
 
@@ -293,49 +317,71 @@ class GroupSpec:
             return len(segs) - 1
         return None
 
+    @cached_property
+    def layouts(self) -> Tuple[SegmentLayout, ...]:
+        """One layout per segment: the only reader of ``ribs``."""
+        return tuple(self._compile(i) for i in range(len(self.spine.segments)))
+
+    def _compile(self, i: int) -> SegmentLayout:
+        """Segment i's layout: the first clause that matches a coordinate
+        sets its rule."""
+        exceptions, piece, colour, on, off = {}, ALL, None, None, None
+        for entry in self.ribs:
+            rule = entry.rib if entry.rib is not None else entry.schematic
+            p = entry.position
+            if p is not None:
+                self.spine.check_position(p)
+                if p.seg == i and p.coord not in exceptions and not (
+                        colour is not None and piece_contains(piece, p.coord)):
+                    exceptions[p.coord] = rule
+            elif entry.segment is None or entry.segment == i:
+                if entry.colour is None:
+                    on, off = (rule if colour is None else on), rule
+                    break
+                if colour is None:
+                    colour, on = entry.colour, rule
+                    piece = self.spine.colour_named(colour).rule_at(i)
+                    if piece[0] == "schematic":
+                        raise PresentationError(
+                            "schematic colours cannot split a rib assignment")
+                elif entry.colour != colour:
+                    raise PresentationError(
+                        f"segment {i}: colours {colour!r} and "
+                        f"{entry.colour!r} both split its rib clauses")
+        return SegmentLayout(exceptions, colour, piece, on, off)
+
     def rib_at(self, p: Position) -> RibSpec:
         self.spine.check_position(p)
         return self._rib_at(p)
 
     def _rib_at(self, p: Position) -> RibSpec:
         """``rib_at`` a position already checked against the chain."""
-        for entry in self.ribs:
-            if entry.matches(self.spine, p):
-                return entry.rib_at(p)
-        raise PresentationError(f"no rib assigned at {p}")
+        rule = self.layouts[p.seg].rule_at(p.coord)
+        if isinstance(rule, RibSpec):
+            return rule
+        if rule is None:
+            raise PresentationError(f"no rib assigned at {p}")
+        if not isinstance(p.coord, int):
+            raise PresentationError("schematic ribs need integer coordinates")
+        return rule.rib_for(p.coord)
 
-    def _terminal_entry(self) -> Optional[RibEntry]:
+    def _tail_exits(self, v: RibElement) -> Tuple[bool, Tuple[int, ...]]:
+        """Where a free terminal coordinate holding v leaves its rib:
+        (False, coords) when exactly at these coordinates, (True, coords)
+        when at every coordinate but these named ones."""
         t = self.terminal_omega
-        if t is None:
-            return None
-        return next((e for e in self.ribs if e.matches(self.spine, Position(t, 0))), None)
-
-    def _tail_bad_coords(self, tail: RibElement) -> Tuple[int, ...]:
-        """Terminal coordinates where the tail value leaves its rib."""
-        t = self.terminal_omega
-        if t is None or not tail:
-            return ()
-        entry = self._terminal_entry()
-        if entry is not None and entry.schematic is not None:
-            return entry.schematic.bad_coords(tail)
-        return tuple(n for n in range(8)
-                     if not rib_contains(self.rib_at(Position(t, n)), tail))
-
-    def _tail_cofinally_ok(self, tail: RibElement) -> bool:
-        t = self.terminal_omega
-        if t is None:
-            return not tail
-        if not tail:
-            return True
-        entry = self._terminal_entry()
-        if entry is None:
-            return False
-        if entry.schematic is not None:
-            # template membership constrains only the denominator, and
-            # each denominator prime excludes at most finitely many
-            # coordinates
-            return not tail.w
-        return rib_contains(entry.rib_at(Position(t, 0)), tail)
+        lay = self.layouts[t]
+        rule = lay.eventual
+        listed = set()
+        if isinstance(rule, SchematicRib):
+            cofinal = bool(v.w)  # no template rib holds a nonstandard value
+            if not cofinal:
+                listed = set(rule.bad_coords(v)) - lay.named
+        else:
+            cofinal = rule is None or not rib_contains(rule, v)
+        listed.update(c for c in lay.named
+                      if rib_contains(self._rib_at(Position(t, c)), v) == cofinal)
+        return cofinal, tuple(sorted(listed))
 
     # -- element construction and arithmetic ----------------------------
 
@@ -454,34 +500,12 @@ class GroupSpec:
 
     # -- support and order ----------------------------------------------
 
-    @cached_property
-    def _terminal_schematic(self) -> Optional[SchematicRib]:
-        """The schematic rib of the terminal segment when a single clause
-        assigns it there, at every coordinate; else None."""
-        t = self.terminal_omega
-        if t is None:
-            return None
-        for entry in self.ribs:
-            if entry.position is not None:
-                if entry.position.seg == t:
-                    return None
-            elif entry.segment is None or entry.segment == t:
-                return entry.schematic if entry.colour is None else None
-        return None
-
-    def _walk(self, e: Element, bad: Iterable[int] = (), extra: int = 0,
-              sparse: bool = False) -> Iterator[Tuple[Position, RibElement]]:
-        """(position, coordinate) at e's deviations in chain order and, when
-        e has a tail, at terminal coordinates; lazily.
-
-        Off its deviations a terminal coordinate holds the tail.  The
-        default walk reads the run 0..top of the terminal segment, where
-        ``top`` passes every terminal deviation and every coordinate in
-        ``bad``, then ``extra`` more.  A ``sparse`` walk reads only the
-        terminal deviations and the coordinates in ``bad``.  The terminal
-        segment comes last, so either follows the other deviations in
-        chain order.
-        """
+    def _walk(self, e: Element, coords: Iterable[int]
+              ) -> Iterator[Tuple[Position, RibElement]]:
+        """(position, coordinate) at e's deviations and, when e has a
+        tail, at the terminal coordinates in ``coords`` (ascending), in
+        chain order, lazily; off its deviations a terminal coordinate
+        holds the tail."""
         t = self.terminal_omega
         tail = e.tail
         fp = e.fp
@@ -492,45 +516,49 @@ class GroupSpec:
         while i < n_fp and fp[i][0].seg != t:
             yield fp[i]
             i += 1
-        if sparse:
-            coords = sorted(set(bad))
-        else:
-            top = max(max(bad, default=-1), fp[-1][0].coord if i < n_fp else -1) + 1
-            coords = range(top + extra + 1)
         for n in coords:
             while i < n_fp and fp[i][0].coord < n:
                 p, v = fp[i]
                 yield p, tail + v
                 i += 1
-            if i < n_fp and fp[i][0].coord == n:
-                p, v = fp[i]
-                yield p, tail + v
-                i += 1
-            else:
+            if i == n_fp or fp[i][0].coord != n:  # else the deviation comes next
                 yield Position(t, n), tail
         for p, v in fp[i:]:
             yield p, tail + v
 
+    def _failing(self, e: Element, v: RibElement) -> Tuple[int, ...]:
+        """The terminal coordinates where a free coordinate of e, holding
+        v, may leave its rib: exactly those where v leaves it, or, when v
+        leaves it cofinally, the first free one that v leaves."""
+        t = self.terminal_omega
+        if t is None or not e.tail:
+            return ()
+        cofinal, listed = self._tail_exits(v)
+        if not cofinal:
+            return listed
+        return (next(n for n in itertools.count() if n not in listed
+                     and Position(t, n) not in e._index),)
+
     def support_candidates(self, e: Element) -> List[Position]:
-        """Positions where the coordinate might be nonzero, in order.
+        """Positions where the coordinate might be nonzero, in order: the
+        deviations, a terminal run past every deviation there and every
+        coordinate the tail leaves its rib at, and the named terminal
+        coordinates past that run."""
+        coords = ()
+        t = self.terminal_omega
+        if t is not None and e.tail:
+            last = e.fp[-1][0].coord if e.fp and e.fp[-1][0].seg == t else -1
+            top = max((last, *self._failing(e, e.tail))) + 1
+            coords = [*range(top + 1),
+                      *sorted(c for c in self.layouts[t].named if c > top)]
+        return [p for p, _ in self._walk(e, coords)]
 
-        Finitely many: the deviation positions, and an initial run of the
-        terminal segment long enough to pass every deviation there and
-        every coordinate the tail leaves its rib at.
-        """
-        return [p for p, _ in self._walk(e, self._tail_bad_coords(e.tail))]
-
-    def _first_indivisible(self, e: Element, m: int, scaled_tail: RibElement,
-                           extra: int = 0) -> Optional[Position]:
+    def _first_indivisible(self, e: Element, m: int,
+                           scaled_tail: RibElement) -> Optional[Position]:
         """The first position whose coordinate of e is not m times a value
         of its rib, or None.  ``scaled_tail`` is e.tail / m: off the
-        deviations a terminal coordinate fails exactly where that leaves
-        its rib.  On a schematic terminal segment a standard tail leaves
-        it at exactly ``bad_coords``, so the walk reads only those and the
-        deviations; a nonstandard one leaves it everywhere."""
-        sparse = self._terminal_schematic is not None and not scaled_tail.w
-        walk = self._walk(e, self._tail_bad_coords(scaled_tail), extra, sparse)
-        for p, c in walk:
+        deviations a terminal coordinate fails where that leaves its rib."""
+        for p, c in self._walk(e, self._failing(e, scaled_tail)):
             if not rib_divides(self._rib_at(p), c, m):
                 return p
         return None
@@ -591,8 +619,6 @@ class GroupSpec:
         """Whether e / m lies in the group, without building e / m."""
         tail = e.tail if m == 1 else e.tail.scale(Fraction(1, m))
         if self._first_indivisible(e, m, tail) is not None:
-            return False
-        if tail and not self._tail_cofinally_ok(tail):
             return False
         if self.mode == "sum":
             return self.tail_coefficients(tail) is not None
@@ -680,9 +706,48 @@ class PairSpec:
             raise PresentationError(f"unknown pair flags {set(self.flags) - PAIR_FLAGS}")
         if self.small.spine.segments != self.big.spine.segments:
             raise PresentationError("the two spines must share their segments")
-        for p in self.small.spine.sample_positions(per_segment=3):
-            if not _rib_extends(self.small.rib_at(p), self.big.rib_at(p)):
-                raise PresentationError(f"rib at {p} does not extend")
+        for where, rib_s, rib_b in self.rib_pairs():
+            if not _rib_extends(rib_s, rib_b):
+                raise PresentationError(f"rib at {where} does not extend")
+
+    def rib_pairs(self) -> Iterator[Tuple[object, RibSpec, RibSpec]]:
+        """(where, small rib, big rib) for every pair of ribs the two
+        layouts put on one position: at each named coordinate (every
+        coordinate of a finite segment), then rule against rule off them,
+        where ``where`` names the segment and the side of its colour."""
+        for i, seg in enumerate(self.small.spine.segments):
+            s, b = self.small.layouts[i], self.big.layouts[i]
+            finite = seg.kind is SegKind.FIN
+            named = range(seg.size) if finite else sorted(s.named | b.named)
+            for c in named:
+                p = Position(i, c)
+                yield p, self.small._rib_at(p), self.big._rib_at(p)
+            if finite:
+                continue
+            split = s.colour is not None and b.colour is not None
+            if split and (s.colour, s.piece) != (b.colour, b.piece):
+                raise PresentationError(
+                    f"segment {i}: the two groups split it on different colours")
+            sides = _sides(s, named), _sides(b, named)
+            for (side, rule_s), (_, rule_b) in (
+                    zip(*sides) if split else itertools.product(*sides)):
+                where = f"segment {i}{side}"
+                if isinstance(rule_s, RibSpec) and isinstance(rule_b, RibSpec):
+                    yield where, rule_s, rule_b
+                elif rule_s != rule_b:
+                    raise PresentationError(
+                        f"{where}: a schematic or missing rule meets another rule")
 
     def rib_pair_at(self, p: Position) -> Tuple[RibSpec, RibSpec]:
         return self.small.rib_at(p), self.big.rib_at(p)
+
+
+def _sides(lay: SegmentLayout, named) -> list:
+    """(label, rule) for each side of the layout's colour that holds a
+    coordinate of an infinite segment off the named ones; the one side
+    when no colour splits it."""
+    if lay.colour is None:
+        return [("", lay.on)]
+    return [(f" {side} colour {lay.colour}", rule) for side, piece, rule in (
+        ("on", lay.piece, lay.on), ("off", _complement_piece(lay.piece), lay.off))
+        if piece != NONE and not (piece[0] == "only" and piece[1] <= set(named))]

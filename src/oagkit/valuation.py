@@ -18,7 +18,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
@@ -92,15 +92,7 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
         v = g.nat_val(e)
         return SV_INF if v is INF else sv_pos(v)
     scaled = e.tail.scale(Fraction(1, m))
-    extra = 0
-    if e.tail:
-        # the first free terminal coordinate already fails when the tail does
-        entry = g._terminal_entry()
-        if (entry is not None and entry.schematic is None
-                and not rib_divides(entry.rib_at(Position(g.terminal_omega, 0)),
-                                    e.tail, m)):
-            extra = 1
-    p = g._first_indivisible(e, m, scaled, extra)
+    p = g._first_indivisible(e, m, scaled)
     if p is not None:
         return sv_pos(p)
     if not e.tail:
@@ -158,50 +150,39 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Segment layouts: how the rib assignment looks on one segment.
-
-
-@dataclass(frozen=True)
-class SegmentLayout:
-    kind: str                 # "uniform" | "split" | "schematic"
-    ribs: Tuple[RibSpec, ...] = ()  # (rib,), or (rib on colour, rib off it)
-    colour: Optional[str] = None
-    schematic: Optional[SchematicRib] = None
-
-
-def segment_layout(g: GroupSpec, i: int) -> SegmentLayout:
-    applicable = [e for e in g.ribs
-                  if e.position is None and (e.segment is None or e.segment == i)]
-    if not applicable:
-        raise PresentationError(f"no rib clause covers segment {i}")
-    head = applicable[0]
-    if head.schematic is not None:
-        return SegmentLayout("schematic", schematic=head.schematic)
-    if head.colour is not None:
-        rest = [e for e in applicable[1:] if e.colour is None and e.schematic is None]
-        if not rest:
-            raise PresentationError(
-                f"segment {i}: colour clause needs a fallback clause")
-        return SegmentLayout("split", ribs=(head.rib, rest[0].rib),
-                             colour=head.colour)
-    return SegmentLayout("uniform", ribs=(head.rib,))
+# Pieces of a segment read off its layout.
 
 
 def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
     """The piece of segment i on whose ribs the predicate ``holds`` is
-    true; ``schematic_piece(s)`` answers for a schematic rib assignment."""
-    lay = segment_layout(g, i)
-    if lay.kind == "schematic":
-        return schematic_piece(lay.schematic)
-    hits = [holds(rib) for rib in lay.ribs]
-    if all(hits):
-        return ALL
-    if not any(hits):
-        return NONE
-    piece = g.spine.colour_named(lay.colour).rule_at(i)
-    if piece[0] == "schematic":
-        raise PresentationError("schematic colours cannot split a rib assignment")
-    return piece if hits[0] else _complement_piece(piece)
+    true; ``schematic_piece(s)`` answers for a schematic rule.  The
+    layout's colour splits the rules, and at each named coordinate the
+    piece is patched to what its own rib says."""
+    lay = g.layouts[i]
+
+    def where(rule):
+        if rule is None:
+            raise PresentationError(f"no rib clause covers part of segment {i}")
+        if isinstance(rule, SchematicRib):
+            return schematic_piece(rule)
+        return ALL if holds(rule) else NONE
+
+    on, off = where(lay.on), where(lay.off)
+    if on == off:
+        base = on
+    elif {on, off} == {ALL, NONE}:
+        base = lay.piece if on == ALL else _complement_piece(lay.piece)
+    else:  # a schematic rule on one side
+        base = where(lay.eventual)
+    wrong = frozenset(c for c in lay.named
+                      if holds(g._rib_at(Position(i, c))) != piece_contains(base, c))
+    if not wrong:
+        return base
+    tag, coords = {"all": ("minus", ()), "none": ("only", ())}.get(base[0], base[:2])
+    if tag not in ("only", "minus"):
+        raise PresentationError(
+            f"a position clause cannot patch the dense colour on segment {i}")
+    return (tag, frozenset(coords) ^ wrong)
 
 
 def _m_hits(rib: RibSpec, m: int) -> bool:
@@ -295,13 +276,13 @@ def relevant_primes(g: GroupSpec):
     primes = set()
     wildcard = False
     unbounded = False
-    for i in range(len(g.spine.segments)):
-        lay = segment_layout(g, i)
-        if lay.schematic is not None:
-            primes.update(lay.schematic.primes)
-            unbounded = True  # the tail enumeration runs through all primes
-        for r in lay.ribs:
-            nd = r.nondivisible_primes
+    for lay in g.layouts:
+        for rule in lay.rules:
+            if isinstance(rule, SchematicRib):
+                primes.update(rule.primes)
+                unbounded = True  # the tail enumeration runs through all primes
+                continue
+            nd = rule.nondivisible_primes
             if nd is None:
                 wildcard = True
             else:

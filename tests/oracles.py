@@ -9,7 +9,7 @@ under test.
 
 from fractions import Fraction
 
-from oagkit.chain import SegKind
+from oagkit.chain import Position, SegKind, piece_contains
 from oagkit.rib import RibElement
 from oagkit.valuation import (SV_INF, pred_cong_bullet, pred_eq_bullet,
                               sv_limit, sv_pos)
@@ -49,22 +49,69 @@ def coordinate_divisible(rib, value, m):
                       RibElement(Fraction(value.q) / m, Fraction(value.w) / m))
 
 
+def _clause_rib(g, p):
+    """The rib of the first clause that matches p, read off the clauses."""
+    for e in g.ribs:
+        if e.position is not None:
+            hit = e.position == p
+        else:
+            hit = e.segment in (None, p.seg) and (
+                e.colour is None or piece_contains(
+                    g.spine.colour_named(e.colour).rule_at(p.seg), p.coord))
+        if hit:
+            return e.rib if e.rib is not None else e.schematic.rib_for(p.coord)
+    raise AssertionError(f"no clause covers {p}")
+
+
+def _prime_rank(p):
+    """How many primes lie below the prime p, by trial division."""
+    return sum(all(n % d for d in range(2, n)) for n in range(2, p))
+
+
+def _window(g, x, m):
+    """A run of terminal coordinates past which every coordinate of x has
+    the same rib behaviour: it passes every coordinate a clause names,
+    every deviation and, on a schematic clause, the index of each prime
+    of the denominator of x.tail / m."""
+    t = g.terminal_omega
+    top = [p.coord for p, _ in x.fp if p.seg == t]
+    den = x.tail.q.denominator * max(m, 1)
+    for e in g.ribs:
+        if e.position is not None and e.position.seg == t:
+            top.append(e.position.coord)
+        if e.colour is not None:
+            piece = g.spine.colour_named(e.colour).rule_at(t)
+            if piece[0] in ("only", "minus"):
+                top.extend(piece[1])
+        if e.schematic is not None:
+            top.append(len(e.schematic.primes))
+            top.extend(_prime_rank(p) for p in range(2, den + 1)
+                       if den % p == 0 and all(p % d for d in range(2, p)))
+    return range(max(top, default=0) + 2)
+
+
 def oracle_val_m(g, x, m):
-    """First spine position whose coordinate fails m-divisibility."""
+    """First spine position whose coordinate fails m-divisibility, read
+    over every deviation and a terminal window of the oracle's own."""
     if m == 1:
         return SV_INF
-    positions = sorted(g.support_candidates(x), key=g.spine.sort_key)
+    positions = {p for p, _ in x.fp}
+    t = g.terminal_omega
+    if x.tail:
+        positions |= {Position(t, n) for n in _window(g, x, m)}
+    positions = sorted(positions, key=g.spine.sort_key)
     if m == 0:
         for p in positions:
             if g.coordinate(x, p):
                 return sv_pos(p)
         return SV_INF
     for p in positions:
-        if not coordinate_divisible(g.rib_at(p), g.coordinate(x, p), m):
+        if not coordinate_divisible(_clause_rib(g, p), g.coordinate(x, p), m):
             return sv_pos(p)
-    if g.in_m_multiples(x, m)[0]:
+    if not x.tail or g.mode == "hahn" or \
+            g.tail_coefficients(x.tail.scale(Fraction(1, m))) is not None:
         return SV_INF
-    return sv_limit(len(g.spine.segments) - 1)
+    return sv_limit(t)
 
 
 def first_positions(g, n=6):

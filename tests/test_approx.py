@@ -21,6 +21,7 @@ from oagkit.approx import (BestApproximation, Scheme, best_approx,
                            scheme_sign)
 from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
 from oagkit.chain import Position
+from oagkit.errors import PresentationError
 from oagkit.formula import eval_formula, formula_text
 from oagkit.group import GroupSpec, PairSpec, RibEntry
 from oagkit.pseudo import NoMaximum, immediate_ext_check
@@ -164,3 +165,31 @@ def test_fractional_target_with_finite_support():
     assert not ap.exact
     assert ap.beta.kind is SpineValueKind.POS
     assert ap.beta.position == Position(0, 1)
+
+
+# -- targets and limit values ---------------------------------------------------
+
+
+def test_a_target_outside_the_big_group_is_refused():
+    pair = builtin_pair("mod2")
+    a = pair.big.el([], tail=1)  # sigma_ext tails are multiples of W
+    assert not pair.big.contains(a)
+    with pytest.raises(PresentationError):
+        best_approx(pair, a, 2, 2)
+    with pytest.raises(PresentationError):
+        scheme_cong(pair, a, 2, 2, 0)
+
+
+def test_a_limit_valued_rung_decides_the_congruence():
+    # g4's generator a has tail 2: 2-divisible at every coordinate, but
+    # a / 2 leaves the generator lattice, so the rung sits at the limit
+    pair = PairSpec(builtin_group("sigma"), builtin_group("g4"))
+    a = pair.big.generator_element("a")
+    rng = random.Random(4)
+    for k in (0, 1):
+        s = scheme_cong(pair, a, 1, 2, k)
+        assert s.rho is None and s.beta.kind is SpineValueKind.LIMIT
+        rows, complete = scheme_cases(pair, s)
+        assert complete and [tag for tag, _, _ in rows] == ["lt", "gt"]
+        for x in _small_samples(pair, rng):
+            assert scheme_eval(pair, s, x) == _direct(pair, s, a, x), x

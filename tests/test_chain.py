@@ -9,7 +9,8 @@ from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Cut, CutKind,
                           CutStatus, Position, SegKind, Segment,
                           chain_stably_embedded, classify_cut, cut_classes,
                           dense_complete, dense_q, fin, integers, omega,
-                          omega_star, ordered_sum)
+                          omega_star, ordered_sum, piece_contains,
+                          predecessor_set, successor_set)
 from oagkit.errors import PositionOutOfDomain
 
 
@@ -32,15 +33,36 @@ def test_order_is_total_and_transitive(a, b, c):
     assert MIXED.lt(a, b) or MIXED.lt(b, a) or a == b
     if MIXED.lt(a, b) and MIXED.lt(b, c):
         assert MIXED.lt(a, c)
-    assert MIXED.le(a, a)
+
+
+# every chain point from a little below to a little above mixed_positions(),
+# the dense segment sampled: a discrete point has an immediate neighbour
+# exactly where the next window point on that side is discrete
+WINDOW = sorted([Position(0, c) for c in range(3)]
+                + [Position(1, c) for c in range(7)]
+                + [Position(2, c) for c in range(-5, 6)]
+                + [Position(3, Fraction(n, d)) for n in range(-9, 10)
+                   for d in (1, 2, 3, 4)], key=MIXED.sort_key)
+
+
+def _neighbour(p, step):
+    i = WINDOW.index(p) + step
+    if not 0 <= i < len(WINDOW):
+        return None
+    q = WINDOW[i]
+    return None if 3 in (p.seg, q.seg) else q  # segment 3 is dense
 
 
 @given(st.sampled_from(mixed_positions()))
 def test_successor_bracket(p):
-    s = MIXED.succ_of(p)
+    succ, pred = successor_set(MIXED), predecessor_set(MIXED)
+    s = _neighbour(p, 1)
+    assert piece_contains(succ.piece(p.seg), p.coord) is (s is not None)
+    assert piece_contains(pred.piece(p.seg), p.coord) is \
+        (_neighbour(p, -1) is not None)
     if s is not None:
         assert MIXED.lt(p, s)
-        assert MIXED.pred_of(s) == p
+        assert piece_contains(pred.piece(s.seg), s.coord)
 
 
 def test_segments_are_ordered_blocks():
@@ -68,9 +90,10 @@ def test_dense_coordinates_are_fractions():
 def test_colour_membership():
     ch = ChainSpec((Segment(SegKind.OMEGA),),
                    (ColourRule("start", (("only", frozenset({0, 2})),)),))
-    assert ch.has_colour("start", Position(0, 0))
-    assert not ch.has_colour("start", Position(0, 1))
-    assert ch.has_colour("start", Position(0, 2))
+    start = ch.colour_named("start").rule_at(0)
+    assert piece_contains(start, 0)
+    assert not piece_contains(start, 1)
+    assert piece_contains(start, 2)
 
 
 def test_ordered_sum_reindexes_segments():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
-from oagkit.chain import Position
+from oagkit.chain import Position, piece_contains
 from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
                           load_pair, pair_from_data, pair_to_data, to_jsonable)
 from oagkit.errors import PresentationError
@@ -94,7 +94,8 @@ def test_every_colour_rule_kind_survives_the_codec_and_reads_pointwise():
         Position(5, 2): (False, False),
     }
     for p, (in_c, in_marks) in table.items():
-        assert g.spine.has_colour("c", p) is in_c, p
-        assert g.spine.has_colour("marks", p) is in_marks, p
+        for name, member in (("c", in_c), ("marks", in_marks)):
+            piece = g.spine.colour_named(name).rule_at(p.seg)
+            assert piece_contains(piece, p.coord) is member, p
         assert g.rib_at(p).name == ("z" if in_c else "q"), p
         assert value_set_contains(g, vs, sv_pos(p)) is in_c, p

@@ -1,8 +1,10 @@
 """Byte-for-byte replay of the command line over the whole catalogue.
 
 ``golden_cli.json`` holds the stdout and exit code of every subcommand on
-every builtin group and pair, error documents included.  Regenerate it
-only when an output change is intended:
+every builtin group and pair, error documents included, plus a few
+commands on the hand-written presentations in ``presentations/``.  Paths
+are relative to the repository root, where every case runs.  Regenerate
+the fixture only when an output change is intended:
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
@@ -19,6 +21,11 @@ from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
 from oagkit.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_cli.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# position clauses (an integer rib at coordinate 10 of omega over Q, a Q
+# rib at coordinate 1 of fin(3) over Z), each with an element literal
+PRESENTATIONS = (("z_at_ten", "el(tail: 1)"),
+                 ("q_at_one", "el(pos(0, 1): 3, pos(0, 2): 3)"))
 
 
 def _literal(terminal_omega) -> str:
@@ -50,6 +57,19 @@ def cases():
         out.append(["best-approx", name, lit])
         for kind in ("sign", "cong", "eqk"):
             out.append(["scheme", kind, name, lit])
+    # the literal above lies outside sigma_ext, whose tails are multiples
+    # of W; this one lies inside
+    lit = "el(pos(0, 0): 3, tail: W)"
+    out.append(["best-approx", "mod2", lit])
+    for kind in ("sign", "cong", "eqk"):
+        out.append(["scheme", kind, "mod2", lit])
+    for name, lit in PRESENTATIONS:
+        path = f"tests/presentations/{name}.json"
+        out.append(["spine", "2", path])
+        out.append(["val", "2", path, lit])
+        out.append(["classify", path])
+    # two colours split one segment: refused
+    out.append(["classify", "tests/presentations/two_colours.json"])
     out.append(["corpus"])
     return out
 
@@ -75,12 +95,14 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_is_unchanged(argv, golden, monkeypatch):
     monkeypatch.delenv("OAGKIT_BOUND", raising=False)
+    monkeypatch.chdir(ROOT)
     want = next(c for c in golden if c["argv"] == argv)
     assert run_case(argv) == (want["exit"], want["stdout"])
 
 
 if __name__ == "__main__":
     os.environ.pop("OAGKIT_BOUND", None)
+    os.chdir(ROOT)
     rows = []
     for argv in cases():
         code, stdout = run_case(argv)
