@@ -79,10 +79,13 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
     if small.contains(x):
         return BestApproximation(n, m, x, SV_INF, None, True)
 
+    # past every coordinate either layout names, a terminal coordinate
+    # past the run reads like the run's last one
     t = big.terminal_omega
+    past = 0 if t is None else max(small.layouts[t].horizon, big.layouts[t].horizon)
     absorbed = []
     top = -1
-    for p in big.support_candidates(x):
+    for p in big.support_candidates(x, past):
         if p.seg == t:
             top = max(top, p.coord)
         c = big.coordinate(x, p)

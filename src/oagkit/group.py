@@ -320,6 +320,9 @@ class GroupSpec:
     @cached_property
     def layouts(self) -> Tuple[SegmentLayout, ...]:
         """One layout per segment: the only reader of ``ribs``."""
+        for entry in self.ribs:
+            if entry.position is not None:
+                self.spine.check_position(entry.position)
         return tuple(self._compile(i) for i in range(len(self.spine.segments)))
 
     def _compile(self, i: int) -> SegmentLayout:
@@ -330,7 +333,6 @@ class GroupSpec:
             rule = entry.rib if entry.rib is not None else entry.schematic
             p = entry.position
             if p is not None:
-                self.spine.check_position(p)
                 if p.seg == i and p.coord not in exceptions and not (
                         colour is not None and piece_contains(piece, p.coord)):
                     exceptions[p.coord] = rule
@@ -539,18 +541,16 @@ class GroupSpec:
         return (next(n for n in itertools.count() if n not in listed
                      and Position(t, n) not in e._index),)
 
-    def support_candidates(self, e: Element) -> List[Position]:
+    def support_candidates(self, e: Element, past: int = 0) -> List[Position]:
         """Positions where the coordinate might be nonzero, in order: the
-        deviations, a terminal run past every deviation there and every
-        coordinate the tail leaves its rib at, and the named terminal
-        coordinates past that run."""
+        deviations, and a terminal run past every deviation there, every
+        coordinate the tail leaves its rib at and every coordinate below
+        ``past``."""
         coords = ()
         t = self.terminal_omega
         if t is not None and e.tail:
             last = e.fp[-1][0].coord if e.fp and e.fp[-1][0].seg == t else -1
-            top = max((last, *self._failing(e, e.tail))) + 1
-            coords = [*range(top + 1),
-                      *sorted(c for c in self.layouts[t].named if c > top)]
+            coords = range(max((last, past - 1, *self._failing(e, e.tail))) + 2)
         return [p for p, _ in self._walk(e, coords)]
 
     def _first_indivisible(self, e: Element, m: int,
@@ -712,14 +712,23 @@ class PairSpec:
 
     def rib_pairs(self) -> Iterator[Tuple[object, RibSpec, RibSpec]]:
         """(where, small rib, big rib) for every pair of ribs the two
-        layouts put on one position: at each named coordinate (every
-        coordinate of a finite segment), then rule against rule off them,
-        where ``where`` names the segment and the side of its colour."""
+        layouts put on one position.  A finite segment is read at its
+        named coordinates and, for each pair of sides of the two colours,
+        at the first coordinate off them (at every one under a schematic
+        rule).  An infinite one is read at its named coordinates, then
+        rule against rule off them, where ``where`` names the segment and
+        the side of its colour."""
         for i, seg in enumerate(self.small.spine.segments):
             s, b = self.small.layouts[i], self.big.layouts[i]
+            named = s.named | b.named
             finite = seg.kind is SegKind.FIN
-            named = range(seg.size) if finite else sorted(s.named | b.named)
-            for c in named:
+            reads = {c for c in named if not finite or c < seg.size}
+            for (_, ps, rs), (_, pb, rb) in itertools.product(_sides(s), _sides(b)):
+                if finite:
+                    free = _free_coords((ps, pb), named, seg.size)
+                    schematic = SchematicRib in (type(rs), type(rb))
+                    reads.update(free if schematic else itertools.islice(free, 1))
+            for c in sorted(reads):
                 p = Position(i, c)
                 yield p, self.small._rib_at(p), self.big._rib_at(p)
             if finite:
@@ -728,7 +737,9 @@ class PairSpec:
             if split and (s.colour, s.piece) != (b.colour, b.piece):
                 raise PresentationError(
                     f"segment {i}: the two groups split it on different colours")
-            sides = _sides(s, named), _sides(b, named)
+            sides = ([(side, rule) for side, piece, rule in _sides(lay)
+                      if piece != NONE and not (piece[0] == "only" and piece[1] <= named)]
+                     for lay in (s, b))
             for (side, rule_s), (_, rule_b) in (
                     zip(*sides) if split else itertools.product(*sides)):
                 where = f"segment {i}{side}"
@@ -742,12 +753,21 @@ class PairSpec:
         return self.small.rib_at(p), self.big.rib_at(p)
 
 
-def _sides(lay: SegmentLayout, named) -> list:
-    """(label, rule) for each side of the layout's colour that holds a
-    coordinate of an infinite segment off the named ones; the one side
-    when no colour splits it."""
+def _sides(lay: SegmentLayout) -> list:
+    """(label, piece, rule) for each side of the layout's colour; the one
+    side when no colour splits it."""
     if lay.colour is None:
-        return [("", lay.on)]
-    return [(f" {side} colour {lay.colour}", rule) for side, piece, rule in (
-        ("on", lay.piece, lay.on), ("off", _complement_piece(lay.piece), lay.off))
-        if piece != NONE and not (piece[0] == "only" and piece[1] <= set(named))]
+        return [("", ALL, lay.on)]
+    return [(f" on colour {lay.colour}", lay.piece, lay.on),
+            (f" off colour {lay.colour}", _complement_piece(lay.piece), lay.off)]
+
+
+def _free_coords(pieces, named, size: int) -> Iterator[int]:
+    """The coordinates below ``size`` that lie in every piece and off
+    ``named``, ascending, lazily; finding the first reads at most the
+    listed coordinates and one more."""
+    finite = [p[1] if p[0] == "only" else () for p in pieces
+              if p[0] in ("only", "none")]
+    coords = sorted(min(finite, key=len)) if finite else range(size)
+    return (c for c in coords if c < size and c not in named
+            and all(piece_contains(p, c) for p in pieces))

@@ -13,14 +13,15 @@ first ``offset + i`` coordinates of the terminal segment.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .chain import Position
 from .errors import (ElementInG, LiftObstruction, NotPseudoCauchy,
                      NotRepresentable, PresentationError, TooShort)
 from .group import Element, GroupSpec, PairSpec
-from .rib import RibElement, rib_contains
+from .rib import RibElement
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
                         compare_spine_values, val_m)
 
@@ -219,12 +220,12 @@ def delta_max(g: GroupSpec, a: Element, m: int, depth: int = 4):
             return BestInGroupWitness(SV_INF, g.scale(w, m))
         return BestInGroupWitness(SV_INF, a)  # a is zero
     if v.kind is SpineValueKind.POS:
-        absorbed = _absorb_below(g, a, m, v.position)
+        absorbed = g.el(_below(g, a, v.position))
         return BestInGroupWitness(v, absorbed)
     t = v.seg
     samples = []
     for n in range(1, depth + 1):
-        x = _absorb_below(g, a, m, Position(t, n))
+        x = g.el(_below(g, a, Position(t, n)))
         rest = g.sub(a, x)
         value = val_m(g, rest, 0)
         samples.append(ApproxSample(x, value, g.coordinate(rest, value.position)))
@@ -233,30 +234,13 @@ def delta_max(g: GroupSpec, a: Element, m: int, depth: int = 4):
                           "more coordinate")
 
 
-def _absorb_below(g: GroupSpec, a: Element, m: int, stop: Position) -> Element:
-    """The m-th multiple matching a on every coordinate below ``stop``."""
-    cutoff = g.spine.sort_key(stop)
-    pairs = []
-    for p in _coords_below(g, a, m, cutoff):
-        c = g._coord(a, p)
-        pairs.append((p, c))
-    return g.el(pairs)
-
-
-def _coords_below(g: GroupSpec, a: Element, m: int, cutoff) -> Iterator[Position]:
-    t = g.terminal_omega
+def _below(g: GroupSpec, a: Element, stop: Position) -> list:
+    """(position, coordinate) at each nonzero coordinate of a below
+    ``stop``, in chain order."""
     key = g.spine.unchecked_key
-    positions = {p for p, _ in a.fp}
-    if t is not None and a.tail:
-        n = 0
-        while key(Position(t, n)) < cutoff:
-            positions.add(Position(t, n))
-            n += 1
-            if n > 64:
-                raise PresentationError("absorption window too deep")
-    for p in sorted(positions, key=key):
-        if key(p) < cutoff and g._coord(a, p):
-            yield p
+    run = range(stop.coord) if stop.seg == g.terminal_omega else ()
+    return [(p, c) for p, c in itertools.takewhile(
+        lambda pc: key(pc[0]) < key(stop), g._walk(a, run)) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +269,18 @@ def immediate_ext_check(pair: PairSpec, h: Element,
     small, big = pair.small, pair.big
     if small.contains(h):
         raise ElementInG("the candidate already lies in the small group")
-    partial_pairs = []
-    for p in big.support_candidates(h):
-        c = big.coordinate(h, p)
-        if not rib_contains(small.rib_at(p), c):
-            return ImmediateReport(
-                "not_immediate", position=p, partial=small.el(partial_pairs),
-                note=f"coordinate {c!r} at {p} lies outside the small rib")
-        if c:
-            partial_pairs.append((p, c))
+    p = small._first_indivisible(h, 1, h.tail)
+    if p is not None:
+        return ImmediateReport(
+            "not_immediate", position=p, partial=small.el(_below(big, h, p)),
+            note=f"coordinate {big.coordinate(h, p)!r} at {p} lies outside "
+                 "the small rib")
     t = big.terminal_omega
     samples = []
     if t is not None and h.tail:
-        for n in range(1, depth + 1):
-            pairs = []
-            for k in range(n):
-                p = Position(t, k)
-                c = big.coordinate(h, p)
-                if not rib_contains(small.rib_at(p), c):
-                    break
-                pairs.append((p, c))
+        pairs = []  # every coordinate of h lies in the small rib
+        for k in range(depth):
+            pairs.append((Position(t, k), big.coordinate(h, Position(t, k))))
             approx = small.el(pairs)
             samples.append((approx, val_m(big, big.sub(h, approx), 0)))
     return ImmediateReport(

@@ -20,12 +20,12 @@ from oagkit.approx import (BestApproximation, Scheme, best_approx,
                            scheme_eqk, scheme_eval, scheme_formula,
                            scheme_sign)
 from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
-from oagkit.chain import Position
+from oagkit.chain import ChainSpec, Position, Segment, SegKind
 from oagkit.errors import PresentationError
 from oagkit.formula import eval_formula, formula_text
 from oagkit.group import GroupSpec, PairSpec, RibEntry
 from oagkit.pseudo import NoMaximum, immediate_ext_check
-from oagkit.rib import q_rib
+from oagkit.rib import q_rib, z_rib
 from oagkit.valuation import SpineValueKind, val_m
 
 
@@ -193,3 +193,28 @@ def test_a_limit_valued_rung_decides_the_congruence():
         assert complete and [tag for tag, _, _ in rows] == ["lt", "gt"]
         for x in _small_samples(pair, rng):
             assert scheme_eval(pair, s, x) == _direct(pair, s, a, x), x
+
+
+def test_a_best_approximation_reaches_a_position_clause_past_the_run():
+    omega = ChainSpec((Segment(SegKind.OMEGA),))
+
+    def at_ten(rib, mode="hahn"):
+        return GroupSpec("at_ten", omega, (RibEntry(rib=rib, position=Position(0, 10)),
+                                           RibEntry(rib=q_rib())), mode)
+    small, big = at_ten(z_rib()), at_ten(q_rib())
+    x = big.el(tail=Fraction(1, 2))
+    ap = best_approx(PairSpec(small, big), x)
+    assert isinstance(ap, BestApproximation)
+    assert val_m(big, big.sub(x, ap.approx), 0) == ap.beta
+    assert ap.beta.position == Position(0, 10)
+    rep = immediate_ext_check(PairSpec(small, big), x)
+    assert rep.position == Position(0, 10)
+    assert val_m(big, big.sub(x, rep.partial), 0).position == Position(0, 10)
+
+    # the sum inside its own product: every rung's value is read off x - g
+    pair = PairSpec(at_ten(z_rib(), "sum"), at_ten(z_rib()))
+    x = pair.big.el(tail=1)
+    ladder = best_approx(pair, x)
+    assert isinstance(ladder, NoMaximum)
+    for s in ladder.samples:
+        assert val_m(pair.big, pair.big.sub(x, s.g), 0) == s.delta

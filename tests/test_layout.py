@@ -79,6 +79,37 @@ def test_a_position_clause_off_the_spine_is_refused():
         _at(z_rib(), 3, q_rib(), spine=ChainSpec((Segment(SegKind.FIN, 3),)))
 
 
+def test_a_position_clause_after_the_default_is_still_checked():
+    spine = ChainSpec((Segment(SegKind.FIN, 3),))
+    with pytest.raises(PositionOutOfDomain):
+        GroupSpec("late", spine, (RibEntry(rib=q_rib()),
+                                  RibEntry(rib=z_rib(), position=Position(0, 3))))
+
+
+def test_a_finite_segment_pair_reads_one_coordinate_per_rule():
+    size, c = 10 ** 6, 5 * 10 ** 5
+    spine = ChainSpec((Segment(SegKind.FIN, size),))
+    z_all = GroupSpec("z", spine, (RibEntry(rib=z_rib()),), "sum")
+    q_at = _at(q_rib(), c, z_rib(), "sum", spine=spine)
+    start = time.perf_counter()
+    assert [where for where, _, _ in PairSpec(z_all, q_at).rib_pairs()] == \
+        [Position(0, 0), Position(0, c)]
+    with pytest.raises(PresentationError, match=rf"pos\(0, {c}\)"):
+        PairSpec(q_at, z_all)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_finite_segment_pair_reads_a_schematic_rule_everywhere():
+    spine = ChainSpec((Segment(SegKind.FIN, 5),))
+    local = RibEntry(schematic=SchematicRib("z_local"))
+    small = GroupSpec("s", spine, (local,), "sum")
+    big = GroupSpec("b", spine, (RibEntry(rib=q_rib(), position=Position(0, 2)),
+                                 local), "sum")
+    pairs = list(PairSpec(small, big).rib_pairs())
+    assert [where for where, _, _ in pairs] == [Position(0, c) for c in range(5)]
+    assert pairs[3][1:] == (z_local_rib(7), z_local_rib(7))
+
+
 def test_a_pair_split_on_different_colours_is_refused():
     def split(name):
         spine = ChainSpec((Segment(SegKind.OMEGA),),
