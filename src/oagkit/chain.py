@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -158,7 +159,31 @@ class ChainSpec:
 
     # -- basic geometry ------------------------------------------------
 
+    @cached_property
+    def _coord_bounds(self) -> tuple:
+        """Per segment, (lo, hi, dense): an int coordinate c lies on it
+        when lo <= c < hi, and a dense one also takes any Fraction."""
+        counted = (SegKind.FIN, SegKind.OMEGA, SegKind.OMEGA_STAR)
+        return tuple((0 if seg.kind in counted else -math.inf,
+                      seg.size if seg.kind is SegKind.FIN else math.inf,
+                      seg.kind.is_dense) for seg in self.segments)
+
     def check_position(self, p: Position) -> None:
+        s, c = p.seg, p.coord
+        bounds = self._coord_bounds
+        if type(s) is int and 0 <= s < len(bounds):
+            lo, hi, dense = bounds[s]
+            if type(c) is int:
+                if lo <= c < hi:
+                    return
+            elif dense and type(c) is Fraction:
+                return
+        self._refuse(p)
+
+    def _refuse(self, p: Position) -> None:
+        """``check_position`` off its fast path: raise why p is refused,
+        or accept what that path leaves out (subclasses of int or
+        Fraction, such as a bool on a dense segment)."""
         if not (0 <= p.seg < len(self.segments)):
             raise PositionOutOfDomain(f"segment {p.seg} out of range")
         seg = self.segments[p.seg]

@@ -17,15 +17,19 @@ Grammar, with ``and`` binding tighter than ``or`` and ``not`` tightest::
               | term '===' '{' INT '}' INT
               | term '=**' INT
               | term '%' '{' INT '}' '0'
-    svalue   := 'pos' '(' INT ',' INT ')' | 'limit' '(' INT ')' | 'inf'
+    svalue   := position | 'limit' '(' INT ')' | 'inf'
     cmp      := '<' | '<=' | '=' | '>=' | '>'
     term     := part (('+' | '-') part)*
     part     := [INT '*'] VAR | element
     element  := 'el' '(' [entry (',' entry)*] ')'
-    entry    := 'pos' '(' INT ',' INT ')' ':' value | 'tail' ':' value
+    entry    := position ':' value | 'tail' ':' value
+    position := 'pos' '(' INT ',' ['-'] RAT ')'
     value    := [ '-' ] vpart [('+' | '-') vpart]
     vpart    := RAT ['W'] | 'W'
     RAT      := INT ['/' INT]
+
+A position's coordinate reads as an int when it is whole and as a
+Fraction otherwise, so dense segments take their rational coordinates.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .chain import Position
+from .chain import Coord, Position
 from .errors import FormulaSyntaxError, UnboundVariable
 from .group import Element, GroupSpec
 from .rib import RibElement
@@ -268,7 +272,8 @@ class _Parser:
         return self.peek()[1] == text
 
     # values inside element literals
-    def rational(self) -> Fraction:
+    def rational(self) -> Coord:
+        """An int, or a Fraction when a denominator follows."""
         n = self.expect_int()
         if self.at("/"):
             self.next()
@@ -277,7 +282,7 @@ class _Parser:
             if d == 0:
                 raise FormulaSyntaxError("zero denominator", pos)
             return Fraction(n, d)
-        return Fraction(n)
+        return n
 
     def value_part(self) -> RibElement:
         if self.at("W"):
@@ -309,9 +314,12 @@ class _Parser:
         self.expect("(")
         s = self.expect_int()
         self.expect(",")
-        c = self.signed_int()  # whole-line segments have negative slots
+        neg = self.at("-")  # whole-line segments have negative slots
+        if neg:
+            self.next()
+        c = -self.rational() if neg else self.rational()
         self.expect(")")
-        return Position(s, c)
+        return Position(s, c.numerator if c.denominator == 1 else c)
 
     def element(self) -> Element:
         self.expect("el")

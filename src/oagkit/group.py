@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
-                    _complement_piece, piece_contains)
+                    _complement_piece, _piece_nonempty, piece_contains)
 from .errors import PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
                   script_z_rib, z_local_rib)
@@ -340,9 +340,11 @@ class GroupSpec:
                 if entry.colour is None:
                     on, off = (rule if colour is None else on), rule
                     break
+                here = self.spine.colour_named(entry.colour).rule_at(i)
+                if not _piece_nonempty(here):
+                    continue  # the colour holds nowhere on this segment
                 if colour is None:
-                    colour, on = entry.colour, rule
-                    piece = self.spine.colour_named(colour).rule_at(i)
+                    colour, on, piece = entry.colour, rule, here
                     if piece[0] == "schematic":
                         raise PresentationError(
                             "schematic colours cannot split a rib assignment")

@@ -36,32 +36,33 @@ class RibElement:
 
     # Arithmetic skips the Fraction operation wherever one side is zero:
     # w is 0 on every standard rib, and many tails are 0 or purely OMEGA.
+    # The helpers below compute on numerators when both sides are integers.
 
     def __add__(self, other: "RibElement") -> "RibElement":
         oq, ow = other.q, other.w
         if not oq and not ow:
             return self
         q, w = self.q, self.w
-        return _trusted((q + oq if q else oq) if oq else q,
-                        (w + ow if w else ow) if ow else w)
+        return _trusted((_plus(q, oq) if q else oq) if oq else q,
+                        (_plus(w, ow) if w else ow) if ow else w)
 
     def __sub__(self, other: "RibElement") -> "RibElement":
         oq, ow = other.q, other.w
         if not oq and not ow:
             return self
         q, w = self.q, self.w
-        return _trusted((q - oq if q else -oq) if oq else q,
-                        (w - ow if w else -ow) if ow else w)
+        return _trusted((_minus(q, oq) if q else _negated(oq)) if oq else q,
+                        (_minus(w, ow) if w else _negated(ow)) if ow else w)
 
     def __neg__(self) -> "RibElement":
         q, w = self.q, self.w
-        return _trusted(-q if q else q, -w if w else w)
+        return _trusted(_negated(q) if q else q, _negated(w) if w else w)
 
     def scale(self, k) -> "RibElement":
         if type(k) is not Fraction and type(k) is not int:
             k = Fraction(k)
         q, w = self.q, self.w
-        return _trusted(q * k if q else q, w * k if w else w)
+        return _trusted(_times(q, k) if q else q, _times(w, k) if w else w)
 
     def __mul__(self, k):
         return self.scale(k)
@@ -96,6 +97,31 @@ def _trusted(q: Fraction, w: Fraction) -> RibElement:
     d["q"] = q
     d["w"] = w
     return out
+
+
+def _plus(a: Fraction, b: Fraction) -> Fraction:
+    if a.denominator == 1 and b.denominator == 1:
+        return Fraction(a.numerator + b.numerator)
+    return a + b
+
+
+def _minus(a: Fraction, b: Fraction) -> Fraction:
+    if a.denominator == 1 and b.denominator == 1:
+        return Fraction(a.numerator - b.numerator)
+    return a - b
+
+
+def _negated(a: Fraction) -> Fraction:
+    if a.denominator == 1:
+        return Fraction(-a.numerator)
+    return -a
+
+
+def _times(a: Fraction, k) -> Fraction:
+    """a * k for an int or a Fraction k."""
+    if a.denominator == 1 and k.denominator == 1:
+        return Fraction(a.numerator * k.numerator)
+    return a * k
 
 
 RIB_ZERO = RibElement(0)

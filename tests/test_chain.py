@@ -81,6 +81,38 @@ def test_position_validation():
     MIXED.check_position(Position(2, -10))
 
 
+# MIXED with an omega* segment (index 4): every refusal names its cause
+WITH_STAR = ordered_sum(MIXED, omega_star())
+REFUSED = [
+    (Position(5, 0), "segment 5 out of range"),
+    (Position(-1, 0), "segment -1 out of range"),
+    (Position(1, True), "discrete coordinate must be an int"),
+    (Position(2, False), "discrete coordinate must be an int"),
+    (Position(2, Fraction(1, 2)), "discrete coordinate must be an int"),
+    (Position(1, Fraction(2)), "discrete coordinate must be an int"),
+    (Position(3, 0.5), "dense coordinate must be rational"),
+    (Position(3, "1"), "dense coordinate must be rational"),
+    (Position(1, -1), "coordinate must be nonnegative"),
+    (Position(4, -2), "coordinate must be nonnegative"),
+    (Position(0, 3), "coordinate 3 outside finite segment"),
+    (Position(0, -1), "coordinate -1 outside finite segment"),
+]
+
+
+@pytest.mark.parametrize("p, message", REFUSED)
+def test_a_refused_position_names_its_cause(p, message):
+    for check in (WITH_STAR.check_position, WITH_STAR.sort_key):
+        with pytest.raises(PositionOutOfDomain) as info:
+            check(p)
+        assert str(info.value) == message
+
+
+def test_positions_at_the_edges_are_accepted():
+    for p in (Position(0, 2), Position(1, 10**30), Position(2, -10**30),
+              Position(3, 7), Position(3, Fraction(-7, 2)), Position(4, 0)):
+        WITH_STAR.check_position(p)
+
+
 def test_dense_coordinates_are_fractions():
     MIXED.check_position(Position(3, Fraction(1, 2)))
     with pytest.raises(PositionOutOfDomain):

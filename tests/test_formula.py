@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oagkit.catalogue import builtin_group
+from oagkit.catalogue import GROUPS, builtin_group
+from oagkit.chain import Position
 from oagkit.errors import (FormulaSyntaxError, PositionOutOfDomain,
                            UnboundVariable)
 from oagkit.formula import (FALSE, TRUE, And, Bool, CongBullet, EqBullet, Gt0,
@@ -12,6 +13,7 @@ from oagkit.formula import (FALSE, TRUE, And, Bool, CongBullet, EqBullet, Gt0,
                             eval_term, formula_text, make_term, parse_element,
                             parse_formula, term_text)
 from oagkit.group import Element
+from oagkit.valuation import sv_pos
 
 # exact print/parse fixed points
 CORPUS = [
@@ -80,6 +82,28 @@ def test_element_literals_round_trip():
         e = parse_element(t)
         assert element_text(e) == t
         assert parse_element(element_text(e)) == e
+
+
+DENSE_GROUPS = [name for name in sorted(GROUPS)
+                if any(s.kind.is_dense for s in builtin_group(name).spine.segments)]
+
+
+@pytest.mark.parametrize("name", DENSE_GROUPS)
+def test_element_literals_name_dense_coordinates(name):
+    g = builtin_group(name)
+    values = {Fraction(1, 2): 3, Fraction(-7, 3): Fraction(-1, 2), 0: 1, 2: 5}
+    e = g.el([((i, c), v) for i, s in enumerate(g.spine.segments)
+              if s.kind.is_dense for c, v in values.items()])
+    text = element_text(e)
+    assert "pos(0, -7/3): -1/2" in text
+    assert parse_element(text, g) == e
+    assert parse_element(text) == e
+
+
+def test_a_spine_value_names_a_dense_coordinate():
+    f = parse_formula("val{2}(x) < pos(0, -1/2)")
+    assert f.target == sv_pos(Position(0, Fraction(-1, 2)))
+    assert formula_text(f) == "val{2}(x) < pos(0, -1/2)"
 
 
 def test_element_parse_against_group_checks_positions():

@@ -20,7 +20,8 @@ from oagkit.classify import Status, classify_main
 from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (Generator, GroupSpec, PairSpec, RibEntry,
                           SchematicRib)
-from oagkit.rib import RibElement, q_rib, window_rib, z_local_rib, z_rib
+from oagkit.rib import (RibElement, q_rib, r_proxy_rib, window_rib, z_local_rib,
+                        z_rib)
 from oagkit.valuation import (SpineValueKind, spine_m, sv_limit, sv_pos,
                               val_m, value_set_contains)
 
@@ -72,6 +73,25 @@ def test_two_colours_splitting_one_segment_are_refused():
         GroupSpec("ab", spine, (RibEntry(rib=z_rib(), colour="a"),
                                 RibEntry(rib=q_rib(), colour="b"),
                                 RibEntry(rib=window_rib())))
+
+
+def test_a_colour_empty_on_a_segment_leaves_it_to_the_next_clause():
+    spine = ChainSpec((Segment(SegKind.FIN, 1),), (ColourRule("c", (("none",),)),))
+    g = GroupSpec("z", spine, (RibEntry(rib=q_rib(), colour="c"),
+                               RibEntry(rib=z_rib())), "sum")
+    assert g.layouts[0].rules == (z_rib(),)
+    assert classify_main(g).status is Status.USE
+
+
+def test_colours_on_different_segments_each_split_their_own():
+    spine = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA)),
+                      (ColourRule("a", (("only", frozenset({0})),)),
+                       ColourRule("b", (("none",), ("only", frozenset({0}))))))
+    g = GroupSpec("ab", spine, (RibEntry(rib=z_rib(), colour="a"),
+                                RibEntry(rib=q_rib(), colour="b"),
+                                RibEntry(rib=r_proxy_rib())))
+    assert [g.rib_at(Position(i, c)) for i in (0, 1) for c in (0, 1)] == \
+        [z_rib(), r_proxy_rib(), q_rib(), r_proxy_rib()]
 
 
 def test_a_position_clause_off_the_spine_is_refused():

@@ -180,3 +180,24 @@ def test_elementary_equivalence_of_ribs():
 def test_domain_validation():
     with pytest.raises(Exception):
         RibSpec("bad", domain="reals")
+
+
+# integral, non-integral and zero parts, so both sides of the integer fast
+# path and the zero-skipping branches are drawn
+mixed_parts = (st.just(Fraction(0))
+               | st.integers(-10**20, 10**20).map(Fraction)
+               | st.fractions(max_denominator=12).filter(lambda f: f.denominator != 1))
+mixed_rib_elems = st.builds(RibElement, mixed_parts, mixed_parts)
+factors = (st.integers(-10**6, 10**6) | st.integers(-5, 5).map(Fraction)
+           | st.fractions(max_denominator=8))
+
+
+@given(mixed_rib_elems, mixed_rib_elems, factors)
+def test_arithmetic_agrees_with_plain_fractions(a, b, k):
+    f = Fraction(k)
+    for got, want in ((a + b, (a.q + b.q, a.w + b.w)),
+                      (a - b, (a.q - b.q, a.w - b.w)),
+                      (-a, (-a.q, -a.w)),
+                      (a.scale(k), (a.q * f, a.w * f))):
+        assert (got.q, got.w) == want
+        assert type(got.q) is Fraction and type(got.w) is Fraction
