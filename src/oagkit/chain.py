@@ -105,9 +105,6 @@ class Position:
 #   ("schematic", params)  one singleton colour per coordinate n, given
 #                          uniformly in n; infinitely many predicates, so
 #                          not one definable set
-# The cut classifier also uses rays within a segment:
-#   ("lo", c, incl)        downward ray
-#   ("hi", c, incl)        upward ray
 
 ALL = ("all",)
 NONE = ("none",)
@@ -183,13 +180,13 @@ class ChainSpec:
     def _refuse(self, p: Position) -> None:
         """``check_position`` off its fast path: raise why p is refused,
         or accept what that path leaves out (subclasses of int or
-        Fraction, such as a bool on a dense segment)."""
+        Fraction other than bool)."""
         if not (0 <= p.seg < len(self.segments)):
             raise PositionOutOfDomain(f"segment {p.seg} out of range")
         seg = self.segments[p.seg]
         c = p.coord
         if seg.kind.is_dense:
-            if not isinstance(c, (int, Fraction)):
+            if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
                 raise PositionOutOfDomain("dense coordinate must be rational")
             return
         if not isinstance(c, int) or isinstance(c, bool):
@@ -300,15 +297,13 @@ class CutClass:
 
 
 # ---------------------------------------------------------------------------
-# Piece sets: finitely presented subsets of the chain plus INF.  One piece
-# per segment, a flag for membership of INF, and a poison flag for sets
-# with a schematic piece.
+# Piece sets: finitely presented subsets of the chain.  One piece per
+# segment, and a poison flag for sets with a schematic piece.
 
 
 @dataclass(frozen=True)
 class PieceSet:
     pieces: tuple
-    inf: bool = False
     poisoned: bool = False
 
     def piece(self, i: int):
@@ -324,39 +319,6 @@ def _piece_nonempty(piece) -> bool:
     return True
 
 
-def _normalize_piece(seg: Segment, piece):
-    """Convert rays to explicit finite data where the segment allows it."""
-    tag = piece[0]
-    k = seg.kind
-    if tag in ("lo", "hi"):
-        c, incl = piece[1], piece[2]
-        if k is SegKind.FIN:
-            rng = range(seg.size)
-            if tag == "lo":
-                keep = frozenset(x for x in rng if x < c or (incl and x == c))
-            else:
-                keep = frozenset(x for x in rng if x > c or (incl and x == c))
-            return ("only", keep)
-        if k is SegKind.OMEGA:
-            if tag == "lo":
-                top = c if incl else c - 1
-                return ("only", frozenset(range(max(top + 1, 0))))
-            bot = c if incl else c + 1
-            return ("minus", frozenset(range(max(bot, 0))))
-        if k is SegKind.OMEGA_STAR:
-            # coordinates count down from the top
-            if tag == "lo":  # points <= / < the point at depth c
-                bot = c if incl else c + 1
-                return ("minus", frozenset(range(max(bot, 0))))
-            top = c if incl else c - 1
-            return ("only", frozenset(range(max(top + 1, 0))))
-    if tag in ("only", "minus") and k is SegKind.FIN:
-        rng = frozenset(range(seg.size))
-        s = frozenset(piece[1]) & rng if tag == "only" else rng - frozenset(piece[1])
-        return ("only", s)
-    return piece
-
-
 def _complement_piece(piece):
     tag = piece[0]
     if tag == "all":
@@ -369,153 +331,12 @@ def _complement_piece(piece):
         return ("only", piece[1])
     if tag == "dense":
         return ("dense", piece[1], not piece[2])
-    if tag == "lo":
-        return ("hi", piece[1], not piece[2])
-    if tag == "hi":
-        return ("lo", piece[1], not piece[2])
     return piece  # schematic stays poisoned
 
 
 def complement(ps: PieceSet) -> PieceSet:
     return PieceSet(tuple(_complement_piece(p) for p in ps.pieces),
-                    inf=not ps.inf, poisoned=ps.poisoned)
-
-
-def _finite_diff(seg: Segment, a, b) -> bool:
-    """Whether the symmetric difference of two pieces is finite."""
-    a = _normalize_piece(seg, a)
-    b = _normalize_piece(seg, b)
-    if a[0] == "schematic" or b[0] == "schematic":
-        return False
-    if seg.kind is SegKind.FIN:
-        return True
-    if a == b:
-        return True
-    ta, tb = a[0], b[0]
-    if {ta, tb} <= {"all", "minus"}:
-        return True
-    if {ta, tb} <= {"none", "only"}:
-        return True
-    if ta == "dense" or tb == "dense":
-        return ta == tb and a[1] == b[1] and a[2] == b[2]
-    if ta in ("lo", "hi") or tb in ("lo", "hi"):
-        if ta == tb and seg.kind is SegKind.INT:
-            return True  # two rays the same way differ by an integer interval
-        return False
-    return False
-
-
-def piece_sets_equal_mod_finite(chain: ChainSpec, x: PieceSet, y: PieceSet) -> bool:
-    if x.poisoned or y.poisoned:
-        return False
-    return all(_finite_diff(seg, x.pieces[i], y.pieces[i])
-               for i, seg in enumerate(chain.segments))
-
-
-def _dc_within(seg: Segment, piece):
-    """Downward closure of a piece inside its own segment."""
-    piece = _normalize_piece(seg, piece)
-    tag = piece[0]
-    k = seg.kind
-    if tag in ("none",):
-        return NONE
-    if tag in ("all", "dense"):
-        return ALL  # dense colours are cofinal by convention
-    if tag == "lo":
-        return piece
-    if tag == "hi":
-        return ALL if _piece_nonempty(piece) else NONE
-    if tag == "minus":
-        if k is SegKind.OMEGA_STAR:
-            m = 0
-            while m in piece[1]:
-                m += 1
-            return ("minus", frozenset(range(m)))
-        return ALL  # cofinal in a maxless segment
-    # tag == "only"
-    s = piece[1]
-    if not s:
-        return NONE
-    if k is SegKind.OMEGA:
-        return ("only", frozenset(range(max(s) + 1)))
-    if k is SegKind.OMEGA_STAR:
-        return ("minus", frozenset(range(min(s))))
-    return ("lo", max(s), True)
-
-
-def _uc_within(seg: Segment, piece):
-    piece = _normalize_piece(seg, piece)
-    tag = piece[0]
-    k = seg.kind
-    if tag in ("none",):
-        return NONE
-    if tag in ("all", "dense"):
-        return ALL  # dense colours are coinitial by convention
-    if tag == "hi":
-        return piece
-    if tag == "lo":
-        return ALL if _piece_nonempty(piece) else NONE
-    if tag == "minus":
-        if k is SegKind.OMEGA:
-            m = 0
-            while m in piece[1]:
-                m += 1
-            return ("minus", frozenset(range(m)))
-        return ALL  # coinitial in a minless segment
-    s = piece[1]
-    if not s:
-        return NONE
-    if k is SegKind.OMEGA_STAR:
-        return ("only", frozenset(range(max(s) + 1)))
-    if k is SegKind.OMEGA:
-        return ("minus", frozenset(range(min(s))))
-    return ("hi", min(s), True)
-
-
-def downward_closure(chain: ChainSpec, x: PieceSet) -> PieceSet:
-    if x.poisoned:
-        return x
-    n = len(chain.segments)
-    if x.inf:
-        return PieceSet((ALL,) * n, inf=True)
-    top = None
-    for i in range(n - 1, -1, -1):
-        if _piece_nonempty(_normalize_piece(chain.segments[i], x.pieces[i])):
-            top = i
-            break
-    if top is None:
-        return PieceSet((NONE,) * n, inf=False)
-    pieces = []
-    for i in range(n):
-        if i < top:
-            pieces.append(ALL)
-        elif i > top:
-            pieces.append(NONE)
-        else:
-            pieces.append(_dc_within(chain.segments[i], x.pieces[i]))
-    return PieceSet(tuple(pieces), inf=False)
-
-
-def upward_closure(chain: ChainSpec, x: PieceSet) -> PieceSet:
-    if x.poisoned:
-        return x
-    n = len(chain.segments)
-    bot = None
-    for i in range(n):
-        if _piece_nonempty(_normalize_piece(chain.segments[i], x.pieces[i])):
-            bot = i
-            break
-    if bot is None:
-        return PieceSet((NONE,) * n, inf=x.inf)
-    pieces = []
-    for i in range(n):
-        if i > bot:
-            pieces.append(ALL)
-        elif i < bot:
-            pieces.append(NONE)
-        else:
-            pieces.append(_uc_within(chain.segments[i], x.pieces[i]))
-    return PieceSet(tuple(pieces), inf=True)
+                    poisoned=ps.poisoned)
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +362,10 @@ def successor_set(chain: ChainSpec) -> PieceSet:
             pieces.append(ALL if nxt_has_min else ("only", frozenset(range(seg.size - 1))))
         else:
             pieces.append(ALL if nxt_has_min else ("minus", frozenset({0})))
-    return PieceSet(tuple(pieces), inf=False)
+    return PieceSet(tuple(pieces))
 
 
 def predecessor_set(chain: ChainSpec) -> PieceSet:
-    n = len(chain.segments)
     pieces = []
     for i, seg in enumerate(chain.segments):
         k = seg.kind
@@ -555,24 +375,28 @@ def predecessor_set(chain: ChainSpec) -> PieceSet:
         if k in (SegKind.OMEGA_STAR, SegKind.INT):
             pieces.append(ALL)
             continue
+        # FIN and OMEGA: the minimum's predecessor is the previous
+        # segment's maximum
         prv_has_max = i > 0 and chain.segments[i - 1].kind.has_max
-        if k is SegKind.FIN:
-            pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
-        else:  # OMEGA
-            pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
-    last_max = bool(chain.segments) and chain.segments[-1].kind.has_max
-    return PieceSet(tuple(pieces), inf=last_max)
+        pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
+    return PieceSet(tuple(pieces))
 
 
 def colour_piece_set(chain: ChainSpec, colour: ColourRule) -> PieceSet:
     pieces = tuple(colour.rule_at(i) for i in range(len(chain.segments)))
-    return PieceSet(pieces, inf=False,
-                    poisoned=any(p[0] == "schematic" for p in pieces))
+    return PieceSet(pieces, poisoned=any(p[0] == "schematic" for p in pieces))
 
 
-def _boundary_left_set(chain: ChainSpec, j: int) -> PieceSet:
-    pieces = tuple(ALL if i <= j else NONE for i in range(len(chain.segments)))
-    return PieceSet(pieces, inf=False)
+def _base_sets(chain: ChainSpec):
+    """The stock definable sets and their complements, by name.  A colour
+    with a schematic piece is a family of predicates, not one set."""
+    base = [("succ", successor_set(chain)), ("pred", predecessor_set(chain))]
+    for colour in chain.colours:
+        base.append((f"colour:{colour.name}", colour_piece_set(chain, colour)))
+    for name, x in base:
+        if not x.poisoned:
+            yield name, x
+            yield f"not {name}", complement(x)
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +406,10 @@ def _boundary_left_set(chain: ChainSpec, j: int) -> PieceSet:
 _PLAIN_TAGS = ("none", "only", "schematic")
 
 
-def _candidate_sets(chain: ChainSpec):
-    base = [("succ", successor_set(chain)), ("pred", predecessor_set(chain))]
-    for colour in chain.colours:
-        base.append((f"colour:{colour.name}", colour_piece_set(chain, colour)))
-    for name, x in list(base):
-        if x.poisoned:
-            continue
-        yield name, x
-        yield f"not {name}", complement(x)
-        yield f"dc({name})", downward_closure(chain, x)
-        yield f"uc({name})", upward_closure(chain, x)
-        yield f"dc(not {name})", downward_closure(chain, complement(x))
-        yield f"uc(not {name})", upward_closure(chain, complement(x))
+def _finite_on(seg: Segment, piece) -> bool:
+    """Whether a piece holds only finitely many points of its segment.  Any
+    other piece is cofinal and coinitial in a segment with no endpoints."""
+    return piece[0] in ("none", "only") or seg.kind is SegKind.FIN
 
 
 def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
@@ -613,14 +428,24 @@ def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
     if right.kind.has_min:
         return CutClass(CutStatus.DEFINABLE, "principal",
                         f"segment {j + 1} has a least point")
-    target = _boundary_left_set(chain, j)
-    for name, cand in _candidate_sets(chain):
-        if piece_sets_equal_mod_finite(chain, cand, target):
+    # A base set cofinal in segment j with finitely many points above it
+    # defines the lower set as the points below one of its members, those
+    # finitely many points (parameters) left out; dually from segment j + 1.
+    for name, x in _base_sets(chain):
+        finite = [_finite_on(seg, p) for seg, p in zip(chain.segments, x.pieces)]
+        if not finite[j] and all(finite[j + 1:]):
             return CutClass(CutStatus.DEFINABLE, name,
-                            f"lower set agrees with {name} up to finitely many points")
-        if piece_sets_equal_mod_finite(chain, complement(cand), target):
-            return CutClass(CutStatus.DEFINABLE, f"not {name}",
-                            f"upper set agrees with {name} up to finitely many points")
+                            f"{name} is cofinal in segment {j} and finite above it")
+        if not finite[j + 1] and all(finite[:j + 1]):
+            return CutClass(CutStatus.DEFINABLE, name,
+                            f"{name} is coinitial in segment {j + 1} and finite below it")
+    if left.kind.is_dense != right.kind.is_dense:
+        dense = j if left.kind.is_dense else j + 1
+        return CutClass(
+            CutStatus.DEFINABLE, "density-change",
+            f"the points with neither an immediate successor nor an immediate "
+            f"predecessor form a convex run through any point of segment "
+            f"{dense}, and that run ends at the cut")
     left_ok = left.kind in (SegKind.OMEGA, SegKind.INT, SegKind.DENSE_Q)
     right_ok = right.kind in (SegKind.OMEGA_STAR, SegKind.INT, SegKind.DENSE_Q)
     colours_plain = all(
@@ -677,12 +502,10 @@ def classify_cut(chain: ChainSpec, cut: Cut) -> CutClass:
 
 
 def cut_classes(chain: ChainSpec) -> Iterator[Cut]:
-    """Representatives of every cut class the classifier distinguishes."""
+    """Representatives of every cut class the classifier distinguishes,
+    except the principal cuts, which their own point defines."""
     yield Cut(CutKind.MINUS_INF)
     yield Cut(CutKind.PLUS_INF)
-    for p in chain.sample_positions(per_segment=2):
-        yield Cut(CutKind.PRINCIPAL_PLUS, position=p)
-        yield Cut(CutKind.PRINCIPAL_MINUS, position=p)
     for j in range(len(chain.segments)):
         yield Cut(CutKind.SEGMENT_BOUNDARY, index=j)
     for i, seg in enumerate(chain.segments):

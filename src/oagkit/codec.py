@@ -34,6 +34,8 @@ def _coord_data(c):
 
 
 def _coord_from(d):
+    if isinstance(d, bool):
+        raise PresentationError(f"coordinate {d!r} is not a number")
     return d if isinstance(d, int) else Fraction(d)
 
 

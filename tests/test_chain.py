@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Cut, CutKind,
                           CutStatus, Position, SegKind, Segment,
@@ -92,6 +92,7 @@ REFUSED = [
     (Position(1, Fraction(2)), "discrete coordinate must be an int"),
     (Position(3, 0.5), "dense coordinate must be rational"),
     (Position(3, "1"), "dense coordinate must be rational"),
+    (Position(3, True), "dense coordinate must be rational"),
     (Position(1, -1), "coordinate must be nonnegative"),
     (Position(4, -2), "coordinate must be nonnegative"),
     (Position(0, 3), "coordinate 3 outside finite segment"),
@@ -158,6 +159,13 @@ def test_double_ladder_boundary_not_definable():
     assert cc.status is CutStatus.NOT_DEFINABLE
 
 
+def test_a_schematic_family_is_no_base_set():
+    # one singleton colour per point of omega names no infinite set
+    ch = _chain(SegKind.OMEGA, SegKind.OMEGA_STAR,
+                colours=(ColourRule("marks", (("schematic", (2,)), NONE)),))
+    assert _boundary(ch, 0) is CutStatus.NOT_DEFINABLE
+
+
 def test_marked_boundary_becomes_definable():
     ch = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
                    (ColourRule("head", (ALL, NONE)),))
@@ -171,6 +179,8 @@ def test_cut_classes_cover_the_report():
     kinds = {c.kind for c in cuts}
     assert CutKind.SEGMENT_BOUNDARY in kinds
     assert CutKind.MINUS_INF in kinds and CutKind.PLUS_INF in kinds
+    # a principal cut is defined by its own point, so none is sampled
+    assert not kinds & {CutKind.PRINCIPAL_PLUS, CutKind.PRINCIPAL_MINUS}
 
 
 def test_chain_suite():
@@ -198,3 +208,129 @@ def test_not_definable_report_names_the_boundary():
     assert rep.status is CutStatus.NOT_DEFINABLE
     assert rep.witness is not None
     assert rep.witness.kind is CutKind.SEGMENT_BOUNDARY
+
+
+# -- the boundary rule over small coloured chains ------------------------------
+
+
+def _boundary(ch, j):
+    return classify_cut(ch, Cut(CutKind.SEGMENT_BOUNDARY, index=j)).status
+
+
+def _chain(*kinds, colours=()):
+    return ChainSpec(tuple(Segment(k) for k in kinds), colours)
+
+
+# boundary 1 of each: no greatest point below it, no least point above it
+SETTLED_BOUNDARIES = [
+    # the points with no successor are exactly the dense segment
+    _chain(SegKind.OMEGA, SegKind.DENSE_Q, SegKind.INT),
+    # outside colour c: finitely many points, then all of the omega* segment
+    _chain(SegKind.INT, SegKind.OMEGA, SegKind.OMEGA_STAR, colours=(
+        ColourRule("c", (("minus", frozenset({-1})), ("only", frozenset({2, 3})),
+                         ("minus", frozenset({2, 3})))),)),
+    # discrete below, dense above: the run of points with no neighbour
+    # through a point of segment 2 ends at the cut
+    _chain(SegKind.DENSE_Q, SegKind.INT, SegKind.DENSE_Q, SegKind.OMEGA_STAR),
+    # colour c is all of segment 1, and above it only on a finite segment
+    ChainSpec((Segment(SegKind.INT), Segment(SegKind.OMEGA),
+               Segment(SegKind.OMEGA_STAR), Segment(SegKind.FIN, 2)),
+              (ColourRule("c", (NONE, ALL, NONE, ALL)),)),
+]
+
+
+@pytest.mark.parametrize("ch", SETTLED_BOUNDARIES)
+def test_a_boundary_that_a_base_set_or_a_density_change_settles(ch):
+    assert _boundary(ch, 1) is CutStatus.DEFINABLE
+
+
+def _coords(seg):
+    if seg.kind is SegKind.FIN:
+        return list(range(seg.size))
+    if seg.kind.is_dense:
+        return [Fraction(n, 2) for n in range(-3, 4)]
+    if seg.kind is SegKind.INT:
+        return list(range(-3, 4))
+    return list(range(5))
+
+
+@st.composite
+def _segments(draw):
+    kind = draw(st.sampled_from(list(SegKind)))
+    return Segment(kind, draw(st.integers(1, 3)) if kind is SegKind.FIN else 0)
+
+
+@st.composite
+def _pieces(draw, seg):
+    """Every piece kind a colour rule can take on the segment."""
+    tags = ["all", "none", "only", "minus"]
+    if seg.kind.is_dense:
+        tags.append("dense")
+    elif seg.kind is not SegKind.FIN:
+        tags.append("schematic")
+    tag = draw(st.sampled_from(tags))
+    if tag in ("only", "minus"):
+        return (tag, frozenset(draw(st.sets(st.sampled_from(_coords(seg)),
+                                            max_size=3))))
+    if tag == "dense":
+        return ("dense", "d", draw(st.booleans()))
+    if tag == "schematic":
+        return ("schematic", (2,))
+    return (tag,)
+
+
+@st.composite
+def small_chains(draw, colours=st.integers(0, 2)):
+    segs = tuple(draw(st.lists(_segments(), min_size=2, max_size=4)))
+    return ChainSpec(segs, tuple(
+        ColourRule(f"c{k}", tuple(draw(_pieces(s)) for s in segs))
+        for k in range(draw(colours))))
+
+
+def _mirror(seg, piece):
+    """The piece read on the segment turned upside down: omega and omega*
+    count from the end that becomes the other one's, so keep their
+    coordinates."""
+    if piece[0] not in ("only", "minus"):
+        return piece
+    if seg.kind is SegKind.FIN:
+        coords = (seg.size - 1 - c for c in piece[1])
+    elif seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR):
+        coords = piece[1]
+    else:
+        coords = (-c for c in piece[1])
+    return (piece[0], frozenset(coords))
+
+
+_TURNED = {SegKind.OMEGA: SegKind.OMEGA_STAR, SegKind.OMEGA_STAR: SegKind.OMEGA}
+
+
+def top_down(ch):
+    """The same coloured chain read from the top."""
+    segs = ch.segments[::-1]
+    return ChainSpec(
+        tuple(Segment(_TURNED.get(s.kind, s.kind), s.size) for s in segs),
+        tuple(ColourRule(c.name, tuple(
+            _mirror(s, c.rule_at(i)) for i, s in enumerate(ch.segments))[::-1])
+            for c in ch.colours))
+
+
+@settings(max_examples=300)
+@given(small_chains())
+@example(SETTLED_BOUNDARIES[0])
+@example(SETTLED_BOUNDARIES[1])
+def test_reading_a_chain_top_down_keeps_every_boundary_status(ch):
+    rev = top_down(ch)
+    n = len(ch.segments)
+    for j in range(n - 1):
+        assert _boundary(ch, j) is _boundary(rev, n - 2 - j), j
+
+
+@settings(max_examples=300)
+@given(small_chains(colours=st.integers(0, 1)), st.data())
+def test_a_colour_never_unsettles_a_definable_boundary(ch, data):
+    extra = ColourRule("extra", tuple(data.draw(_pieces(s)) for s in ch.segments))
+    richer = ChainSpec(ch.segments, ch.colours + (extra,))
+    for j in range(len(ch.segments) - 1):
+        if _boundary(ch, j) is CutStatus.DEFINABLE:
+            assert _boundary(richer, j) is CutStatus.DEFINABLE, j

@@ -79,6 +79,13 @@ COLOURED = {
 }
 
 
+def test_a_json_boolean_is_no_coordinate():
+    data = json.loads(json.dumps(COLOURED))
+    data["spine"]["colours"][0]["rules"][1] = {"rule": "finite", "coords": [True]}
+    with pytest.raises(PresentationError, match="coordinate True"):
+        group_from_data(data)
+
+
 def test_every_colour_rule_kind_survives_the_codec_and_reads_pointwise():
     g = group_from_data(json.loads(json.dumps(COLOURED)))
     assert json.loads(dumps(group_to_data(g))) == COLOURED
