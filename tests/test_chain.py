@@ -92,11 +92,11 @@ REFUSED = [
     (Position(1, Fraction(2)), "discrete coordinate must be an int"),
     (Position(3, 0.5), "dense coordinate must be rational"),
     (Position(3, "1"), "dense coordinate must be rational"),
-    (Position(3, True), "dense coordinate must be rational"),
     (Position(1, -1), "coordinate must be nonnegative"),
     (Position(4, -2), "coordinate must be nonnegative"),
     (Position(0, 3), "coordinate 3 outside finite segment"),
     (Position(0, -1), "coordinate -1 outside finite segment"),
+    (Position(3, True), "dense coordinate must be rational"),
 ]
 
 
