@@ -216,6 +216,10 @@ def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
 
 def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int, k: int,
             depth: int) -> Scheme:
+    elem, detail = pair.elementary
+    if elem is False:
+        raise PresentationError("the pair is not elementary, so no scheme "
+                                "is posed: " + detail)
     ap = best_approx(pair, a, n, m, depth)
     if isinstance(ap, NoMaximum):
         return Scheme(kind, n, m, k, samples=ap.samples, note=ap.note)

@@ -17,8 +17,7 @@ from .errors import HypothesisViolated, NotFRRError, NotRegularError
 from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
 from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, rib_contains,
-                  rib_elem_equiv, rib_pair_stably_embedded,
-                  rib_stably_embedded)
+                  rib_pair_stably_embedded, rib_stably_embedded)
 from .valuation import (check_m, check_ur, finite_positions, regular_spine,
                         spine_m)
 
@@ -266,19 +265,7 @@ def all_cuts_definable(g: GroupSpec, bound: int = 12) -> CutReport:
 
 def check_elementary_pair(pair: PairSpec):
     """(True | False | None, detail) for smallness sitting elementarily."""
-    if pair.small == pair.big:
-        return True, "the two groups are the same presentation"
-    rib_pairs = list(pair.rib_pairs())
-    for where, rib_s, rib_b in rib_pairs:
-        if not rib_elem_equiv(rib_s, rib_b):
-            return False, (f"at {where} the ribs are not elementarily "
-                           "equivalent")
-    for where, rib_s, rib_b in rib_pairs:
-        # integers under a nonstandard window are a known change
-        if rib_s != rib_b and not (rib_s.domain == "int" and rib_b.nonstandard):
-            return None, f"rib change at {where} is outside the known rules"
-    return True, ("identical spines, with rib changes limited to "
-                  "elementary window extensions")
+    return pair.elementary
 
 
 def _fresh_elements(pair: PairSpec):

@@ -42,37 +42,43 @@ def _coord_from(d):
 # -- generic result encoding --------------------------------------------------
 
 
+# scalars as themselves, then special forms ahead of generic dataclasses
+_FORMS = (((type(None), bool, int, float, str), lambda obj: obj),
+          (type(INF), lambda obj: "inf"),
+          (Fraction, _frac_text), (enum.Enum, lambda e: e.value),
+          (Position, lambda p: f"pos({p.seg}, {p.coord})"),
+          (RibElement, lambda v: {"q": _frac_text(v.q), "w": _frac_text(v.w)}),
+          (Element, element_text),
+          (SpineValue, spine_value_text), (GroupSpec, lambda g: {"group": g.name}))
+_ENCODERS = {}  # type -> its encoder, resolved on first sight
+
+
+def _encoder(cls):
+    """How ``to_jsonable`` renders an instance of cls: its first form,
+    else field by field for a dataclass, item by item for a container,
+    and ``repr`` for anything else."""
+    for base, form in _FORMS:
+        if issubclass(cls, base):
+            return form
+    if is_dataclass(cls):
+        name, names = cls.__name__, tuple(f.name for f in fields(cls))
+        return lambda obj: {"type": name, **{
+            n: to_jsonable(getattr(obj, n)) for n in names}}
+    if issubclass(cls, (set, frozenset)):
+        return lambda obj: sorted(map(to_jsonable, obj), key=repr)
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [to_jsonable(x) for x in obj]
+    if issubclass(cls, dict):
+        return lambda obj: {str(k): to_jsonable(v) for k, v in obj.items()}
+    return repr
+
+
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return _frac_text(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if obj is INF:
-        return "inf"
-    if isinstance(obj, Position):
-        return f"pos({obj.seg}, {obj.coord})"
-    if isinstance(obj, RibElement):
-        return {"q": _frac_text(obj.q), "w": _frac_text(obj.w)}
-    if isinstance(obj, Element):
-        return element_text(obj)
-    if isinstance(obj, SpineValue):
-        return spine_value_text(obj)
-    if isinstance(obj, GroupSpec):
-        return {"group": obj.name}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out = {"type": type(obj).__name__}
-        for f in fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
-        return out
-    if isinstance(obj, (set, frozenset)):
-        return sorted((to_jsonable(x) for x in obj), key=repr)
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    return repr(obj)
+    try:
+        encode = _ENCODERS[type(obj)]
+    except KeyError:
+        encode = _ENCODERS[type(obj)] = _encoder(type(obj))
+    return encode(obj)
 
 
 def dumps(obj, indent=None) -> str:

@@ -31,7 +31,7 @@ from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
                     _complement_piece, _piece_nonempty, piece_contains)
 from .errors import PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
-                  script_z_rib, z_local_rib)
+                  rib_elem_equiv, script_z_rib, z_local_rib)
 
 
 def _as_rib_value(v) -> RibElement:
@@ -316,6 +316,13 @@ class GroupSpec:
         if segs and segs[-1].kind is SegKind.OMEGA:
             return len(segs) - 1
         return None
+
+    @cached_property
+    def value_sets(self) -> dict:
+        """Answers ``valuation`` stores for this presentation: value sets,
+        relevant primes, union pieces and limit searches, each immutable
+        and computed once (outside the fields, so == and hash ignore it)."""
+        return {}
 
     @cached_property
     def layouts(self) -> Tuple[SegmentLayout, ...]:
@@ -750,6 +757,24 @@ class PairSpec:
                 elif rule_s != rule_b:
                     raise PresentationError(
                         f"{where}: a schematic or missing rule meets another rule")
+
+    @cached_property
+    def elementary(self) -> Tuple[Optional[bool], str]:
+        """(True | False | None, detail) for the small group sitting
+        elementarily in the big one, decided once per pair."""
+        if self.small == self.big:
+            return True, "the two groups are the same presentation"
+        rib_pairs = list(self.rib_pairs())
+        for where, rib_s, rib_b in rib_pairs:
+            if not rib_elem_equiv(rib_s, rib_b):
+                return False, (f"at {where} the ribs are not elementarily "
+                               "equivalent")
+        for where, rib_s, rib_b in rib_pairs:
+            # integers under a nonstandard window are a known change
+            if rib_s != rib_b and not (rib_s.domain == "int" and rib_b.nonstandard):
+                return None, f"rib change at {where} is outside the known rules"
+        return True, ("identical spines, with rib changes limited to "
+                      "elementary window extensions")
 
     def rib_pair_at(self, p: Position) -> Tuple[RibSpec, RibSpec]:
         return self.small.rib_at(p), self.big.rib_at(p)

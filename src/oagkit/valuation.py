@@ -15,6 +15,7 @@ m = 0 gives the natural valuation, m = 1 is identically INF.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,18 @@ from .errors import PresentationError
 from .group import (Element, GroupSpec, SchematicRib, nth_prime, prime_index,
                     _primes_of)
 from .rib import RibElement, RibSpec, rib_divides, rib_min_positive
+
+
+def _once_per_group(fn):
+    """Store fn(g, *args) in ``g.value_sets``: the presentation is frozen
+    and every answer stored is immutable, so each is computed once."""
+    @functools.wraps(fn)
+    def stored(g: GroupSpec, *args):
+        key = (fn.__name__, *args)
+        if key not in g.value_sets:
+            g.value_sets[key] = fn(g, *args)
+        return g.value_sets[key]
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +200,8 @@ def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
 
 def _m_hits(rib: RibSpec, m: int) -> bool:
     """Whether the rib contributes values modulo m (some index above 1)."""
-    return any(rib.index_at(p) > 1 for p in _primes_of(m))
+    nd = rib.nondivisible_primes
+    return m > 1 if nd is None else any(m % p == 0 for p in nd)
 
 
 def _schematic_hit_coords(s: SchematicRib, m: int) -> frozenset:
@@ -208,6 +222,7 @@ def _segment_value_piece(g: GroupSpec, i: int, m: int):
                          lambda s: ("only", _schematic_hit_coords(s, m)))
 
 
+@_once_per_group
 def _limit_in_value_set(g: GroupSpec, m: int) -> Optional[Element]:
     """A generator combination witnessing the limit value modulo m, if any.
 
@@ -245,6 +260,7 @@ class ValueSet:
         return self.limit_seg is not None
 
 
+@_once_per_group
 def spine_m(g: GroupSpec, m: int) -> ValueSet:
     if m < 0:
         raise PresentationError("modulus must be nonnegative")
@@ -270,6 +286,7 @@ def value_set_contains(g: GroupSpec, vs: ValueSet, v: SpineValue) -> bool:
 # Relevant primes and the union of all prime value sets.
 
 
+@_once_per_group
 def relevant_primes(g: GroupSpec):
     """(finite set of primes that matter, True if int ribs add a wildcard,
     True if a schematic tail enumeration makes the set unbounded)."""
@@ -291,9 +308,10 @@ def relevant_primes(g: GroupSpec):
         for v in (gen.tail.q, gen.tail.w, gen.tail.q + gen.tail.w):
             primes.update(_primes_of(v.numerator))
             primes.update(_primes_of(v.denominator))
-    return primes, wildcard, unbounded
+    return frozenset(primes), wildcard, unbounded
 
 
+@_once_per_group
 def _union_piece(g: GroupSpec, i: int):
     """Piece of the union of all prime value sets on segment i."""
     # a schematic coordinate n is pinned by its own prime

@@ -138,21 +138,24 @@ def _half_pair():
     return PairSpec(small, big)
 
 
-def test_threshold_case_payload_over_a_discrete_rib():
+def test_scheme_builders_refuse_a_non_elementary_pair():
+    # Z and Q are not elementarily equivalent, so no scheme is posed: a
+    # small-group formula for the eqk scheme at a = el(pos(0, 1): 1/3)
+    # used to hold at x = el(pos(0, 0): -1), where the big group says no
     pair = _half_pair()
-    a = pair.big.el([((0, 0), 1), ((0, 1), Fraction(5, 2))])
-    s = scheme_sign(pair, a, 1)
-    assert isinstance(s, Scheme)
-    assert not s.exact
-    assert s.rho.q == Fraction(5, 2)
-    formula, complete = scheme_formula(pair, s)
-    assert complete
-    for c0 in range(-2, 4):
-        for c1 in range(-1, 7):
-            x = pair.small.el([((0, 0), c0), ((0, 1), c1)])
-            want = pair.big.sign_of(pair.big.sub(a, x)) > 0
-            assert scheme_eval(pair, s, x) == want
-            assert eval_formula(pair.small, formula, {"x": x}) == want
+    assert pair.elementary[0] is False
+    a = pair.big.el([((0, 1), Fraction(1, 3))])
+    for build in (lambda: scheme_sign(pair, a, 1),
+                  lambda: scheme_cong(pair, a, 1, 2, 1),
+                  lambda: scheme_eqk(pair, a, 1, 1)):
+        with pytest.raises(PresentationError, match="not elementary"):
+            build()
+    assert isinstance(best_approx(pair, a, 1, 0), BestApproximation)
+
+
+def test_every_builtin_pair_is_elementary():
+    for name in PAIRS:
+        assert builtin_pair(name).elementary[0] is not False, name
 
 
 def test_fractional_target_with_finite_support():

@@ -126,6 +126,21 @@ def test_lift_subcommand(capsys):
     assert len(data["lifted"]["terms"]) == 4
 
 
+
+
+def test_scheme_on_a_non_elementary_pair_exits_64(capsys, tmp_path):
+    from oagkit.catalogue import builtin_group
+    from oagkit.codec import group_to_data
+    small = group_to_data(builtin_group("z2"))
+    big = dict(small, name="z2q", ribs=[{"rib": {"name": "q", "domain": "rat",
+                                                 "cut_complete": False}}])
+    path = tmp_path / "z2_in_q.json"
+    path.write_text(json.dumps({"small": small, "big": big}))
+    code, data = run_json(capsys, "scheme", "eqk", "-k", "1", str(path),
+                          "el(pos(0, 1): 1/3)")
+    assert code == 64
+    assert data["kind"] == "PresentationError"
+    assert "not elementary" in data["error"]
 def test_eval_subcommand(capsys):
     code, data = run_json(capsys, "--json", "eval", "z", "x > 0",
                           "--env", "x=el(pos(0, 0): 5)")

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
-from oagkit.chain import Position, piece_contains
+from oagkit.chain import INF, Position, piece_contains
+from oagkit.classify import Reason, Status
 from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
                           load_pair, pair_from_data, pair_to_data, to_jsonable)
 from oagkit.errors import PresentationError
@@ -39,6 +40,25 @@ def test_scalar_encodings():
     g = builtin_group("z")
     e = g.el([((0, 0), 7)])
     assert to_jsonable(e) == "el(pos(0, 0): 7)"
+
+
+def test_to_jsonable_precedence():
+    # each type's encoder is resolved once, so the first type seen must
+    # not decide for a related one
+    assert to_jsonable(1) == 1 and type(to_jsonable(True)) is bool
+    assert to_jsonable(INF) == "inf"
+    assert to_jsonable(Status.SE) == "stably embedded"
+    assert to_jsonable(Reason("r", Position(0, 2))) == {
+        "type": "Reason", "rule": "r", "witness": "pos(0, 2)", "detail": ""}
+    assert to_jsonable(Position(1, Fraction(1, 2))) == "pos(1, 1/2)"
+    assert to_jsonable(frozenset({3, Fraction(1, 2)})) == ["1/2", 3]  # by repr
+    assert to_jsonable(frozenset({"b", "a"})) == ["a", "b"]
+
+    class Opaque:
+        def __repr__(self):
+            return "opaque"
+
+    assert to_jsonable({1: [Opaque()]}) == {"1": ["opaque"]}
 
 
 def test_load_by_name_prefix_and_path(tmp_path):

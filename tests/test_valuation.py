@@ -8,16 +8,28 @@ per domain tag.
 """
 
 import random
+from pathlib import Path
+
+import pytest
 
 from oracles import oracle_val_m, random_element
 
+from oagkit.catalogue import GROUPS as CATALOGUE
 from oagkit.catalogue import builtin_group
 from oagkit.chain import Position
-from oagkit.group import ZERO_ELEMENT
-from oagkit.valuation import (SV_INF, SpineValueKind, check_m, check_ur,
-                              compare_spine_values, pred_cong_bullet,
-                              pred_eq_bullet, regular_spine, spine_m,
+from oagkit.classify import classify_main
+from oagkit.codec import dumps, group_from_data, group_to_data, load_group
+from oagkit.errors import OagError
+from oagkit.group import ZERO_ELEMENT, SchematicRib, _primes_of
+from oagkit.rib import (q_rib, r_proxy_rib, script_z_rib, window_rib,
+                        z_local_rib, z_rib)
+from oagkit.valuation import (SV_INF, SpineValueKind, _m_hits, check_m,
+                              check_ur, compare_spine_values,
+                              pred_cong_bullet, pred_eq_bullet,
+                              regular_spine, relevant_primes, spine_m,
                               sv_pos, t_spine, val_m, value_set_contains)
+
+PRESENTATIONS = Path(__file__).parent / "presentations"
 
 GROUPS = [builtin_group(n) for n in ("g1", "z2", "h235", "sigma", "z2r")]
 
@@ -140,6 +152,66 @@ def test_glued_ladders_fail_uniformity():
     res = check_ur(builtin_group("g3"))
     assert not res.holds
     assert res.witness is not None
+
+
+# -- the index rule and the stored value sets ----------------------------------
+
+
+def _factoring_hits(rib, m):
+    """The rule _m_hits replaced: factor m and ask each prime's index."""
+    return any(rib.index_at(p) > 1 for p in _primes_of(m))
+
+
+def test_m_hits_matches_the_factoring_rule():
+    ribs = [z_rib(), q_rib(), r_proxy_rib(), window_rib()]
+    for p in (2, 3, 5, 7):
+        ribs += [z_local_rib(p), script_z_rib(p)]
+    for template in ("z_local", "script_z"):
+        ribs += [SchematicRib(template).rib_for(n) for n in range(6)]
+    for rib in ribs:
+        for m in range(1, 257):
+            assert _m_hits(rib, m) == _factoring_hits(rib, m), (rib, m)
+
+
+def _presentations():
+    yield from ((name, lambda name=name: group_from_data(
+        group_to_data(builtin_group(name)))) for name in sorted(CATALOGUE))
+    for path in sorted(PRESENTATIONS.glob("*.json")):
+        yield path.name, lambda path=path: load_group(str(path))
+
+
+def _answers(g, calls):
+    out = {}
+    for label, call in calls:
+        try:
+            out[label] = call(g)
+        except OagError as e:
+            out[label] = (type(e).__name__, str(e))
+    return out
+
+
+CALLS = [*((f"spine_m {m}", lambda g, m=m: spine_m(g, m)) for m in range(2, 13)),
+         ("check_m", check_m), ("check_ur", check_ur),
+         ("regular_spine", regular_spine), ("relevant_primes", relevant_primes),
+         ("classify_main", lambda g: dumps(classify_main(g)))]
+
+
+@pytest.mark.parametrize("name,decode", list(_presentations()))
+def test_stored_value_sets_change_no_answer(name, decode):
+    try:
+        g = decode()
+    except OagError as e:  # a file the presentation checks refuse
+        with pytest.raises(type(e)) as again:
+            decode()
+        assert str(again.value) == str(e)
+        return
+    forward = _answers(g, CALLS)
+    assert _answers(decode(), CALLS[::-1]) == forward
+    primes = relevant_primes(g)[0]
+    assert isinstance(primes, frozenset)
+    with pytest.raises(AttributeError):
+        primes.add(97)
+    assert _answers(g, CALLS) == forward
 
 
 # -- quotients ----------------------------------------------------------------
