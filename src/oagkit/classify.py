@@ -269,9 +269,9 @@ def check_elementary_pair(pair: PairSpec):
 
 
 def _fresh_elements(pair: PairSpec):
-    """Sampled elements of the big group likely to sit outside the small
-    one: generator tails, the constant-1 thread, and one-off coordinates
-    from strictly bigger ribs."""
+    """Elements of the big group likely to sit outside the small one:
+    generator tails, the constant-1 thread, and one-off coordinates from
+    strictly bigger ribs, wherever ``PairSpec.rib_pairs`` reads them."""
     small, big = pair.small, pair.big
     out = []
     small_gens = {g.name for g in small.generators}
@@ -281,9 +281,8 @@ def _fresh_elements(pair: PairSpec):
     if big.mode == "hahn" and small.mode == "sum" and \
             big.terminal_omega is not None:
         out.append(("constant-1 thread", Element((), RIB_ONE)))
-    for p in big.spine.sample_positions(2):
-        rib_s, rib_b = pair.rib_pair_at(p)
-        if rib_s == rib_b:
+    for _, p, rib_s, rib_b in pair.located_rib_pairs():
+        if p is None or rib_s == rib_b:
             continue
         for w in (OMEGA_UNIT, RibElement(1, 2), RibElement(1, 3)):
             if rib_contains(rib_b, w) and not rib_contains(rib_s, w):

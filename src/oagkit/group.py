@@ -19,9 +19,6 @@ free and makes eventual behaviour a property of the tail alone.
 from __future__ import annotations
 
 import itertools
-import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -30,89 +27,15 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
                     _complement_piece, _piece_nonempty, piece_contains)
 from .errors import PresentationError
-from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
-                  rib_elem_equiv, script_z_rib, z_local_rib)
+from .rib import (RIB_ZERO, RibElement, RibSpec, _primes_of, nth_prime,
+                  prime_index, rib_contains, rib_divides, rib_elem_equiv,
+                  script_z_rib, z_local_rib)
 
 
 def _as_rib_value(v) -> RibElement:
     if isinstance(v, RibElement):
         return v
     return RibElement(v)
-
-
-# ---------------------------------------------------------------------------
-# Primes: one ascending table, sieved afresh at twice the size whenever a
-# caller needs more of it.  Nothing is sieved at import.
-
-SIEVE_LIMIT = 1 << 24
-_PRIMES = array("l")    # every prime up to _sieved_to
-_sieved_to = 1
-
-
-def _sieve_past(n: int) -> None:
-    """Grow the prime table until it holds every prime up to n."""
-    global _sieved_to
-    if n <= _sieved_to:
-        return
-    if n > SIEVE_LIMIT:
-        raise PresentationError(f"primes past {SIEVE_LIMIT} are out of range")
-    limit = max(_sieved_to, 512)
-    while limit < n:
-        limit *= 2
-    limit = min(limit, SIEVE_LIMIT)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
-    _PRIMES[:] = array("l", itertools.compress(range(limit + 1), sieve))
-    _sieved_to = limit
-
-
-def _trial_divisors() -> Iterator[int]:
-    """The primes in order, then every integer past the prime table."""
-    i = 0
-    while True:
-        if i < len(_PRIMES):
-            yield _PRIMES[i]
-            i += 1
-        elif _sieved_to < SIEVE_LIMIT:
-            _sieve_past(2 * _sieved_to)
-        else:
-            yield from itertools.count(SIEVE_LIMIT + 1)
-
-
-def _primes_of(n: int) -> Tuple[int, ...]:
-    n = abs(n)
-    out = []
-    for d in _trial_divisors():
-        if d * d > n:
-            break
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime, counting from n = 0 (2, 3, 5, ...)."""
-    if n < 0:
-        raise PresentationError("prime index must be nonnegative")
-    while len(_PRIMES) <= n:
-        _sieve_past(2 * _sieved_to)
-    return _PRIMES[n]
-
-
-def prime_index(p: int) -> int:
-    """Position of the prime p in the enumeration used by nth_prime."""
-    _sieve_past(p)
-    i = bisect_left(_PRIMES, p)
-    if i < len(_PRIMES) and _PRIMES[i] == p:
-        return i
-    raise PresentationError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -129,6 +52,8 @@ class SchematicRib:
     def __post_init__(self):
         if self.template not in ("z_local", "script_z"):
             raise PresentationError(f"unknown schematic template {self.template!r}")
+        for p in self.primes:
+            prime_index(p)  # refuses a composite entry, as RibSpec does
 
     def prime_for(self, n: int) -> int:
         if n < len(self.primes):
@@ -727,6 +652,14 @@ class PairSpec:
         rule).  An infinite one is read at its named coordinates, then
         rule against rule off them, where ``where`` names the segment and
         the side of its colour."""
+        return ((where, rib_s, rib_b)
+                for where, _, rib_s, rib_b in self.located_rib_pairs())
+
+    def located_rib_pairs(self) -> Iterator[
+            Tuple[object, Optional[Position], RibSpec, RibSpec]]:
+        """``rib_pairs`` with a position holding each pair: ``where``
+        itself, or for a pair of sides the first coordinate off the named
+        ones that lies on both (None when they hold only phantom points)."""
         for i, seg in enumerate(self.small.spine.segments):
             s, b = self.small.layouts[i], self.big.layouts[i]
             named = s.named | b.named
@@ -739,21 +672,22 @@ class PairSpec:
                     reads.update(free if schematic else itertools.islice(free, 1))
             for c in sorted(reads):
                 p = Position(i, c)
-                yield p, self.small._rib_at(p), self.big._rib_at(p)
+                yield p, p, self.small._rib_at(p), self.big._rib_at(p)
             if finite:
                 continue
             split = s.colour is not None and b.colour is not None
             if split and (s.colour, s.piece) != (b.colour, b.piece):
                 raise PresentationError(
                     f"segment {i}: the two groups split it on different colours")
-            sides = ([(side, rule) for side, piece, rule in _sides(lay)
+            sides = ([(side, piece, rule) for side, piece, rule in _sides(lay)
                       if piece != NONE and not (piece[0] == "only" and piece[1] <= named)]
                      for lay in (s, b))
-            for (side, rule_s), (_, rule_b) in (
+            for (side, ps, rule_s), (_, pb, rule_b) in (
                     zip(*sides) if split else itertools.product(*sides)):
                 where = f"segment {i}{side}"
                 if isinstance(rule_s, RibSpec) and isinstance(rule_b, RibSpec):
-                    yield where, rule_s, rule_b
+                    c = next(_free_coords((ps, pb), named, None), None)
+                    yield where, None if c is None else Position(i, c), rule_s, rule_b
                 elif rule_s != rule_b:
                     raise PresentationError(
                         f"{where}: a schematic or missing rule meets another rule")
@@ -789,12 +723,16 @@ def _sides(lay: SegmentLayout) -> list:
             (f" off colour {lay.colour}", _complement_piece(lay.piece), lay.off)]
 
 
-def _free_coords(pieces, named, size: int) -> Iterator[int]:
-    """The coordinates below ``size`` that lie in every piece and off
-    ``named``, ascending, lazily; finding the first reads at most the
-    listed coordinates and one more."""
+def _free_coords(pieces, named, size: Optional[int]) -> Iterator[int]:
+    """The coordinates below ``size`` (of an infinite segment when None)
+    that lie in every piece and off ``named``, ascending, lazily; finding
+    the first reads at most the listed coordinates and one more."""
     finite = [p[1] if p[0] == "only" else () for p in pieces
               if p[0] in ("only", "none")]
-    coords = sorted(min(finite, key=len)) if finite else range(size)
-    return (c for c in coords if c < size and c not in named
+    if finite:
+        coords = sorted(min(finite, key=len))
+    else:  # an infinite segment: more integers than can be excluded
+        coords = range(size if size is not None else len(named) + sum(
+            len(p[1]) for p in pieces if p[0] == "minus") + 1)
+    return (c for c in coords if (size is None or c < size) and c not in named
             and all(piece_contains(p, c) for p in pieces))

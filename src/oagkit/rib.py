@@ -15,54 +15,70 @@ groups and rank-1 pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import PresentationError
 
 
+Rational = Union[int, Fraction]
+
+
+def _exact(x) -> Rational:
+    """x as an exact rational in canonical form: an int when integral,
+    else a Fraction with denominator > 1."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True, order=True)
 class RibElement:
-    """The value q + w*OMEGA, ordered lexicographically by (w, q)."""
+    """The value q + w*OMEGA, ordered lexicographically by (w, q).
 
-    w: Fraction
-    q: Fraction
+    Only this module reads the parts ``_w`` and ``_q``, stored by
+    ``_exact``; ``q`` and ``w`` are read-only Fraction views.  An int and
+    its Fraction compare and hash alike, so ==, hash and order are those
+    of the Fraction pair.
+    """
+
+    _w: Rational
+    _q: Rational
 
     def __init__(self, q, w=0):
-        object.__setattr__(self, "q", Fraction(q))
-        object.__setattr__(self, "w", Fraction(w))
+        object.__setattr__(self, "_q", _exact(q))
+        object.__setattr__(self, "_w", _exact(w))
 
-    # Arithmetic skips the Fraction operation wherever one side is zero:
-    # w is 0 on every standard rib, and many tails are 0 or purely OMEGA.
-    # The helpers below compute on numerators when both sides are integers.
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._q)
+
+    @property
+    def w(self) -> Fraction:
+        return Fraction(self._w)
 
     def __add__(self, other: "RibElement") -> "RibElement":
-        oq, ow = other.q, other.w
-        if not oq and not ow:
-            return self
-        q, w = self.q, self.w
-        return _trusted((_plus(q, oq) if q else oq) if oq else q,
-                        (_plus(w, ow) if w else ow) if ow else w)
+        return _trusted(_exact(self._q + other._q), _exact(self._w + other._w))
 
     def __sub__(self, other: "RibElement") -> "RibElement":
-        oq, ow = other.q, other.w
-        if not oq and not ow:
-            return self
-        q, w = self.q, self.w
-        return _trusted((_minus(q, oq) if q else _negated(oq)) if oq else q,
-                        (_minus(w, ow) if w else _negated(ow)) if ow else w)
+        return _trusted(_exact(self._q - other._q), _exact(self._w - other._w))
 
     def __neg__(self) -> "RibElement":
-        q, w = self.q, self.w
-        return _trusted(_negated(q) if q else q, _negated(w) if w else w)
+        return _trusted(-self._q, -self._w)
 
     def scale(self, k) -> "RibElement":
-        if type(k) is not Fraction and type(k) is not int:
-            k = Fraction(k)
-        q, w = self.q, self.w
-        return _trusted(_times(q, k) if q else q, _times(w, k) if w else w)
+        # a zero part stays 0: w is 0 on every standard rib, and 0 * k
+        # would build a Fraction whenever k is one
+        k = _exact(k)
+        q, w = self._q, self._w
+        return _trusted(q and _exact(q * k), w and _exact(w * k))
 
     def __mul__(self, k):
         return self.scale(k)
@@ -70,63 +86,110 @@ class RibElement:
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self.q or self.w)
+        return bool(self._q or self._w)
 
     @property
     def sign(self) -> int:
-        if self.w:
-            return 1 if self.w > 0 else -1
-        if self.q:
-            return 1 if self.q > 0 else -1
+        if self._w:
+            return 1 if self._w > 0 else -1
+        if self._q:
+            return 1 if self._q > 0 else -1
         return 0
 
     def __repr__(self) -> str:
-        if not self.w:
-            return f"rib({self.q})"
-        return f"rib({self.q}+{self.w}*OMEGA)"
+        if not self._w:
+            return f"rib({self._q})"
+        return f"rib({self._q}+{self._w}*OMEGA)"
 
 
-def _trusted(q: Fraction, w: Fraction) -> RibElement:
-    """A RibElement from two values that are already Fractions.
-
-    Arithmetic on elements yields Fractions, so its results skip the
-    conversion in ``RibElement.__init__``.
-    """
+def _trusted(q: Rational, w: Rational) -> RibElement:
+    """A RibElement from two parts already in canonical form, skipping
+    the conversion in ``RibElement.__init__``."""
     out = object.__new__(RibElement)
     d = out.__dict__
-    d["q"] = q
-    d["w"] = w
+    d["_q"] = q
+    d["_w"] = w
     return out
-
-
-def _plus(a: Fraction, b: Fraction) -> Fraction:
-    if a.denominator == 1 and b.denominator == 1:
-        return Fraction(a.numerator + b.numerator)
-    return a + b
-
-
-def _minus(a: Fraction, b: Fraction) -> Fraction:
-    if a.denominator == 1 and b.denominator == 1:
-        return Fraction(a.numerator - b.numerator)
-    return a - b
-
-
-def _negated(a: Fraction) -> Fraction:
-    if a.denominator == 1:
-        return Fraction(-a.numerator)
-    return -a
-
-
-def _times(a: Fraction, k) -> Fraction:
-    """a * k for an int or a Fraction k."""
-    if a.denominator == 1 and k.denominator == 1:
-        return Fraction(a.numerator * k.numerator)
-    return a * k
 
 
 RIB_ZERO = RibElement(0)
 RIB_ONE = RibElement(1)
 OMEGA_UNIT = RibElement(0, 1)
+
+# ---------------------------------------------------------------------------
+# Primes: one ascending table, sieved afresh at twice the size whenever a
+# caller needs more of it.  Nothing is sieved at import.
+
+SIEVE_LIMIT = 1 << 24
+_PRIMES = array("l")    # every prime up to _sieved_to
+_sieved_to = 1
+
+
+def _sieve_past(n: int) -> None:
+    """Grow the prime table until it holds every prime up to n."""
+    global _sieved_to
+    if n <= _sieved_to:
+        return
+    if n > SIEVE_LIMIT:
+        raise PresentationError(f"primes past {SIEVE_LIMIT} are out of range")
+    limit = max(_sieved_to, 512)
+    while limit < n:
+        limit *= 2
+    limit = min(limit, SIEVE_LIMIT)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    _PRIMES[:] = array("l", itertools.compress(range(limit + 1), sieve))
+    _sieved_to = limit
+
+
+def _trial_divisors() -> Iterator[int]:
+    """The primes in order, then every integer past the prime table."""
+    i = 0
+    while True:
+        if i < len(_PRIMES):
+            yield _PRIMES[i]
+            i += 1
+        elif _sieved_to < SIEVE_LIMIT:
+            _sieve_past(2 * _sieved_to)
+        else:
+            yield from itertools.count(SIEVE_LIMIT + 1)
+
+
+def _primes_of(n: int) -> Tuple[int, ...]:
+    n = abs(n)
+    out = []
+    for d in _trial_divisors():
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def nth_prime(n: int) -> int:
+    """The n-th prime, counting from n = 0 (2, 3, 5, ...)."""
+    if n < 0:
+        raise PresentationError("prime index must be nonnegative")
+    while len(_PRIMES) <= n:
+        _sieve_past(2 * _sieved_to)
+    return _PRIMES[n]
+
+
+def prime_index(p: int) -> int:
+    """Position of the prime p in the enumeration used by nth_prime."""
+    _sieve_past(p)
+    i = bisect_left(_PRIMES, p)
+    if i < len(_PRIMES) and _PRIMES[i] == p:
+        return i
+    raise PresentationError(f"{p} is not prime")
+
 
 # domain tags: "int", "rat", or ("coprime", primes) for rationals whose
 # reduced denominator avoids the listed primes
@@ -138,6 +201,8 @@ def _check_domain(domain: Domain) -> None:
         return
     if (isinstance(domain, tuple) and len(domain) == 2 and domain[0] == "coprime"
             and all(isinstance(p, int) and p >= 2 for p in domain[1])):
+        for p in domain[1]:
+            prime_index(p)  # refuses a composite entry
         return
     raise PresentationError(f"bad rib domain {domain!r}")
 
@@ -187,37 +252,27 @@ class RibSpec:
         return tuple(sorted(self.domain[1]))
 
 
-def _denominator_ok(q: Fraction, primes: Tuple[int, ...]) -> bool:
-    return all(q.denominator % p != 0 for p in primes)
-
-
-def rib_contains(rib: RibSpec, x: RibElement) -> bool:
-    if x.w:
-        return rib.nonstandard and (x.q + x.w).denominator == 1
-    if rib.nonstandard or rib.domain == "int":
-        return x.q.denominator == 1
-    if rib.domain == "rat":
-        return True
-    return _denominator_ok(x.q, rib.domain[1])
-
-
 def rib_divides(rib: RibSpec, x: RibElement, m: int) -> bool:
     """Whether x / m lies in the rib, read off x without building x / m."""
     if m <= 0:
         raise PresentationError("modulus must be positive")
-    q, w = x.q, x.w
+    q, w = x._q, x._w
     if w:
         if not rib.nonstandard:
             return False
         s = q + w
         return s.denominator == 1 and s.numerator % m == 0
     if rib.nonstandard or rib.domain == "int":
-        return q.denominator == 1 and q.numerator % m == 0
+        return type(q) is int and q % m == 0
     if rib.domain == "rat":
         return True
     # the reduced denominator of q / m is den(q) * (m / gcd(num(q), m))
     denom = q.denominator * (m // math.gcd(q.numerator, m))
     return all(denom % p for p in rib.domain[1])
+
+
+def rib_contains(rib: RibSpec, x: RibElement) -> bool:
+    return rib_divides(rib, x, 1)
 
 
 def rib_divisible(rib: RibSpec, x: RibElement, m: int):
@@ -246,8 +301,7 @@ def rib_residue(rib: RibSpec, x: RibElement, m: int) -> int:
         raise PresentationError("residues are canonical only in discrete ribs")
     if not rib_contains(rib, x):
         raise PresentationError(f"{x!r} is not in rib {rib.name!r}")
-    total = x.q + x.w
-    return int(total) % m
+    return int(x._q + x._w) % m
 
 
 def rib_elem_equiv(a: RibSpec, b: RibSpec) -> bool:

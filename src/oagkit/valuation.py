@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
 from .errors import PresentationError
-from .group import (Element, GroupSpec, SchematicRib, nth_prime, prime_index,
-                    _primes_of)
-from .rib import RibElement, RibSpec, rib_divides, rib_min_positive
+from .group import Element, GroupSpec, SchematicRib
+from .rib import (RibElement, RibSpec, _primes_of, nth_prime, prime_index,
+                  rib_divides, rib_min_positive)
 
 
 def _once_per_group(fn):

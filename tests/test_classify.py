@@ -2,11 +2,14 @@
 
 import pytest
 
-from oagkit.catalogue import builtin_group, builtin_pair
+from oagkit.catalogue import builtin_group, builtin_pair, sigma_group
+from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.classify import (Status, all_cuts_definable, check_elementary_pair,
                              classify_frr, classify_main, classify_pair,
                              classify_regular, frr_classes, regular_rank)
 from oagkit.errors import (HypothesisViolated, NotFRRError, NotRegularError)
+from oagkit.group import GroupSpec, PairSpec, RibEntry
+from oagkit.rib import window_rib, z_rib
 
 
 def test_product_over_omega_is_stably_embedded():
@@ -162,3 +165,29 @@ def test_elementary_screen():
     assert same is True
     verdict, _ = check_elementary_pair(builtin_pair("sum_in_hahn"))
     assert verdict is not False
+
+
+@pytest.mark.parametrize("coord", [0, 10, 1000])
+def test_a_window_widened_at_one_coordinate_adds_width_there(coord):
+    small = sigma_group()
+    big = GroupSpec("wide_at", small.spine, (
+        RibEntry(rib=window_rib(), position=Position(0, coord)),
+        RibEntry(rib=z_rib())), mode="sum")
+    v = classify_pair(PairSpec(small, big, frozenset({"rib_extension"})))
+    assert v.status is Status.SE
+    assert [r.witness for r in v.reasons if r.rule == "adds-width"] == [
+        Position(0, coord)]
+
+
+def test_a_window_widened_on_a_colour_side_adds_width_at_its_first_point():
+    # the colour misses coordinates 0 to 2, so a fixed sample of the first
+    # coordinates never meets the window
+    spine = ChainSpec((Segment(SegKind.OMEGA),),
+                      (ColourRule("late", (("minus", frozenset({0, 1, 2})),)),))
+    small = GroupSpec("z_late", spine, (RibEntry(rib=z_rib()),), mode="sum")
+    big = GroupSpec("window_late", spine, (
+        RibEntry(rib=window_rib(), colour="late"),
+        RibEntry(rib=z_rib())), mode="sum")
+    v = classify_pair(PairSpec(small, big, frozenset({"rib_extension"})))
+    assert [r.witness for r in v.reasons if r.rule == "adds-width"] == [
+        Position(0, 3)]

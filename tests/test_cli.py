@@ -271,3 +271,15 @@ def test_a_repeated_literal_position_is_a_usage_error(capsys):
                           "el(pos(0, 1): 1, pos(0, 1): 2)")
     assert code == 64
     assert data["kind"] == "PresentationError"
+
+
+def test_composite_coprime_domain_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "coprime_four.json"
+    path.write_text(json.dumps({
+        "name": "coprime_four", "mode": "hahn",
+        "spine": {"segments": [{"kind": "omega"}], "colours": []},
+        "ribs": [{"rib": {"name": "x", "domain": {"coprime": [4]},
+                          "cut_complete": False, "nonstandard": False}}]}))
+    code, data = run_json(capsys, "--json", "classify", str(path))
+    assert code == 64
+    assert data["kind"] == "PresentationError"

@@ -1,6 +1,8 @@
 """Arithmetic and divisibility in rib coefficient groups."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from oracles import coordinate_divisible
 
 from oagkit.errors import PresentationError
+from oagkit.group import SchematicRib
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
                         q_rib, r_proxy_rib, rib_contains, rib_divides,
                         rib_divisible, rib_elem_equiv, rib_min_positive,
@@ -182,6 +185,14 @@ def test_domain_validation():
         RibSpec("bad", domain="reals")
 
 
+@pytest.mark.parametrize("primes", [(4,), (6,), (2, 9)])
+def test_coprime_domains_refuse_composite_entries(primes):
+    with pytest.raises(PresentationError, match="not prime"):
+        RibSpec("x", ("coprime", primes), False)
+    with pytest.raises(PresentationError, match="not prime"):
+        SchematicRib("z_local", primes)
+
+
 # integral, non-integral and zero parts, so both sides of the integer fast
 # path and the zero-skipping branches are drawn
 mixed_parts = (st.just(Fraction(0))
@@ -201,3 +212,49 @@ def test_arithmetic_agrees_with_plain_fractions(a, b, k):
                       (a.scale(k), (a.q * f, a.w * f))):
         assert (got.q, got.w) == want
         assert type(got.q) is Fraction and type(got.w) is Fraction
+
+
+# stored parts: zero, integral (up to +-10**20, given as int or as
+# Fraction), non-integral and float; st.builds draws window values (w != 0)
+# alongside standard ones
+stored_parts = (st.just(0) | st.sampled_from([10**20, -10**20, 0.5, -2.0])
+                | st.integers(-10**20, 10**20)
+                | st.integers(-10**20, 10**20).map(Fraction)
+                | st.fractions(max_denominator=12))
+stored_elems = st.builds(RibElement, stored_parts, stored_parts) | st.sampled_from(
+    [RibElement(Fraction(1, 2), Fraction(1, 2)), OMEGA_UNIT, RIB_ZERO])
+
+
+def _canonical(part) -> bool:
+    return type(part) is int or (type(part) is Fraction and part.denominator > 1)
+
+
+@given(stored_elems, stored_elems, factors | st.sampled_from([0.25, 3.0]))
+def test_stored_parts_are_canonical_behind_fraction_views(a, b, k):
+    for v in (a, b, a + b, a - b, -a, a.scale(k), RibElement(a.q, a.w),
+              RibElement(a.q + a.w)):
+        assert _canonical(v._q) and _canonical(v._w)
+        assert type(v.q) is Fraction and type(v.w) is Fraction
+        assert (v.q, v.w) == (v._q, v._w)
+    fa, fb = (a.w, a.q), (b.w, b.q)
+    assert (a == b) == (fa == fb)
+    assert (a < b) == (fa < fb)
+    assert hash(a) == hash(fa)
+    assert hash(RibElement(a.q, a.w)) == hash(a)
+
+
+def test_only_the_rib_module_reads_the_stored_parts():
+    root = Path(__file__).resolve().parents[1]
+    readers, divisions = set(), 0
+    for path in sorted([*(root / "src" / "oagkit").glob("*.py"),
+                        *(root / "bench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        if any(isinstance(n, ast.Attribute) and n.attr in ("_q", "_w")
+               for n in nodes):
+            readers.add(path.relative_to(root).as_posix())
+        if path.name == "rib.py":
+            divisions = sum(isinstance(n, ast.Div) for n in nodes)
+    assert readers == {"src/oagkit/rib.py"}
+    # a / b on two ints is a float: rib.py divides through Fraction(a, b)
+    assert divisions == 0

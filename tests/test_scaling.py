@@ -20,8 +20,8 @@ from oagkit import group as group_module
 from oagkit.catalogue import builtin_group
 from oagkit.chain import Position
 from oagkit.errors import PresentationError
-from oagkit.group import SIEVE_LIMIT, _primes_of, nth_prime, prime_index
-from oagkit.rib import RibElement
+from oagkit.rib import (SIEVE_LIMIT, RibElement, _primes_of, nth_prime,
+                        prime_index)
 from oagkit.valuation import val_m
 
 SMALL, LARGE = 800, 3200
@@ -55,6 +55,8 @@ def _element(g, n, offset):
 
 
 OPS = {
+    # a tail, so every deviation is read relative to it
+    "el": lambda g, a, b: g.el(a.fp, 1),
     "val_m0": lambda g, a, b: val_m(g, a, 0),
     "val_m2": lambda g, a, b: val_m(g, a, 2),
     "val_m3": lambda g, a, b: val_m(g, a, 3),
