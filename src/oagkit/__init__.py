@@ -46,9 +46,9 @@ from .rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec, q_rib,
                   z_local_rib, z_rib)
 from .valuation import (HypothesisResult, SpineQuotient,
                         SpineValue, SpineValueKind, SV_INF, ValueSet, check_m,
-                        check_ur, compare_spine_values, pred_cong_bullet,
-                        pred_eq_bullet, regular_spine, relevant_primes,
-                        spine_m, sv_limit, sv_pos, t_spine,
+                        check_ur, compare_spine_values, lead_m,
+                        pred_cong_bullet, pred_eq_bullet, regular_spine,
+                        relevant_primes, spine_m, sv_limit, sv_pos, t_spine,
                         val_m, value_set_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

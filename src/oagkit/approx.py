@@ -18,14 +18,14 @@ from typing import Optional, Tuple
 from .chain import Position
 from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
-                      atom_holds, make_term)
+                      lead_holds, make_term)
 from .group import Element, PairSpec
 from .pseudo import ApproxSample, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
                   rib_divides, rib_min_positive, rib_pair_stably_embedded)
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        coefficient_bullet, compare_spine_values, sv_pos,
-                        val_m)
+                        coefficient_bullet, compare_spine_values, lead_m,
+                        sv_pos)
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,23 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
     past = 0 if t is None else max(small.layouts[t].horizon, big.layouts[t].horizon)
     absorbed = []
     top = -1
-    for p in big.support_candidates(x, past):
+    for p, c in big.support_walk(x, past):
         if p.seg == t:
-            top = max(top, p.coord)
-        c = big.coordinate(x, p)
+            top = p.coord
         if not c:
             continue
-        rib_s, rib_b = pair.rib_pair_at(p)
-        ok, gp = _match_coordinate(rib_s, rib_b, c, m)
+        ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m)
         if not ok:
-            return BestApproximation(n, m, small.el(absorbed), sv_pos(p), c)
+            return BestApproximation(n, m, Element(tuple(absorbed)),
+                                     sv_pos(p), c)
         if gp:
             absorbed.append((p, gp))
 
+    # absorbed holds nonzero values at distinct positions in chain order:
+    # with no tail, it is an element as it stands
     if not x.tail:
-        g = small.el(absorbed)
-        if m == 0:
-            return BestApproximation(n, m, g, SV_INF, None, True)
-        ok, _ = big.in_m_multiples(big.sub(x, g), m)
-        if ok:
+        g = Element(tuple(absorbed))
+        if m == 0 or lead_m(big, x, m, g)[0].kind is SpineValueKind.INF:
             return BestApproximation(n, m, g, SV_INF, None, True)
         raise GuardGap("finite remainder escaped the divisibility scan")
 
@@ -113,24 +111,21 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
             else None
         if g is None or not small.contains(g):
             continue
-        v = val_m(big, big.sub(x, g), m)
+        v = lead_m(big, x, m, g)[0]
         if v.kind is SpineValueKind.INF:
             return BestApproximation(n, m, g, SV_INF, None, True)
         if v.kind is SpineValueKind.LIMIT:
             return BestApproximation(n, m, g, v, None, False)
 
-    # then rung by rung
+    # then rung by rung, past every deviation: each rung holds the tail
     samples = []
     rungs = list(absorbed)
+    c = x.tail
     for i in range(depth):
         p = Position(t, top + 1 + i)
-        c = big.coordinate(x, p)
-        g_i = small.el(list(rungs))
-        if not c:
-            continue
+        g_i = Element(tuple(rungs))
         samples.append(ApproxSample(g_i, sv_pos(p), c))
-        rib_s, rib_b = pair.rib_pair_at(p)
-        ok, gp = _match_coordinate(rib_s, rib_b, c, m)
+        ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m)
         if not ok:
             return BestApproximation(n, m, g_i, sv_pos(p), c)
         if gp:
@@ -143,7 +138,7 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
 def decompose_val(pair: PairSpec, ap: BestApproximation,
                   g: Element) -> SpineValue:
     """val of (n*a - g), read off the fixed approximation alone."""
-    inner = val_m(pair.big, pair.big.sub(ap.approx, g), ap.m)
+    inner = lead_m(pair.big, ap.approx, ap.m, g)[0]
     if compare_spine_values(pair.big.spine, inner, ap.beta) <= 0:
         return inner
     return ap.beta
@@ -259,20 +254,20 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
     decides."""
     big = pair.big
     for smp in s._rungs:
-        d = big.sub(smp.g, x)
+        # the lead of g - x at the scheme's modulus decides its relation
+        lead = lead_m(big, smp.g, s.m, x)
         if smp.rho is None:
             # an exact or limit-valued rung has no coefficient to read:
             # n*a - x and g - x differ by an m-th multiple, or agree below
             # the limit and have no coordinate at their val_m past it
-            return atom_holds(big, s._relation, d)
-        cmp = compare_spine_values(big.spine, val_m(big, d, s.m), smp.delta)
+            return lead_holds(big, s._relation, lead)
+        cmp = compare_spine_values(big.spine, lead[0], smp.delta)
         if cmp < 0:
-            return atom_holds(big, s._relation, d)
-        position = smp.delta.position
-        rib = big.rib_at(position)
+            return lead_holds(big, s._relation, lead)
+        rib = big._rib_at(smp.delta.position)
         c = smp.rho
         if cmp == 0:
-            c = c + big.coordinate(d, position)
+            c = c + lead[1]
             if rib_divides(rib, c, s.m) if s.m else not c:
                 continue
         return _coefficient_relation(s, rib, c)

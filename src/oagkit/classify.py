@@ -270,8 +270,9 @@ def check_elementary_pair(pair: PairSpec):
 
 def _fresh_elements(pair: PairSpec):
     """Elements of the big group likely to sit outside the small one:
-    generator tails, the constant-1 thread, and one-off coordinates from
-    strictly bigger ribs, wherever ``PairSpec.rib_pairs`` reads them."""
+    generator tails, the constant-1 thread, and a one-off coordinate from
+    each strictly bigger rib, at the first place ``PairSpec.rib_pairs``
+    reads its pair of ribs."""
     small, big = pair.small, pair.big
     out = []
     small_gens = {g.name for g in small.generators}
@@ -281,9 +282,11 @@ def _fresh_elements(pair: PairSpec):
     if big.mode == "hahn" and small.mode == "sum" and \
             big.terminal_omega is not None:
         out.append(("constant-1 thread", Element((), RIB_ONE)))
+    seen = set()
     for _, p, rib_s, rib_b in pair.located_rib_pairs():
-        if p is None or rib_s == rib_b:
+        if p is None or rib_s == rib_b or (rib_s, rib_b) in seen:
             continue
+        seen.add((rib_s, rib_b))
         for w in (OMEGA_UNIT, RibElement(1, 2), RibElement(1, 3)):
             if rib_contains(rib_b, w) and not rib_contains(rib_s, w):
                 out.append((f"fresh coordinate at {p}", big.el([(p, w)])))
@@ -344,7 +347,11 @@ def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
                     f"a cofinal residue ladder modulo {m} was found but the "
                     "small group fails a value-set hypothesis"))
 
+    seen = set()
     for where, rib_s, rib_b in pair.rib_pairs():
+        if (rib_s, rib_b) in seen:
+            continue  # the same pair of ribs gives the same answer
+        seen.add((rib_s, rib_b))
         ok, why = rib_pair_stably_embedded(rib_s, rib_b)
         if ok is False:
             return Verdict(Status.NOT_SE, (*reasons, Reason(

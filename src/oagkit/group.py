@@ -22,14 +22,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
                     _complement_piece, _piece_nonempty, piece_contains)
 from .errors import PresentationError
-from .rib import (RIB_ZERO, RibElement, RibSpec, _primes_of, nth_prime,
-                  prime_index, rib_contains, rib_divides, rib_elem_equiv,
-                  script_z_rib, z_local_rib)
+from .rib import (RIB_ZERO, RibElement, RibSpec, _exact, _primes_of,
+                  nth_prime, prime_index, rib_contains, rib_divides,
+                  rib_elem_equiv, script_z_rib, z_local_rib)
 
 
 def _as_rib_value(v) -> RibElement:
@@ -421,7 +421,7 @@ class GroupSpec:
                 yield p, x - y
 
     def scale(self, a: Element, k) -> Element:
-        k = Fraction(k)
+        k = _exact(k)
         if not k:
             return ZERO_ELEMENT
         return Element(tuple((p, v.scale(k)) for p, v in a.fp), a.tail.scale(k))
@@ -436,65 +436,73 @@ class GroupSpec:
 
     # -- support and order ----------------------------------------------
 
-    def _walk(self, e: Element, coords: Iterable[int]
+    def _walk(self, devs: Iterable[Tuple[Position, RibElement]],
+              tail: RibElement, coords: Iterable[int]
               ) -> Iterator[Tuple[Position, RibElement]]:
-        """(position, coordinate) at e's deviations and, when e has a
-        tail, at the terminal coordinates in ``coords`` (ascending), in
-        chain order, lazily; off its deviations a terminal coordinate
-        holds the tail."""
+        """(position, coordinate) of the element with these deviations (in
+        chain order, zeros allowed) and this tail, lazily in chain order:
+        at each deviation and, when there is a tail, at the terminal
+        coordinates in ``coords`` (ascending, possibly endless); off its
+        deviations a terminal coordinate holds the tail."""
         t = self.terminal_omega
-        tail = e.tail
-        fp = e.fp
         if t is None or not tail:
-            yield from fp
+            yield from devs
             return
-        i, n_fp = 0, len(fp)
-        while i < n_fp and fp[i][0].seg != t:
-            yield fp[i]
-            i += 1
+        it = iter(devs)
+        for p, d in it:
+            if p.seg == t:
+                break
+            yield p, d
+        else:
+            p = None
         for n in coords:
-            while i < n_fp and fp[i][0].coord < n:
-                p, v = fp[i]
-                yield p, tail + v
-                i += 1
-            if i == n_fp or fp[i][0].coord != n:  # else the deviation comes next
+            while p is not None and p.coord < n:
+                yield p, tail + d
+                p, d = next(it, (None, None))
+            if p is None or p.coord != n:  # else the deviation comes next
                 yield Position(t, n), tail
-        for p, v in fp[i:]:
-            yield p, tail + v
+        while p is not None:
+            yield p, tail + d
+            p, d = next(it, (None, None))
 
-    def _failing(self, e: Element, v: RibElement) -> Tuple[int, ...]:
-        """The terminal coordinates where a free coordinate of e, holding
-        v, may leave its rib: exactly those where v leaves it, or, when v
-        leaves it cofinally, the first free one that v leaves."""
-        t = self.terminal_omega
-        if t is None or not e.tail:
-            return ()
-        cofinal, listed = self._tail_exits(v)
-        if not cofinal:
-            return listed
-        return (next(n for n in itertools.count() if n not in listed
-                     and Position(t, n) not in e._index),)
-
-    def support_candidates(self, e: Element, past: int = 0) -> List[Position]:
-        """Positions where the coordinate might be nonzero, in order: the
-        deviations, and a terminal run past every deviation there, every
-        coordinate the tail leaves its rib at and every coordinate below
-        ``past``."""
+    def support_walk(self, e: Element, past: int = 0
+                     ) -> Iterator[Tuple[Position, RibElement]]:
+        """(position, coordinate) wherever the coordinate might be nonzero,
+        in chain order, lazily: the deviations, and a terminal run past
+        every deviation there, every coordinate the tail leaves its rib at
+        and every coordinate below ``past``."""
         coords = ()
         t = self.terminal_omega
         if t is not None and e.tail:
             last = e.fp[-1][0].coord if e.fp and e.fp[-1][0].seg == t else -1
-            coords = range(max((last, past - 1, *self._failing(e, e.tail))) + 2)
-        return [p for p, _ in self._walk(e, coords)]
+            cofinal, listed = self._tail_exits(e.tail)
+            if cofinal:  # the first free coordinate the tail leaves
+                taken = set(listed).union(p.coord for p, _ in e.fp
+                                          if p.seg == t)
+                listed = (next(n for n in itertools.count()
+                               if n not in taken),)
+            coords = range(max((last, past - 1, *listed)) + 2)
+        return self._walk(e.fp, e.tail, coords)
 
-    def _first_indivisible(self, e: Element, m: int,
-                           scaled_tail: RibElement) -> Optional[Position]:
-        """The first position whose coordinate of e is not m times a value
-        of its rib, or None.  ``scaled_tail`` is e.tail / m: off the
-        deviations a terminal coordinate fails where that leaves its rib."""
-        for p, c in self._walk(e, self._failing(e, scaled_tail)):
-            if not rib_divides(self._rib_at(p), c, m):
-                return p
+    def _first_indivisible(self, devs: Iterable[Tuple[Position, RibElement]],
+                           tail: RibElement, m: int,
+                           scaled_tail: RibElement
+                           ) -> Optional[Tuple[Position, RibElement]]:
+        """The first position whose coordinate is not m times a value of
+        its rib, with that coordinate, or None, for the element with these
+        deviations (in chain order, zeros allowed) and this tail.
+        ``scaled_tail`` is tail / m: off the deviations a terminal
+        coordinate fails where that leaves its rib."""
+        coords = ()
+        if tail:
+            cofinal, coords = self._tail_exits(scaled_tail)
+            if cofinal:  # it leaves at every other coordinate: one fails
+                listed = coords
+                coords = (n for n in itertools.count() if n not in listed)
+        rib_at = self._rib_at
+        for p, c in self._walk(devs, tail, coords):
+            if not rib_divides(rib_at(p), c, m):
+                return p, c
         return None
 
     def _leading(self, devs: Iterable[Tuple[Position, RibElement]],
@@ -551,8 +559,8 @@ class GroupSpec:
 
     def _is_multiple(self, e: Element, m: int) -> bool:
         """Whether e / m lies in the group, without building e / m."""
-        tail = e.tail if m == 1 else e.tail.scale(Fraction(1, m))
-        if self._first_indivisible(e, m, tail) is not None:
+        tail = e.tail if m == 1 or not e.tail else e.tail.scale(Fraction(1, m))
+        if self._first_indivisible(e.fp, e.tail, m, tail) is not None:
             return False
         if self.mode == "sum":
             return self.tail_coefficients(tail) is not None

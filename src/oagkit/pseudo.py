@@ -23,7 +23,7 @@ from .errors import (ElementInG, LiftObstruction, NotPseudoCauchy,
 from .group import Element, GroupSpec, PairSpec
 from .rib import RibElement
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        compare_spine_values, val_m)
+                        compare_spine_values, lead_m, val_m)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def is_pseudo_cauchy(g: GroupSpec, seq: PseudoSequence,
     terms = seq.window(g)
     if len(terms) < 3:
         raise TooShort("need at least three terms")
-    diffs = [val_m(g, g.sub(terms[i + 1], terms[i]), m)
+    diffs = [lead_m(g, terms[i + 1], m, terms[i])[0]
              for i in range(len(terms) - 1)]
     threshold = 0
     for i in range(len(diffs) - 1):
@@ -107,8 +107,8 @@ def is_pseudo_limit(g: GroupSpec, seq: PseudoSequence, h: Element,
                               "pseudo-Cauchy threshold")
     terms = seq.window(g)
     for i in range(threshold, len(terms) - 1):
-        want = val_m(g, g.sub(terms[i + 1], terms[i]), m)
-        got = val_m(g, g.sub(h, terms[i]), m)
+        want = lead_m(g, terms[i + 1], m, terms[i])[0]
+        got = lead_m(g, h, m, terms[i])[0]
         if compare_spine_values(g.spine, want, got) != 0:
             return False
     return True
@@ -226,9 +226,7 @@ def delta_max(g: GroupSpec, a: Element, m: int, depth: int = 4):
     samples = []
     for n in range(1, depth + 1):
         x = g.el(_below(g, a, Position(t, n)))
-        rest = g.sub(a, x)
-        value = val_m(g, rest, 0)
-        samples.append(ApproxSample(x, value, g.coordinate(rest, value.position)))
+        samples.append(ApproxSample(x, *lead_m(g, a, 0, x)))
     return NoMaximum(tuple(samples),
                      note="every m-th multiple is beaten by absorbing one "
                           "more coordinate")
@@ -240,7 +238,7 @@ def _below(g: GroupSpec, a: Element, stop: Position) -> list:
     key = g.spine.unchecked_key
     run = range(stop.coord) if stop.seg == g.terminal_omega else ()
     return [(p, c) for p, c in itertools.takewhile(
-        lambda pc: key(pc[0]) < key(stop), g._walk(a, run)) if c]
+        lambda pc: key(pc[0]) < key(stop), g._walk(a.fp, a.tail, run)) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +267,12 @@ def immediate_ext_check(pair: PairSpec, h: Element,
     small, big = pair.small, pair.big
     if small.contains(h):
         raise ElementInG("the candidate already lies in the small group")
-    p = small._first_indivisible(h, 1, h.tail)
-    if p is not None:
+    hit = small._first_indivisible(h.fp, h.tail, 1, h.tail)
+    if hit is not None:
+        p, c = hit
         return ImmediateReport(
             "not_immediate", position=p, partial=small.el(_below(big, h, p)),
-            note=f"coordinate {big.coordinate(h, p)!r} at {p} lies outside "
-                 "the small rib")
+            note=f"coordinate {c!r} at {p} lies outside the small rib")
     t = big.terminal_omega
     samples = []
     if t is not None and h.tail:
@@ -282,7 +280,7 @@ def immediate_ext_check(pair: PairSpec, h: Element,
         for k in range(depth):
             pairs.append((Position(t, k), big.coordinate(h, Position(t, k))))
             approx = small.el(pairs)
-            samples.append((approx, val_m(big, big.sub(h, approx), 0)))
+            samples.append((approx, lead_m(big, h, 0, approx)[0]))
     return ImmediateReport(
         "no_maximum", samples=tuple(samples),
         note="every coordinate matches the small rib but the tail never "

@@ -10,6 +10,14 @@ value is INF if e is an m-th multiple of a group element, and otherwise a
 genuinely new point: the limit value sitting above the terminal segment.
 
 m = 0 gives the natural valuation, m = 1 is identically INF.
+
+``lead_m(g, e, m, minus)`` is the one reader: it returns the pair
+(val_m(e - minus), the coordinate of e - minus at that value), the
+coordinate None at INF and at a limit value.  One lazy walk over the
+deviations of e and minus gives both and stops at the first coordinate
+that decides, so a - b is never built just to value it.  ``val_m``, the
+coefficient predicates, the formula atoms, the schemes and the
+pseudo-Cauchy checks all read leads.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
                     _complement_piece, fin, piece_contains)
@@ -95,26 +103,39 @@ def compare_spine_values(chain: ChainSpec, a: SpineValue, b: SpineValue) -> int:
 # The valuation itself.
 
 
-def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
-    """The valuation of e modulo m (m = 0: natural valuation)."""
+def lead_m(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None
+           ) -> Tuple[SpineValue, Optional[RibElement]]:
+    """(val_m(e - minus), the coordinate of e - minus at that value), with
+    the coordinate None at INF and at a limit value; minus defaults to 0.
+
+    Both come from one lazy walk over the deviations of e and minus that
+    stops at the first coordinate that decides, so e - minus is never
+    built.
+    """
     if m < 0:
         raise PresentationError("modulus must be nonnegative")
     if m == 1:
-        return SV_INF
+        return SV_INF, None
+    if minus is None:
+        devs, tail = e.fp, e.tail
+    else:
+        devs, tail = g._differences(e, minus), e.tail - minus.tail
     if m == 0:
-        v = g.nat_val(e)
-        return SV_INF if v is INF else sv_pos(v)
-    scaled = e.tail.scale(Fraction(1, m))
-    p = g._first_indivisible(e, m, scaled)
-    if p is not None:
-        return sv_pos(p)
-    if not e.tail:
-        return SV_INF
-    if g.mode == "hahn":
-        return SV_INF
-    if g.generators and g.tail_coefficients(scaled) is not None:
-        return SV_INF
-    return sv_limit(g.terminal_omega)
+        p, c = g._leading(devs, tail)
+        return (SV_INF, None) if p is INF else (sv_pos(p), c)
+    scaled = tail.scale(Fraction(1, m)) if tail else tail
+    hit = g._first_indivisible(devs, tail, m, scaled)
+    if hit is not None:
+        return sv_pos(hit[0]), hit[1]
+    if not tail or g.mode == "hahn" or (
+            g.generators and g.tail_coefficients(scaled) is not None):
+        return SV_INF, None
+    return sv_limit(g.terminal_omega), None
+
+
+def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
+    """The valuation of e modulo m (m = 0: natural valuation)."""
+    return lead_m(g, e, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +155,17 @@ def coefficient_bullet(rib: RibSpec, c: RibElement, m: int, k: int) -> bool:
     return c == target if m == 0 else rib_divides(rib, c - target, m)
 
 
+def lead_bullet(g: GroupSpec, lead: Tuple[SpineValue, Optional[RibElement]],
+                m: int, k: int) -> bool:
+    """``coefficient_bullet`` on the coefficient of a ``lead_m(.., m)``
+    lead, read in the rib at its value.  With no coefficient, only zero
+    has k == 0 units (m = 0); a congruence has nothing to read."""
+    v, c = lead
+    if c is None:
+        return m == 0 and k == 0
+    return coefficient_bullet(g._rib_at(v.position), c, m, k)
+
+
 def pred_eq_bullet(g: GroupSpec, a: Element, k: int) -> bool:
     """Leading coefficient equals k times the least positive rib element.
 
@@ -141,10 +173,7 @@ def pred_eq_bullet(g: GroupSpec, a: Element, k: int) -> bool:
     exactly when k == 0.  Where the rib at the leading position is not
     discrete the predicate is false.
     """
-    v = g.nat_val(a)
-    if v is INF:
-        return k == 0
-    return coefficient_bullet(g.rib_at(v), g.coordinate(a, v), 0, k)
+    return lead_bullet(g, lead_m(g, a, 0), 0, k)
 
 
 def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
@@ -155,11 +184,7 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
     """
     if m <= 1:
         raise PresentationError("congruence needs a modulus of at least 2")
-    v = val_m(g, a, m)
-    if v.kind is not SpineValueKind.POS:
-        return False
-    return coefficient_bullet(g.rib_at(v.position),
-                              g.coordinate(a, v.position), m, k)
+    return lead_bullet(g, lead_m(g, a, m), m, k)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from oagkit.chain import Position, SegKind, piece_contains
 from oagkit.rib import RibElement
-from oagkit.valuation import (SV_INF, pred_cong_bullet, pred_eq_bullet,
-                              sv_limit, sv_pos)
+from oagkit.valuation import SV_INF, sv_limit, sv_pos
 
 
 def _domain_tag(rib):
@@ -154,14 +153,25 @@ def big_targets(pair, rng, count=6):
 
 
 def direct_relation(pair, s, a, x):
-    """The relation a scheme claims to decide, computed on the big side."""
+    """The relation a scheme claims to decide, computed on the big side:
+    the sign of n*a - x, or its coordinate at the oracle's val_m (m = 0
+    for equality) checked against k units of a discrete rib."""
     big = pair.big
     d = big.sub(big.scale(a, s.n), x)
+    v = oracle_val_m(big, d, s.m if s.kind == "cong" else 0)
+    if v.position is None:
+        # INF: d is zero, or (modulo m) an m-th multiple; or a limit value
+        return s.kind == "eqk" and s.k == 0 and v == SV_INF
+    c = big.coordinate(d, v.position)
+    w, q = Fraction(c.w), Fraction(c.q)
     if s.kind == "sign":
-        return big.sign_of(d) > 0
+        return (w, q) > (0, 0)
+    rib = _clause_rib(big, v.position)
+    if _domain_tag(rib)[0] not in ("int", "window"):
+        return False  # a dense rib has no least positive element
     if s.kind == "cong":
-        return pred_cong_bullet(big, d, s.m, s.k)
-    return pred_eq_bullet(big, d, s.k)
+        return coordinate_divisible(rib, RibElement(q - s.k, w), s.m)
+    return (w, q) == (0, s.k)
 
 
 def mod2_staircase(g, rng, n=6):

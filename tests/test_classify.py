@@ -9,7 +9,7 @@ from oagkit.classify import (Status, all_cuts_definable, check_elementary_pair,
                              classify_regular, frr_classes, regular_rank)
 from oagkit.errors import (HypothesisViolated, NotFRRError, NotRegularError)
 from oagkit.group import GroupSpec, PairSpec, RibEntry
-from oagkit.rib import window_rib, z_rib
+from oagkit.rib import RibSpec, window_rib, z_rib
 
 
 def test_product_over_omega_is_stably_embedded():
@@ -190,4 +190,27 @@ def test_a_window_widened_on_a_colour_side_adds_width_at_its_first_point():
         RibEntry(rib=z_rib())), mode="sum")
     v = classify_pair(PairSpec(small, big, frozenset({"rib_extension"})))
     assert [r.witness for r in v.reasons if r.rule == "adds-width"] == [
+        Position(0, 3)]
+
+
+def _widened_at(rib, coords):
+    """sigma's spine and z ribs, with ``rib`` at each listed coordinate."""
+    small = sigma_group()
+    big = GroupSpec("widened", small.spine, tuple(
+        RibEntry(rib=rib, position=Position(0, c)) for c in coords) + (
+        RibEntry(rib=z_rib()),), mode="sum")
+    return PairSpec(small, big, frozenset({"rib_extension"}))
+
+
+def test_one_rib_pair_at_many_clauses_adds_width_once():
+    v = classify_pair(_widened_at(window_rib(), range(200)))
+    assert v.status is Status.SE
+    assert [r.witness for r in v.reasons if r.rule == "adds-width"] == [
+        Position(0, 0)]
+
+
+def test_one_open_rib_pair_at_many_clauses_is_reported_once():
+    v = classify_pair(_widened_at(RibSpec("z_other"), range(3, 23)))
+    assert v.status is Status.UNKNOWN
+    assert [r.witness for r in v.reasons if r.rule == "rib-pair-open"] == [
         Position(0, 3)]

@@ -20,9 +20,10 @@ from oagkit import group as group_module
 from oagkit.catalogue import builtin_group
 from oagkit.chain import Position
 from oagkit.errors import PresentationError
+from oagkit.group import Element
 from oagkit.rib import (SIEVE_LIMIT, RibElement, _primes_of, nth_prime,
                         prime_index)
-from oagkit.valuation import val_m
+from oagkit.valuation import lead_m, sv_pos, val_m
 
 SMALL, LARGE = 800, 3200
 MAX_RATIO = 8.0
@@ -85,6 +86,33 @@ def test_element_ops_scale_linearly(group, op):
     assert ratio < MAX_RATIO, (
         f"{op} on {group}: {times[SMALL] * 1e3:.2f} ms at N = {SMALL}, "
         f"{times[LARGE] * 1e3:.2f} ms at N = {LARGE} (x{ratio:.1f})")
+
+
+def _differing_first(g, n, tails):
+    """Two elements with tails ``tails`` that differ by 1 at their first
+    coordinate and hold the same n deviations after it."""
+    shared = tuple((Position(0, c), RibElement(6 * (c % 5 + 1)))
+                   for c in range(1, n + 1))
+    return [Element(((Position(0, 0), RibElement(first)),) + shared,
+                    RibElement(tail)) for first, tail in zip((1, 2), tails)]
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("group,tails", [
+    ("g1", (0, 0)), ("g1", (1, 3)), ("sigma_ext", (0, 0))])
+def test_the_lead_of_a_difference_stops_where_it_is_decided(group, tails, m):
+    """a - b is never built to be valued: the walk ends at the first
+    coordinate, however long the shared support behind it."""
+    g = builtin_group(group)
+    calls = []
+    for n in (SMALL, LARGE):
+        a, b = _differing_first(g, n, tails)
+        assert lead_m(g, a, m, b)[0] == sv_pos(Position(0, 0))
+        calls.append(lambda g=g, a=a, b=b: lead_m(g, a, m, b))
+    small, large = _best_seconds(calls, runs=20)
+    assert large / small < 2.0, (
+        f"lead_m({m}) on {group}: {small * 1e6:.1f} us at N = {SMALL}, "
+        f"{large * 1e6:.1f} us at N = {LARGE}")
 
 
 def _tail_checks_seconds(p):

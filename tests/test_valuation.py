@@ -8,23 +8,26 @@ per domain tag.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_val_m, random_element
 
 from oagkit.catalogue import GROUPS as CATALOGUE
 from oagkit.catalogue import builtin_group
-from oagkit.chain import Position
+from oagkit.chain import ChainSpec, Position, Segment, SegKind, omega
 from oagkit.classify import classify_main
 from oagkit.codec import dumps, group_from_data, group_to_data, load_group
 from oagkit.errors import OagError
-from oagkit.group import ZERO_ELEMENT, SchematicRib, _primes_of
-from oagkit.rib import (q_rib, r_proxy_rib, script_z_rib, window_rib,
-                        z_local_rib, z_rib)
+from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
+                          SchematicRib, _primes_of)
+from oagkit.rib import (RibElement, q_rib, r_proxy_rib, script_z_rib,
+                        window_rib, z_local_rib, z_rib)
 from oagkit.valuation import (SV_INF, SpineValueKind, _m_hits, check_m,
-                              check_ur, compare_spine_values,
+                              check_ur, compare_spine_values, lead_m,
                               pred_cong_bullet, pred_eq_bullet,
                               regular_spine, relevant_primes, spine_m,
                               sv_pos, t_spine, val_m, value_set_contains)
@@ -235,3 +238,115 @@ def test_sign_and_congruence_predicates():
     assert not pred_cong_bullet(g, five, 2, 0)
     assert pred_eq_bullet(g, ZERO_ELEMENT, 0)
     assert not pred_eq_bullet(g, ZERO_ELEMENT, 1)
+
+
+# -- the lead of a difference -------------------------------------------------
+
+
+def _lead_groups():
+    """Builtins with limit values (sigma_ext), schematic ribs (h_primes)
+    and no tail (z3); a reversed omega_star segment before the terminal
+    one; and position clauses a tail leaves its rib at only (``listed``)
+    or everywhere but (``cofinal``)."""
+    two = ChainSpec((Segment(SegKind.OMEGA_STAR), Segment(SegKind.OMEGA)))
+    clauses = (RibEntry(rib=z_rib(), position=Position(0, 1)),
+               RibEntry(rib=z_rib(), position=Position(0, 4)))
+    return [builtin_group(n) for n in ("g1", "sigma", "sigma_ext",
+                                        "h_primes", "z3")] + [
+        GroupSpec("reversed", two, (RibEntry(rib=z_rib()),)),
+        GroupSpec("listed", omega(), clauses + (RibEntry(rib=q_rib()),)),
+        GroupSpec("cofinal", omega(), (
+            RibEntry(rib=q_rib(), position=Position(0, 2)),
+            RibEntry(rib=z_local_rib(3), position=Position(0, 3)),
+            RibEntry(rib=z_rib())), mode="sum"),
+    ]
+
+
+LEAD_GROUPS = _lead_groups()
+LEAD_MODULI = (0, 2, 3, 4, 6, 12)
+LEAD_VALUES = [RibElement(v) for v in (1, -1, 2, 3, -4, 6, 12, Fraction(1, 2),
+                                       Fraction(-3, 2), Fraction(1, 3),
+                                       Fraction(5, 6), Fraction(1, 5))] + [
+    RibElement(1, 1), RibElement(-1, 2), RibElement(Fraction(1, 2),
+                                                    Fraction(1, 2))]
+LEAD_TAILS = [RibElement(0), RibElement(0)] + LEAD_VALUES
+
+
+def _lead_positions(g):
+    return [Position(i, c) for i, seg in enumerate(g.spine.segments)
+            for c in range(min(seg.size, 6) if seg.kind is SegKind.FIN else 6)]
+
+
+@st.composite
+def _lead_pair(draw):
+    """A group, a modulus, and two elements of its ambient product that
+    share some deviations, so that a - b cancels there."""
+    g = draw(st.sampled_from(LEAD_GROUPS))
+    m = draw(st.sampled_from(LEAD_MODULI))
+    slots = _lead_positions(g)
+    tails = LEAD_TAILS if g.terminal_omega is not None else [RibElement(0)]
+
+    def element(shared=()):
+        picks = draw(st.lists(st.sampled_from(slots), max_size=5, unique=True))
+        pairs = dict(shared)
+        pairs.update((p, draw(st.sampled_from(LEAD_VALUES))) for p in picks)
+        return g.el(pairs.items(), draw(st.sampled_from(tails)))
+
+    a = element()
+    kept = draw(st.lists(st.sampled_from(a.fp), unique=True)) if a.fp else []
+    return g, m, a, element(kept)
+
+
+def _oracle_lead(g, d, m):
+    v = oracle_val_m(g, d, m)
+    return v, None if v.position is None else g.coordinate(d, v.position)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lead_pair())
+def test_lead_of_a_difference_matches_the_oracle(case):
+    g, m, a, b = case
+    d = g.sub(a, b)
+    want = _oracle_lead(g, d, m)
+    assert lead_m(g, a, m, b) == want
+    assert lead_m(g, d, m) == want
+
+
+def _tail_case(g, dev4):
+    """a - b has coordinates 12 and 24 at 0 and 1, the tail 1/2 past
+    them, and at 4 the tail (no deviation, or the same one in a and b,
+    which cancels) or 12 (dev4 = 23/2)."""
+    t = g.terminal_omega
+
+    def el(devs, tail):
+        return Element(tuple((Position(t, c), RibElement(v)) for c, v in devs),
+                       RibElement(tail))
+
+    a = el(((0, Fraction(23, 2)), (1, Fraction(47, 2)))
+           + (((4, dev4),) if dev4 else ()), Fraction(3, 2))
+    b = el(((4, 5),) if dev4 == 5 else (), 1)
+    return a, b
+
+
+@pytest.mark.parametrize("m", LEAD_MODULI)
+@pytest.mark.parametrize("name,dev4,at", [
+    # 1/2 leaves the rib only at the z clauses at 1 and 4
+    ("listed", None, {2: 4, 3: 4}),
+    ("listed", 5, {2: 4, 3: 4}),
+    ("listed", Fraction(23, 2), {2: None, 3: None}),
+    # 1/2 leaves the rib everywhere but the q and z_(3) clauses at 2 and
+    # 3, where 1/(2m) leaves z_(3) when 3 divides m; past 4, 5 is free
+    ("cofinal", None, {2: 4, 3: 3}),
+    ("cofinal", 5, {2: 4, 3: 3}),
+    ("cofinal", Fraction(23, 2), {2: 5, 3: 3}),
+])
+def test_lead_of_a_tail_difference_reads_where_the_tail_leaves(name, dev4,
+                                                               at, m):
+    g = next(g for g in LEAD_GROUPS if g.name == name)
+    a, b = _tail_case(g, dev4)
+    want = _oracle_lead(g, g.sub(a, b), m)
+    assert lead_m(g, a, m, b) == want
+    where = 0 if m == 0 else at[3 if m % 3 == 0 else 2]
+    assert want == ((SV_INF, None) if where is None else
+                    (sv_pos(Position(0, where)),
+                     RibElement(12 if where == 0 else Fraction(1, 2))))
