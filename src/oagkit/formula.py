@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -61,6 +62,15 @@ class Term:
         names = [n for n, _ in self.coeffs]
         if len(set(names)) != len(names) or sorted(names) != names:
             raise FormulaSyntaxError("variables must be sorted and distinct")
+
+    @cached_property
+    def _checked(self) -> dict:
+        """``const`` as the last group it was evaluated in checked it, as
+        ``id`` of that group to (group, element): a term evaluated again
+        in the same group is not checked again.  The stored group keeps
+        its id from being reused; the dict sits outside the fields, so ==
+        and hash ignore it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -494,14 +504,19 @@ def parse_element(text: str, g: Optional[GroupSpec] = None) -> Element:
     kind, val, pos = p.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"trailing input {val!r}", pos)
-    return g._raw(list(e.fp), e.tail) if g is not None else e
+    return g._raw(e.fp, e.tail) if g is not None else e
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def eval_term(g: GroupSpec, t: Term, env: Dict[str, Element]) -> Element:
-    acc = g._raw(list(t.const.fp), t.const.tail)
+    hit = t._checked.get(id(g))
+    if hit is None:
+        hit = (g, g._raw(t.const.fp, t.const.tail))
+        t._checked.clear()  # one group at a time: a term holds no others
+        t._checked[id(g)] = hit
+    acc = hit[1]
     for name, c in t.coeffs:
         if name not in env:
             raise UnboundVariable(name)

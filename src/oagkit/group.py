@@ -142,6 +142,15 @@ class SegmentLayout:
         return self.rule_at(self.horizon)
 
     @cached_property
+    def uniform(self) -> Optional[RibSpec]:
+        """The one rib at every coordinate of the segment, when there is
+        one: no position clause, and no colour split or the same rule on
+        both sides of it; else None (read ``rule_at`` per coordinate)."""
+        if not self.ribs and self.on == self.off and isinstance(self.on, RibSpec):
+            return self.on
+        return None
+
+    @cached_property
     def rules(self) -> Tuple[Rule, ...]:
         """Every rule the clauses put on the segment, once each."""
         return tuple(rule for rule in dict.fromkeys(
@@ -323,9 +332,12 @@ class GroupSpec:
 
     def el(self, pairs: Iterable[Tuple[Position, object]] = (),
            tail=0) -> Element:
-        """Build an element from absolute coordinates plus a tail value."""
+        """Build an element from absolute coordinates plus a tail value.
+
+        Cost: one checked pass over ``pairs`` when they come in chain
+        order, plus a sort only when they do not (see ``_raw``)."""
         tail = _as_rib_value(tail)
-        t = self.terminal_omega
+        t = self.terminal_omega if tail else None  # no tail: nothing to take off
         devs = []
         for pos, v in pairs:
             if isinstance(pos, tuple):
@@ -338,10 +350,27 @@ class GroupSpec:
              tail: RibElement) -> Element:
         """Canonicalize deviations read from outside (``el``, parsed
         literals, term constants): check the tail and every position, zero
-        entries included, refuse repeats, drop zeros and sort."""
+        entries included, refuse repeats, drop zeros and sort.
+
+        One pass checks each position and compares its key with the last
+        one.  Strictly increasing keys mean the input is already in chain
+        order with no repeat, so the nonzero entries are kept as they
+        stand.  Only out-of-order input is read again, keyed and sorted,
+        and there the first repeat in input order is refused."""
         if tail and self.terminal_omega is None:
             raise PresentationError("a tail needs a terminal omega segment")
         sort_key = self.spine.sort_key
+        fp = []
+        last = (-1,)  # below every key
+        for p, v in devs:
+            k = sort_key(p)
+            if k <= last:
+                break
+            last = k
+            if v:
+                fp.append((p, v))
+        else:
+            return Element(tuple(fp), tail)
         seen = set()
         keyed = []
         for p, v in devs:
@@ -492,16 +521,18 @@ class GroupSpec:
         its rib, with that coordinate, or None, for the element with these
         deviations (in chain order, zeros allowed) and this tail.
         ``scaled_tail`` is tail / m: off the deviations a terminal
-        coordinate fails where that leaves its rib."""
+        coordinate fails where that leaves its rib.  A segment's
+        ``SegmentLayout.uniform`` rib, when it has one, stands for
+        ``_rib_at`` at each of its coordinates."""
         coords = ()
         if tail:
             cofinal, coords = self._tail_exits(scaled_tail)
             if cofinal:  # it leaves at every other coordinate: one fails
                 listed = coords
                 coords = (n for n in itertools.count() if n not in listed)
-        rib_at = self._rib_at
+        layouts, rib_at = self.layouts, self._rib_at
         for p, c in self._walk(devs, tail, coords):
-            if not rib_divides(rib_at(p), c, m):
+            if not rib_divides(layouts[p.seg].uniform or rib_at(p), c, m):
                 return p, c
         return None
 

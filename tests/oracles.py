@@ -89,16 +89,32 @@ def _window(g, x, m):
     return range(max(top, default=0) + 2)
 
 
+def _read_positions(g, x, m):
+    """Every deviation of x and, with a tail, the oracle's terminal
+    window for the modulus m, in chain order."""
+    positions = {p for p, _ in x.fp}
+    if x.tail:
+        positions |= {Position(g.terminal_omega, n) for n in _window(g, x, m)}
+    return sorted(positions, key=g.spine.sort_key)
+
+
+def oracle_contains(g, x):
+    """Membership of x: every coordinate lies in the rib its clauses give
+    it, and in sum mode the tail is a combination of generator tails."""
+    if not all(coordinate_divisible(_clause_rib(g, p), g.coordinate(x, p), 1)
+               for p in _read_positions(g, x, 1)):
+        return False
+    return not x.tail or g.mode == "hahn" or \
+        g.tail_coefficients(x.tail) is not None
+
+
 def oracle_val_m(g, x, m):
     """First spine position whose coordinate fails m-divisibility, read
     over every deviation and a terminal window of the oracle's own."""
     if m == 1:
         return SV_INF
-    positions = {p for p, _ in x.fp}
+    positions = _read_positions(g, x, m)
     t = g.terminal_omega
-    if x.tail:
-        positions |= {Position(t, n) for n in _window(g, x, m)}
-    positions = sorted(positions, key=g.spine.sort_key)
     if m == 0:
         for p in positions:
             if g.coordinate(x, p):

@@ -238,6 +238,14 @@ def test_negative_modulus_for_spine_is_a_usage_error(capsys):
     assert data["kind"] == "PresentationError"
 
 
+def test_a_repeated_literal_coordinate_is_a_usage_error(capsys):
+    code, data = run_json(capsys, "--json", "preds", "g1",
+                          "el(pos(0, 1): 1, pos(0, 1): 2)")
+    assert code == 64
+    assert data == {"error": "duplicate coordinate at pos(0, 1)",
+                    "kind": "PresentationError"}
+
+
 @pytest.mark.parametrize("literal", ["el(pos(3, 0): 1)", "el(pos(0, -1): 1)",
                                      "el(pos(3, 0): 0)", "el(pos(0, -1): 0)"])
 def test_literal_positions_are_checked_against_the_group(capsys, literal):

@@ -193,6 +193,19 @@ def test_eval_constant_offsets():
     assert eval_formula(g1, f3, {"x": b})
 
 
+def test_a_term_constant_is_checked_in_each_group_it_meets():
+    g1, g3 = builtin_group("g1"), builtin_group("g3")
+    # out of chain order; pos(1, 0) lies on g3's omega_star segment only
+    f = parse_formula("x - el(pos(1, 0): 2, pos(0, 3): 1) > 0")
+    x = g3.el([((0, 3), 2)])
+    want = g3.sub(x, g3.el([((0, 3), 1), ((1, 0), 2)]))
+    for _ in range(2):
+        assert eval_term(g3, f.term, {"x": x}) == want
+        assert eval_formula(g3, f, {"x": x})
+        with pytest.raises(PositionOutOfDomain):
+            eval_formula(g1, f, {"x": g1.el([((0, 3), 2)])})
+
+
 def test_unbound_variables_are_reported():
     with pytest.raises(UnboundVariable):
         ev("x - y > 0", x=FIVE)

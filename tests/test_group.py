@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
 from oagkit.chain import INF, ChainSpec, ColourRule, Position, Segment, SegKind
-from oagkit.errors import PresentationError
+from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (ZERO_ELEMENT, GroupSpec, PairSpec, RibEntry,
                           SchematicRib)
-from oagkit.rib import RibElement, rib_contains, z_rib
+from oagkit.rib import RibElement, q_rib, rib_contains, z_rib
 from oagkit.valuation import SV_INF, sv_limit, sv_pos, val_m
 
 H = builtin_group("g1")
@@ -143,6 +143,106 @@ def test_generator_requires_nonzero_tail():
     from oagkit.group import Generator
     with pytest.raises(Exception):
         Generator("t", tail=0)
+
+
+# -- the canonical form el builds --------------------------------------------
+
+# g1, an omega_star segment read top-down, and a dense segment, each before
+# (or as) a terminal omega segment, so every deviation there sits under a tail
+CANON_GROUPS = {
+    "g1": H,
+    "omega_star": GroupSpec("star", ChainSpec((Segment(SegKind.OMEGA_STAR),
+                                               Segment(SegKind.OMEGA))),
+                            (RibEntry(rib=z_rib()),)),
+    "dense": GroupSpec("dense", ChainSpec((Segment(SegKind.DENSE_Q),
+                                           Segment(SegKind.OMEGA))),
+                       (RibEntry(rib=q_rib()),)),
+}
+canon_values = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), RibElement(3, 1)])
+
+
+@st.composite
+def canon_input(draw, g):
+    """(pairs in chain order, the same pairs shuffled, tail), positions
+    distinct, some values zero; a dense position may carry an int or a
+    Fraction coordinate."""
+    slots = list(g.spine.sample_positions(per_segment=5))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
+    pairs = [(p, draw(canon_values)) for p in sorted(chosen, key=g.spine.sort_key)]
+    return pairs, draw(st.permutations(pairs)), draw(canon_values)
+
+
+def _dense_twin(g, p):
+    """The same point, named by the other coordinate type where one is
+    dense: 1 against Fraction(1)."""
+    if not g.spine.segments[p.seg].kind.is_dense:
+        return p
+    c = p.coord
+    return Position(p.seg, Fraction(c) if type(c) is int else
+                    (int(c) if c.denominator == 1 else c))
+
+
+@given(st.sampled_from(sorted(CANON_GROUPS)), st.data())
+def test_el_builds_one_canonical_form_from_any_order(name, data):
+    g = CANON_GROUPS[name]
+    ordered, shuffled, tail = data.draw(canon_input(g))
+    tail = RibElement(tail) if not isinstance(tail, RibElement) else tail
+    t = g.terminal_omega
+
+    def dev(p, v):
+        v = v if isinstance(v, RibElement) else RibElement(v)
+        return v - tail if p.seg == t else v
+
+    want = tuple((p, dev(p, v)) for p, v in ordered if dev(p, v))
+    e = g.el(ordered, tail)
+    assert e.fp == want and e.tail == tail  # zero deviations are dropped
+    assert g.el(shuffled, tail) == e
+    assert g.el(list(reversed(ordered)), tail) == e
+
+
+@given(st.sampled_from(sorted(CANON_GROUPS)), st.data())
+def test_el_refuses_every_repeat_in_any_order(name, data):
+    g = CANON_GROUPS[name]
+    ordered, shuffled, tail = data.draw(canon_input(g))
+    slots = list(g.spine.sample_positions(per_segment=5))
+    p = data.draw(st.sampled_from(slots))
+    pairs = data.draw(st.sampled_from([ordered, shuffled]))
+    pairs = [pv for pv in pairs if pv[0] != p]
+    first = data.draw(st.integers(0, len(pairs)))
+    # the repeat right after the first copy, or anywhere later
+    second = data.draw(st.sampled_from([first, data.draw(
+        st.integers(first, len(pairs)))]))
+    repeat = _dense_twin(g, p) if data.draw(st.booleans()) else p
+    pairs.insert(second, (repeat, data.draw(canon_values)))
+    pairs.insert(first, (p, data.draw(canon_values)))
+    with pytest.raises(PresentationError, match="duplicate coordinate at"):
+        g.el(pairs, tail)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(Position(0, 1), 2), (Position(0, Fraction(1)), 3)],
+    [(Position(0, Fraction(1)), 2), (Position(0, 1), 0)],
+    [(Position(0, 0), 1), (Position(0, 1), 2), (Position(0, Fraction(1)), 3)],
+    [(Position(0, Fraction(1)), 0), (Position(0, 0), 1), (Position(0, 1), 2)],
+])
+def test_el_refuses_an_int_and_a_fraction_naming_one_dense_point(pairs):
+    with pytest.raises(PresentationError,
+                       match=r"duplicate coordinate at pos\(0, 1\)"):
+        CANON_GROUPS["dense"].el(pairs)
+
+
+@pytest.mark.parametrize("name,pairs", [
+    # each list is in chain order by key, so only the position check refuses
+    ("g1", [(Position(0, -1), 1), (Position(0, 0), 1)]),
+    ("g1", [(Position(0, 0), 1), (Position(0, Fraction(1, 2)), 0),
+            (Position(0, 1), 1)]),
+    ("g1", [(Position(0, 0), 1), (Position(1, 0), 1)]),
+    ("omega_star", [(Position(0, 1), 1), (Position(0, -1), 1)]),
+    ("dense", [(Position(0, 0), 1), (Position(1, Fraction(1, 2)), 1)]),
+])
+def test_el_checks_every_position_of_ordered_input(name, pairs):
+    with pytest.raises(PositionOutOfDomain):
+        CANON_GROUPS[name].el(pairs)
 
 
 # -- the element layer against its definitions, on every catalogue group --

@@ -7,15 +7,18 @@ rewriting a presentation without changing the valued group changes no
 valuation, membership or value set.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_val_m
+from oracles import oracle_contains, oracle_val_m
 
-from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
+from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Position, Segment,
+                          SegKind)
 from oagkit.classify import Status, classify_main
 from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (Generator, GroupSpec, PairSpec, RibEntry,
@@ -232,3 +235,98 @@ def test_an_initial_run_of_omega_reads_as_a_finite_segment(k):
                 p = Position(0, n)
                 assert value_set_contains(g, vg, sv_pos(p)) == \
                     value_set_contains(h, vh, sv_pos(to_h(p))), (m, n)
+
+
+# -- segments with one rib at every coordinate ------------------------------------
+
+LEADS = ((), (Segment(SegKind.FIN, 5),), (Segment(SegKind.OMEGA_STAR),),
+         (Segment(SegKind.INT),), (Segment(SegKind.DENSE_Q),))
+SCHEMATIC = (SchematicRib("z_local"), SchematicRib("script_z", (3, 2)))
+SHORTCUT_VALUES = [RibElement(v) for v in (1, 2, -4, 6, HALF, Fraction(1, 3),
+                                           Fraction(3, 2))] + [
+    RibElement(1, 1), RibElement(HALF, HALF)]
+
+
+def _window(seg, named=(), past=10):
+    """Coordinates of seg from below its named ones to ``past`` beyond
+    them: every one of a finite segment, halves too on a dense one."""
+    if seg.kind is SegKind.FIN:
+        return list(range(seg.size))
+    hi = math.floor(max(named, default=-1)) + 1 + past
+    if seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR):
+        return list(range(hi))
+    lo = math.floor(min(named, default=0)) - past
+    if seg.kind is SegKind.INT:
+        return list(range(lo, hi))
+    return sorted({Fraction(n, 2) for n in range(2 * lo, 2 * hi)} | set(named))
+
+
+@st.composite
+def _shortcut_group(draw):
+    """A group whose clauses mix position clauses, a colour that splits a
+    segment or keeps one rule on both sides, schematic ribs on the
+    terminal omega segment and dense segments, in any clause order."""
+    segments = draw(st.sampled_from(LEADS)) + (Segment(SegKind.OMEGA),)
+    t = len(segments) - 1
+    windows = [_window(seg, past=4) for seg in segments]
+    ribs = st.sampled_from(RIBS)
+    pieces = []
+    for seg, coords in zip(segments, windows):
+        if seg.kind.is_dense:
+            pieces.append(draw(st.sampled_from(
+                (ALL, NONE, ("dense", "c", True), ("dense", "c", False)))))
+        else:
+            picked = frozenset(draw(st.lists(st.sampled_from(coords),
+                                             min_size=1, max_size=3)))
+            pieces.append(draw(st.sampled_from(
+                (ALL, NONE, ("only", picked), ("minus", picked)))))
+    coloured = draw(st.booleans())
+    clauses = [RibEntry(rib=draw(ribs), position=Position(i, c))
+               for i, c in draw(st.lists(st.sampled_from(
+                   [(i, c) for i, coords in enumerate(windows) for c in coords]),
+                   max_size=2, unique=True))]
+    if draw(st.booleans()):
+        clauses.append(RibEntry(schematic=draw(st.sampled_from(SCHEMATIC)),
+                                segment=t))
+    on = draw(ribs)
+    if coloured:
+        clauses.append(RibEntry(rib=on, colour="c"))
+    clauses = list(draw(st.permutations(clauses)))
+    default = on if coloured and draw(st.booleans()) else draw(ribs)
+    spine = ChainSpec(segments, (ColourRule("c", tuple(pieces)),) if coloured
+                      else ())
+    return GroupSpec("shortcut", spine, tuple(clauses) + (RibEntry(rib=default),),
+                     draw(st.sampled_from(("hahn", "sum"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shortcut_group(), st.data())
+def test_a_uniform_segment_reads_the_rib_of_every_coordinate(g, data):
+    for i, (seg, lay) in enumerate(zip(g.spine.segments, g.layouts)):
+        if lay.uniform is not None:
+            for c in _window(seg, lay.named):
+                assert g._rib_at(Position(i, c)) == lay.uniform, (i, c)
+    slots = [Position(i, c) for i, seg in enumerate(g.spine.segments)
+             for c in _window(seg, g.layouts[i].named, past=3)]
+    picks = data.draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+    e = g.el([(p, data.draw(st.sampled_from(SHORTCUT_VALUES))) for p in picks],
+             data.draw(st.sampled_from([RibElement(0)] + SHORTCUT_VALUES)))
+    assert g.contains(e) == oracle_contains(g, e)
+    assert val_m(g, e, 2) == oracle_val_m(g, e, 2)
+
+
+def test_the_uniform_shortcut_covers_both_kinds_of_segment():
+    """A colour with one rule on both sides leaves a segment uniform; a
+    split, a position clause or a schematic rule does not."""
+    spine = ChainSpec((Segment(SegKind.INT), Segment(SegKind.OMEGA)),
+                      (ColourRule("c", (("only", frozenset({-2})),
+                                        ("minus", frozenset({1})))),))
+    same = GroupSpec("same", spine, (RibEntry(rib=q_rib(), colour="c"),
+                                     RibEntry(rib=q_rib())))
+    assert [lay.uniform for lay in same.layouts] == [q_rib(), q_rib()]
+    split = GroupSpec("split", spine, (RibEntry(rib=z_rib(), colour="c"),
+                                       RibEntry(rib=q_rib())))
+    assert [lay.uniform for lay in split.layouts] == [None, None]
+    assert _at(z_rib(), 3, z_rib()).layouts[0].uniform is None
+    schematic = GroupSpec("h", OMEGA, (RibEntry(schematic=SCHEMATIC[0]),))
+    assert schematic.layouts[0].uniform is None

@@ -58,6 +58,8 @@ def _element(g, n, offset):
 OPS = {
     # a tail, so every deviation is read relative to it
     "el": lambda g, a, b: g.el(a.fp, 1),
+    # out of chain order: the sorting path
+    "el_reversed": lambda g, a, b: g.el(a.fp[::-1], 1),
     "val_m0": lambda g, a, b: val_m(g, a, 0),
     "val_m2": lambda g, a, b: val_m(g, a, 2),
     "val_m3": lambda g, a, b: val_m(g, a, 3),
