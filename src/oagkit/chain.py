@@ -180,7 +180,9 @@ class ChainSpec:
     def _refuse(self, p: Position) -> None:
         """``check_position`` off its fast path: raise why p is refused,
         or accept what that path leaves out (subclasses of int or
-        Fraction other than bool)."""
+        Fraction other than bool).  A segment index must be an int."""
+        if type(p.seg) is not int:
+            raise PositionOutOfDomain(f"segment {p.seg!r} is not an int")
         if not (0 <= p.seg < len(self.segments)):
             raise PositionOutOfDomain(f"segment {p.seg} out of range")
         seg = self.segments[p.seg]

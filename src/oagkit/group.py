@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
                     _complement_piece, _piece_nonempty, piece_contains)
-from .errors import PresentationError
+from .errors import PositionOutOfDomain, PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, _exact, _primes_of,
                   nth_prime, prime_index, rib_contains, rib_divides,
                   rib_elem_equiv, script_z_rib, z_local_rib)
@@ -36,6 +36,12 @@ def _as_rib_value(v) -> RibElement:
     if isinstance(v, RibElement):
         return v
     return RibElement(v)
+
+
+def _as_position(p) -> Position:
+    if isinstance(p, tuple):
+        return Position(*p)
+    raise PositionOutOfDomain(f"{p!r} is not a position")
 
 
 @dataclass(frozen=True)
@@ -334,15 +340,18 @@ class GroupSpec:
            tail=0) -> Element:
         """Build an element from absolute coordinates plus a tail value.
 
-        Cost: one checked pass over ``pairs`` when they come in chain
-        order, plus a sort only when they do not (see ``_raw``)."""
+        Positions may be given as ``(seg, coord)`` tuples and values as
+        plain numbers; only those are converted.  Cost: one checked pass
+        over ``pairs`` when they come in chain order, plus a sort only
+        when they do not (see ``_raw``)."""
         tail = _as_rib_value(tail)
         t = self.terminal_omega if tail else None  # no tail: nothing to take off
         devs = []
         for pos, v in pairs:
-            if isinstance(pos, tuple):
-                pos = Position(*pos)
-            v = _as_rib_value(v)
+            if type(pos) is not Position:
+                pos = _as_position(pos)
+            if type(v) is not RibElement:
+                v = _as_rib_value(v)
             devs.append((pos, v - tail if pos.seg == t else v))
         return self._raw(devs, tail)
 
@@ -352,29 +361,34 @@ class GroupSpec:
         literals, term constants): check the tail and every position, zero
         entries included, refuse repeats, drop zeros and sort.
 
-        One pass checks each position and compares its key with the last
-        one.  Strictly increasing keys mean the input is already in chain
-        order with no repeat, so the nonzero entries are kept as they
-        stand.  Only out-of-order input is read again, keyed and sorted,
-        and there the first repeat in input order is refused."""
+        One pass calls ``check_position`` on each position, builds its
+        chain key inline and compares it with the last one.  Strictly
+        increasing keys mean the input is already in chain order with no
+        repeat, so the nonzero pairs are kept as they stand.  Only
+        out-of-order input is read again, keyed and sorted, and there the
+        first repeat in input order is refused."""
         if tail and self.terminal_omega is None:
             raise PresentationError("a tail needs a terminal omega segment")
-        sort_key = self.spine.sort_key
+        check = self.spine.check_position
+        rev = self.spine._reversed_segments
         fp = []
         last = (-1,)  # below every key
-        for p, v in devs:
-            k = sort_key(p)
+        for pv in devs:
+            p, v = pv
+            check(p)
+            s = p.seg
+            k = (s, -p.coord) if s in rev else (s, p.coord)
             if k <= last:
                 break
             last = k
             if v:
-                fp.append((p, v))
+                fp.append(pv)
         else:
             return Element(tuple(fp), tail)
         seen = set()
         keyed = []
         for p, v in devs:
-            k = sort_key(p)
+            k = self.spine.sort_key(p)
             if k in seen:
                 raise PresentationError(f"duplicate coordinate at {p}")
             seen.add(k)
@@ -394,11 +408,20 @@ class GroupSpec:
             return RIB_ZERO if dev is None else dev
         return e.tail if dev is None else e.tail + dev
 
+    def _keys(self, fp: Sequence[Tuple[Position, RibElement]]) -> list:
+        """The chain key of each position of ``fp``: (segment, coordinate),
+        the coordinate negated on an omega* segment."""
+        rev = self.spine._reversed_segments
+        return [(p.seg, -p.coord) if p.seg in rev else (p.seg, p.coord)
+                for p, _ in fp]
+
     def _aligned(self, a: Element, b: Element) -> Iterator[
             Tuple[Position, Optional[RibElement], Optional[RibElement]]]:
         """(position, deviation of a, deviation of b) over both supports in
         chain order, None on a side without one: a lazy merge of the two
-        sorted deviation lists."""
+        sorted deviation lists, for readers that stop at the first
+        position that decides (``_differences``); ``add`` and ``sub``
+        merge eagerly in ``_merge``."""
         key = self.spine.unchecked_key
         done = self.spine.sort_key(INF)  # after every position
         fa, fb = a.fp, b.fp
@@ -421,22 +444,45 @@ class GroupSpec:
                 kb = key(fb[j][0]) if j < nb else done
 
     def add(self, a: Element, b: Element) -> Element:
+        return self._merge(a, b, False)
+
+    def sub(self, a: Element, b: Element) -> Element:
+        return self._merge(a, b, True)
+
+    def _merge(self, a: Element, b: Element, minus: bool) -> Element:
+        """a + b, or a - b when ``minus``: one eager merge of the two
+        deviation lists over keys computed once per operand.  A position
+        held by one operand alone keeps that operand's own pair (b's is
+        negated when subtracting); where both hold one, b's position
+        stands with the sum or difference, dropped when zero."""
+        fa, fb = a.fp, b.fp
+        ka, kb = self._keys(fa), self._keys(fb)
+        na, nb = len(fa), len(fb)
         out = []
-        for p, x, y in self._aligned(a, b):
-            if y is None:
-                out.append((p, x))
-            elif x is None:
-                out.append((p, y))
-            elif s := x + y:
-                out.append((p, s))
-        return Element(tuple(out), a.tail + b.tail)
+        append = out.append
+        i = j = 0
+        while i < na and j < nb:
+            x, y = ka[i], kb[j]
+            if x < y:
+                append(fa[i])
+                i += 1
+            elif y < x:
+                pv = fb[j]
+                append((pv[0], -pv[1]) if minus else pv)
+                j += 1
+            else:
+                p, v = fb[j]
+                if s := (fa[i][1] - v if minus else fa[i][1] + v):
+                    append((p, s))
+                i += 1
+                j += 1
+        out += fa[i:]
+        out += [(p, -v) for p, v in fb[j:]] if minus else fb[j:]
+        return Element(tuple(out),
+                       a.tail - b.tail if minus else a.tail + b.tail)
 
     def neg(self, a: Element) -> Element:
         return Element(tuple((p, -v) for p, v in a.fp), -a.tail)
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return Element(tuple(pd for pd in self._differences(a, b) if pd[1]),
-                       a.tail - b.tail)
 
     def _differences(self, a: Element, b: Element
                      ) -> Iterator[Tuple[Position, RibElement]]:
@@ -521,18 +567,21 @@ class GroupSpec:
         its rib, with that coordinate, or None, for the element with these
         deviations (in chain order, zeros allowed) and this tail.
         ``scaled_tail`` is tail / m: off the deviations a terminal
-        coordinate fails where that leaves its rib.  A segment's
-        ``SegmentLayout.uniform`` rib, when it has one, stands for
-        ``_rib_at`` at each of its coordinates."""
-        coords = ()
+        coordinate fails where that leaves its rib.  Without a tail the
+        deviations are read directly.  Each segment's
+        ``SegmentLayout.uniform`` rib is looked up once per call and, when
+        there is one, stands for ``_rib_at`` at each of its coordinates."""
+        walk = devs
         if tail:
             cofinal, coords = self._tail_exits(scaled_tail)
             if cofinal:  # it leaves at every other coordinate: one fails
                 listed = coords
                 coords = (n for n in itertools.count() if n not in listed)
-        layouts, rib_at = self.layouts, self._rib_at
-        for p, c in self._walk(devs, tail, coords):
-            if not rib_divides(layouts[p.seg].uniform or rib_at(p), c, m):
+            walk = self._walk(devs, tail, coords)
+        uniform = [lay.uniform for lay in self.layouts]
+        rib_at = self._rib_at
+        for p, c in walk:
+            if not rib_divides(uniform[p.seg] or rib_at(p), c, m):
                 return p, c
         return None
 

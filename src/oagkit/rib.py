@@ -7,6 +7,10 @@ nonstandard rib shape is the window ``D = {q + w*OMEGA : q + w integral}``,
 a discrete group with least positive element 1 in which OMEGA is congruent
 to 1 modulo every modulus.
 
+A value is a :class:`RibElement`: two slots holding its parts in
+canonical form, normalised inline by ``+`` and ``-`` and built without
+conversion by ``_trusted``.
+
 Ribs carry exactly the structure the rest of the package consumes:
 membership, divisibility with witnesses, least positive element, residues,
 elementary equivalence, and the stable-embeddedness facts for rank-1
@@ -39,14 +43,16 @@ def _exact(x) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RibElement:
     """The value q + w*OMEGA, ordered lexicographically by (w, q).
 
-    Only this module reads the parts ``_w`` and ``_q``, stored by
-    ``_exact``; ``q`` and ``w`` are read-only Fraction views.  An int and
-    its Fraction compare and hash alike, so ==, hash and order are those
-    of the Fraction pair.
+    Only this module reads the parts ``_w`` and ``_q``, two slots holding
+    each part in canonical form: an int when integral, else a Fraction
+    with denominator > 1.  ``q`` and ``w`` are read-only Fraction views.
+    An int and its Fraction compare and hash alike, so ==, hash and order
+    are those of the Fraction pair.  There is no per-instance
+    ``__dict__``.
     """
 
     _w: Rational
@@ -65,10 +71,24 @@ class RibElement:
         return Fraction(self._w)
 
     def __add__(self, other: "RibElement") -> "RibElement":
-        return _trusted(_exact(self._q + other._q), _exact(self._w + other._w))
+        # a sum of canonical parts is an int or a Fraction, integral
+        # only when two Fractions meet
+        q = self._q + other._q
+        if type(q) is not int and q.denominator == 1:
+            q = q.numerator
+        w = self._w + other._w
+        if type(w) is not int and w.denominator == 1:
+            w = w.numerator
+        return _trusted(q, w)
 
     def __sub__(self, other: "RibElement") -> "RibElement":
-        return _trusted(_exact(self._q - other._q), _exact(self._w - other._w))
+        q = self._q - other._q
+        if type(q) is not int and q.denominator == 1:
+            q = q.numerator
+        w = self._w - other._w
+        if type(w) is not int and w.denominator == 1:
+            w = w.numerator
+        return _trusted(q, w)
 
     def __neg__(self) -> "RibElement":
         return _trusted(-self._q, -self._w)
@@ -102,13 +122,17 @@ class RibElement:
         return f"rib({self._q}+{self._w}*OMEGA)"
 
 
+_new = object.__new__
+_set_q = RibElement._q.__set__
+_set_w = RibElement._w.__set__
+
+
 def _trusted(q: Rational, w: Rational) -> RibElement:
-    """A RibElement from two parts already in canonical form, skipping
-    the conversion in ``RibElement.__init__``."""
-    out = object.__new__(RibElement)
-    d = out.__dict__
-    d["_q"] = q
-    d["_w"] = w
+    """A RibElement from two parts already in canonical form: it fills
+    the two slots directly, skipping the conversion in ``__init__``."""
+    out = _new(RibElement)
+    _set_q(out, q)
+    _set_w(out, w)
     return out
 
 

@@ -97,6 +97,12 @@ REFUSED = [
     (Position(0, 3), "coordinate 3 outside finite segment"),
     (Position(0, -1), "coordinate -1 outside finite segment"),
     (Position(3, True), "dense coordinate must be rational"),
+    # a segment index whose type is not int, bool included
+    (Position("x", 0), "segment 'x' is not an int"),
+    (Position(None, 0), "segment None is not an int"),
+    (Position([0], 0), "segment [0] is not an int"),
+    (Position(True, 0), "segment True is not an int"),
+    (Position(1.0, 0), "segment 1.0 is not an int"),
 ]
 
 

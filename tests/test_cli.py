@@ -1,6 +1,7 @@
 """End-to-end behaviour of the command line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +292,24 @@ def test_composite_coprime_domain_is_a_usage_error(tmp_path, capsys):
     code, data = run_json(capsys, "--json", "classify", str(path))
     assert code == 64
     assert data["kind"] == "PresentationError"
+
+
+BAD_SEGMENT = Path(__file__).parent / "presentations" / "bad_segment.json"
+
+
+@pytest.mark.parametrize("seg", ["x", None, [0], True, 1.5])
+def test_a_segment_index_that_is_not_an_int_is_a_usage_error(tmp_path, capsys, seg):
+    data = json.loads(BAD_SEGMENT.read_text())
+    data["ribs"][0]["position"]["seg"] = seg
+    path = tmp_path / "bad_segment.json"
+    path.write_text(json.dumps(data))
+    code, out = run_json(capsys, "--json", "classify", str(path))
+    assert code == 64
+    assert out == {"error": f"segment {seg!r} is not an int",
+                   "kind": "PositionOutOfDomain"}
+
+
+def test_the_bad_segment_presentation_is_refused(capsys):
+    code, out = run_json(capsys, "--json", "classify", str(BAD_SEGMENT))
+    assert code == 64
+    assert out["kind"] == "PositionOutOfDomain"

@@ -1,5 +1,7 @@
 """Element arithmetic and per-position structure of presented groups."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -243,6 +245,100 @@ def test_el_refuses_an_int_and_a_fraction_naming_one_dense_point(pairs):
 def test_el_checks_every_position_of_ordered_input(name, pairs):
     with pytest.raises(PositionOutOfDomain):
         CANON_GROUPS[name].el(pairs)
+
+
+def test_el_refuses_a_segment_index_that_is_not_an_int():
+    # z2r has two segments, so True would otherwise pass as segment 1
+    g = builtin_group("z2r")
+    with pytest.raises(PositionOutOfDomain, match="segment True is not an int"):
+        g.el([((True, 0), 1)])
+    with pytest.raises(PositionOutOfDomain, match="is not a position"):
+        g.el([(INF, 1)])
+
+
+# -- add and sub against a coordinate dict ---------------------------------
+
+MERGE_GROUPS = {**CANON_GROUPS,
+                "int": GroupSpec("int", ChainSpec((Segment(SegKind.INT),)),
+                                 (RibEntry(rib=z_rib()),))}
+
+
+def _rib(v) -> RibElement:
+    return v if isinstance(v, RibElement) else RibElement(v)
+
+
+def _coords(g, e) -> dict:
+    """Position -> coordinate at every deviation of e, read from fp and
+    tail alone; off them a terminal coordinate holds the tail."""
+    t = g.terminal_omega
+    return {p: v + e.tail if p.seg == t else v for p, v in e.fp}
+
+
+def _coord(g, coords, e, p):
+    return coords.get(p, e.tail if p.seg == g.terminal_omega else RibElement(0))
+
+
+@st.composite
+def merge_operands(draw, g):
+    """(a, b, minus): b cancels some of a's deviations under a + b
+    (a - b when minus) and names a dense point of a by the other
+    coordinate type."""
+    minus = draw(st.booleans())
+    pairs, _, tail_a = draw(canon_input(g))
+    t = g.terminal_omega
+    tail_a = tail_a if t is not None else 0
+    a = g.el(pairs, tail_a)
+    tail_b = draw(canon_values) if t is not None else 0
+    b_pairs = {}
+    for p, v in a.fp:
+        kind = draw(st.sampled_from(["skip", "cancel", "twin", "other"]))
+        if kind == "skip":
+            continue
+        q = _dense_twin(g, p) if kind == "twin" else p
+        if kind == "other":
+            d = _rib(draw(canon_values))
+        else:  # b's deviation cancels a's: v under a - b, -v under a + b
+            d = v if minus else -v
+        b_pairs[q] = d + _rib(tail_b) if p.seg == t else d
+    for p, v in draw(canon_input(g))[0]:
+        if p not in b_pairs:
+            b_pairs[p] = v
+    b = g.el(list(b_pairs.items()), tail_b)
+    return a, b, minus
+
+
+@given(st.sampled_from(sorted(MERGE_GROUPS)), st.data())
+def test_add_and_sub_agree_with_a_coordinate_dict(name, data):
+    g = MERGE_GROUPS[name]
+    a, b, minus = data.draw(merge_operands(g))
+    c = g.sub(a, b) if minus else g.add(a, b)
+    assert c.tail == (a.tail - b.tail if minus else a.tail + b.tail)
+    ca, cb, cc = _coords(g, a), _coords(g, b), _coords(g, c)
+    for p in {*ca, *cb, *cc}:
+        x, y = _coord(g, ca, a, p), _coord(g, cb, b, p)
+        assert _coord(g, cc, c, p) == (x - y if minus else x + y), p
+    positions = [p for p, _ in c.fp]
+    assert all(v for _, v in c.fp)  # zero deviations are dropped
+    assert positions == sorted(positions, key=g.spine.sort_key)
+    assert len({g.spine.sort_key(p) for p in positions}) == len(positions)
+
+
+def test_add_and_sub_keep_the_operands_untouched_pairs():
+    a = H.el([((0, 0), 1), ((0, 2), 5), ((0, 4), 2)])
+    b = H.el([((0, 1), 3), ((0, 2), -5), ((0, 3), 7)])
+    s = H.add(a, b)  # 5 - 5 cancels at pos(0, 2)
+    assert [v for _, v in s.fp] == [RibElement(v) for v in (1, 3, 7, 2)]
+    assert all(x is y for x, y in zip(s.fp, (a.fp[0], b.fp[0], b.fp[2], a.fp[2])))
+    d = H.sub(a, b)  # b's own pairs are negated; a's untouched ones stay
+    assert [v for _, v in d.fp] == [RibElement(v) for v in (1, -3, 10, -7, 2)]
+    assert d.fp[0] is a.fp[0] and d.fp[4] is a.fp[2]
+
+
+def test_elements_survive_pickle_and_copy():
+    e = H.el([((0, 0), Fraction(1, 2)), ((0, 3), RibElement(2, -1))], tail=3)
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert twin == e and hash(twin) == hash(e)
+        assert H.add(twin, e) == H.scale(e, 2)
 
 
 # -- the element layer against its definitions, on every catalogue group --

@@ -1,6 +1,8 @@
 """Arithmetic and divisibility in rib coefficient groups."""
 
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,3 +260,17 @@ def test_only_the_rib_module_reads_the_stored_parts():
     assert readers == {"src/oagkit/rib.py"}
     # a / b on two ints is a float: rib.py divides through Fraction(a, b)
     assert divisions == 0
+
+
+def test_a_rib_element_is_two_slots_and_survives_pickle_and_copy():
+    for v in (RIB_ZERO, OMEGA_UNIT, RibElement(Fraction(-7, 3), 2),
+              RibElement(10**30, Fraction(1, 2))):
+        assert not hasattr(v, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                     copy.deepcopy(v)):
+            assert twin == v and hash(twin) == hash(v)
+            assert (type(twin._q), type(twin._w)) == (type(v._q), type(v._w))
+    with pytest.raises(AttributeError):
+        RIB_ONE._q = 2
+    assert RibElement(2) == RibElement(Fraction(4, 2))
+    assert hash(RibElement(2)) == hash(RibElement(Fraction(4, 2)))
