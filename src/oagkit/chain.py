@@ -52,7 +52,8 @@ class Segment:
     size: int = 0  # used only for FIN
 
     def __post_init__(self):
-        if self.kind is SegKind.FIN and self.size <= 0:
+        if self.kind is SegKind.FIN and not (type(self.size) is int
+                                             and self.size > 0):
             raise PresentationError("finite segment needs a positive size")
         if self.kind is not SegKind.FIN and self.size != 0:
             raise PresentationError("size only applies to finite segments")

@@ -29,6 +29,12 @@ class Status(enum.Enum):
     UNKNOWN = "unknown"
 
 
+STATUS_NAMES = {Status.SE: "StablyEmbedded",
+                Status.USE: "UniformlyStablyEmbedded",
+                Status.NOT_SE: "NotStablyEmbedded",
+                Status.UNKNOWN: "Unknown"}
+
+
 @dataclass(frozen=True)
 class Reason:
     rule: str

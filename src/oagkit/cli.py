@@ -14,9 +14,11 @@ import sys
 
 from . import classify as cls
 from .approx import (best_approx, scheme_cases, scheme_cong, scheme_eqk,
-                     scheme_eval, scheme_formula, scheme_sign)
+                     scheme_formula, scheme_sign)
 from .catalogue import GROUPS, PAIRS
+from .classify import STATUS_NAMES
 from .codec import dumps, load_group, load_pair, to_jsonable
+from .corpus import CASES
 from .errors import (FormulaSyntaxError, HypothesisViolated, NotRepresentable,
                      OagError, PositionOutOfDomain, PresentationError,
                      UnboundVariable)
@@ -28,13 +30,6 @@ from .valuation import (check_m, check_ur, pred_cong_bullet, pred_eq_bullet,
                         spine_m, val_m)
 
 USAGE_EXIT = 64
-
-STATUS_NAMES = {
-    cls.Status.SE: "StablyEmbedded",
-    cls.Status.USE: "UniformlyStablyEmbedded",
-    cls.Status.NOT_SE: "NotStablyEmbedded",
-    cls.Status.UNKNOWN: "Unknown",
-}
 
 STATUS_EXITS = {
     cls.Status.SE: 0,
@@ -234,138 +229,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# -- the reproduction corpus ---------------------------------------------------
-
-
-def _corpus_cases():
-    from .catalogue import builtin_group, builtin_pair
-    from .chain import (ALL, NONE, ChainSpec, ColourRule, CutStatus, Position,
-                        Segment, SegKind, chain_stably_embedded, omega,
-                        omega_star, integers, ordered_sum)
-    from .rib import RibElement
-    from .valuation import SpineValueKind, value_set_contains, sv_pos
-
-    def prime_spines():
-        g = builtin_group("h235")
-        for i, p in enumerate((2, 3, 5)):
-            vs = spine_m(g, p)
-            for j in range(3):
-                want = i == j
-                got = value_set_contains(g, vs, sv_pos(Position(j, 0)))
-                if got != want:
-                    return False, f"modulus {p} wrong at position {j}"
-            if not vs.inf or vs.limit_seg is not None:
-                return False, f"modulus {p} misses infinity"
-        return True, "each prime pins exactly its own position"
-
-    def g1_vs_sigma():
-        a = cls.classify_main(builtin_group("g1")).status
-        b = cls.classify_main(builtin_group("sigma")).status
-        ok = a is cls.Status.SE and b is cls.Status.NOT_SE
-        return ok, f"full product {STATUS_NAMES[a]}, finite sums {STATUS_NAMES[b]}"
-
-    def g2_trace():
-        v = cls.classify_main(builtin_group("g2"))
-        rules = [r.rule for r in v.reasons]
-        ok = v.status is cls.Status.SE and "ribs" in rules and \
-            "spine-cuts" in rules
-        return ok, f"{STATUS_NAMES[v.status]} via {', '.join(rules)}"
-
-    def g3_witness():
-        v = cls.classify_main(builtin_group("g3"))
-        ok = v.status is cls.Status.NOT_SE and \
-            any(r.rule == "spine-cut" for r in v.reasons)
-        return ok, v.why()[:80]
-
-    def g4_behaviour():
-        g = builtin_group("g4")
-        vs = spine_m(g, 2)
-        a = g.generator_element("a")
-        v = val_m(g, a, 2)
-        mres = check_m(g)
-        verdict = cls.classify_main(g)
-        ok = vs.limit_seg == 0 and v.kind is SpineValueKind.LIMIT and \
-            not mres.holds and verdict.status is cls.Status.UNKNOWN
-        return ok, "limit value at the generator; hypothesis fails; open"
-
-    def frr_table():
-        want = {"z": cls.Status.USE, "z2": cls.Status.USE,
-                "z3": cls.Status.USE, "z2r": cls.Status.USE,
-                "zq": cls.Status.NOT_SE}
-        for name, status in want.items():
-            got = cls.classify_frr(builtin_group(name)).status
-            if got is not status:
-                return False, f"{name}: {STATUS_NAMES[got]}"
-        return True, "lexicographic powers behave as the table says"
-
-    def chain_suite():
-        coloured = ChainSpec(
-            (Segment(SegKind.DENSE_COMPLETE),),
-            (ColourRule("rational", (("dense", "rational", True),)),))
-        marked = ChainSpec(
-            (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-            (ColourRule("head", (ALL, NONE)),))
-        want = [
-            (omega(), CutStatus.DEFINABLE),
-            (omega_star(), CutStatus.DEFINABLE),
-            (integers(), CutStatus.DEFINABLE),
-            (coloured, CutStatus.DEFINABLE),
-            (ordered_sum(omega(), omega_star()), CutStatus.NOT_DEFINABLE),
-            (marked, CutStatus.DEFINABLE),
-        ]
-        for i, (ch, status) in enumerate(want):
-            got = chain_stably_embedded(ch).status
-            if got is not status:
-                return False, f"chain case {i}: {got.name}"
-        return True, "boundary cut defeats the bare double ladder only"
-
-    def scheme_oracle():
-        pair = builtin_pair("z_window")
-        big = pair.big
-        p = next(iter(big.spine.sample_positions(1)))
-        a = big.el([(p, RibElement(0, 1))])
-        for m, k in ((2, 0), (2, 1), (3, 2)):
-            s = scheme_cong(pair, a, 1, m, k)
-            for c in range(-4, 5):
-                g = pair.small.el([(p, RibElement(c))] if c else [])
-                want = pred_cong_bullet(big, big.sub(a, g), m, k)
-                if scheme_eval(pair, s, g) != want:
-                    return False, f"m={m} k={k} at coefficient {c}"
-        return True, "congruence schemes match the big group pointwise"
-
-    def mod2_counterexample():
-        pair = builtin_pair("mod2")
-        big = pair.big
-        h = big.generator_element("w")
-        rep = immediate_ext_check(pair, h)
-        if rep.kind != "not_immediate":
-            return False, f"generator gave {rep.kind}"
-        v = cls.classify_pair(pair)
-        if v.status is not cls.Status.NOT_SE:
-            return False, STATUS_NAMES[v.status]
-        if not any(r.rule == "congruence-ladder" for r in v.reasons):
-            return False, "wrong clause"
-        return True, "order-immediate fails, yet the mod-2 ladder has no limit"
-
-    return [
-        ("prime-spines", prime_spines),
-        ("product-vs-sum", g1_vs_sigma),
-        ("dense-coloured-product", g2_trace),
-        ("glued-ladders", g3_witness),
-        ("limit-value-group", g4_behaviour),
-        ("finite-rank-table", frr_table),
-        ("chain-suite", chain_suite),
-        ("scheme-oracle", scheme_oracle),
-        ("mod2-counterexample", mod2_counterexample),
-    ]
-
-
 def _cmd_corpus(args) -> int:
     rows = []
     failed = 0
-    for name, fn in _corpus_cases():
+    for name, check in CASES:
         try:
-            ok, detail = fn()
+            ok, detail = check()
         except OagError as e:
             ok, detail = False, f"error: {e}"
         rows.append({"name": name, "ok": ok, "detail": detail})

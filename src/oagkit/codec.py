@@ -33,6 +33,13 @@ def _coord_data(c):
     return c if isinstance(c, int) else _frac_text(c)
 
 
+def _typed(value, kind, what):
+    """value, refused unless it is an instance of kind."""
+    if not isinstance(value, kind):
+        raise PresentationError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _coord_from(d):
     if isinstance(d, bool):
         raise PresentationError(f"coordinate {d!r} is not a number")
@@ -120,7 +127,8 @@ def _colour_rule_from(d, name: str):
     if tag == "cofinite":
         return ("minus", frozenset(map(_coord_from, d["excluded"])))
     if tag == "dense_codense":
-        return ("dense", name, d.get("representable", True))
+        return ("dense", name, _typed(d.get("representable", True), bool,
+                                      "representable"))
     if tag == "schematic_singletons":
         return ("schematic", tuple(d.get("params", ())))
     raise PresentationError(f"unknown colour rule tag {tag!r}")
@@ -145,8 +153,10 @@ def _rib_data(rib: RibSpec):
 
 
 def _rib_from(d) -> RibSpec:
-    return RibSpec(d["name"], _domain_from(d.get("domain", "int")),
-                   d.get("cut_complete", True), d.get("nonstandard", False))
+    return RibSpec(_typed(d["name"], str, "rib name"),
+                   _domain_from(d.get("domain", "int")),
+                   _typed(d.get("cut_complete", True), bool, "cut_complete"),
+                   _typed(d.get("nonstandard", False), bool, "nonstandard"))
 
 
 def _rib_elem_data(v: RibElement):
@@ -204,6 +214,7 @@ def group_to_data(g: GroupSpec) -> dict:
 
 def group_from_data(d: dict) -> GroupSpec:
     try:
+        name = _typed(d["name"], str, "name")
         segments = tuple(Segment(SegKind(s["kind"]), s.get("size", 0))
                          for s in d["spine"]["segments"])
         colours = tuple(
@@ -222,13 +233,14 @@ def group_from_data(d: dict) -> GroupSpec:
                 position=_position_from(e["position"])
                 if "position" in e else None))
         generators = tuple(
-            Generator(gen["name"], _rib_elem_from(gen["tail"]),
+            Generator(_typed(gen["name"], str, "generator name"),
+                      _rib_elem_from(gen["tail"]),
                       tuple((_position_from(p), _rib_elem_from(v))
                             for p, v in gen.get("prefix", ())))
             for gen in d.get("generators", ()))
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise PresentationError(f"malformed group data: {e}") from e
-    return GroupSpec(d["name"], ChainSpec(segments, colours),
+    return GroupSpec(name, ChainSpec(segments, colours),
                      tuple(ribs), d.get("mode", "hahn"), generators)
 
 
@@ -246,9 +258,10 @@ def pair_from_data(d: dict) -> PairSpec:
         return group_from_data(v)
     try:
         small, big = side(d["small"]), side(d["big"])
-    except (KeyError, TypeError) as e:
+        flags = frozenset(d.get("flags", ()))
+    except (AttributeError, KeyError, TypeError) as e:
         raise PresentationError(f"malformed pair data: {e}") from e
-    return PairSpec(small, big, frozenset(d.get("flags", ())))
+    return PairSpec(small, big, flags)
 
 
 # -- file or builtin resolution -----------------------------------------------
@@ -256,7 +269,10 @@ def pair_from_data(d: dict) -> PairSpec:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise PresentationError(f"{path} is not JSON: {e}") from e
 
 
 def load_group(ref: str) -> GroupSpec:

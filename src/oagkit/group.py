@@ -168,8 +168,11 @@ class Generator:
     """An extra generator: finitely many prefix values plus a nonzero tail
     along the terminal omega segment.
 
-    Only the tail matters for the subgroup generated (the prefix is a
-    finitely supported element, already present), so membership and
+    The tail must lie in the rib at every coordinate of that segment, so
+    the generator is in its own group; a tail that leaves its rib at any
+    coordinate, finitely many included, is refused.  Then only the tail
+    matters for the subgroup generated (the prefix is a finitely
+    supported element, already present), so membership and
     decomposition read tails alone.
     """
 
@@ -243,9 +246,12 @@ class GroupSpec:
                     if not rib_contains(self.rib_at(pos), v):
                         raise PresentationError(
                             f"generator {g.name!r} prefix value {v!r} outside its rib")
-                if self._tail_exits(g.tail)[0]:
+                cofinal, coords = self._tail_exits(g.tail)
+                if cofinal or coords:
+                    where = "cofinally" if cofinal else "at " + ", ".join(
+                        str(Position(self.terminal_omega, c)) for c in coords)
                     raise PresentationError(
-                        f"generator {g.name!r} tail {g.tail!r} leaves the ribs cofinally")
+                        f"generator {g.name!r} tail {g.tail!r} leaves the ribs {where}")
 
     # -- geometry ------------------------------------------------------
 
@@ -270,6 +276,11 @@ class GroupSpec:
         for entry in self.ribs:
             if entry.position is not None:
                 self.spine.check_position(entry.position)
+            elif entry.segment is not None and not (
+                    type(entry.segment) is int
+                    and 0 <= entry.segment < len(self.spine.segments)):
+                raise PresentationError(
+                    f"rib clause segment {entry.segment!r} is no segment index")
         return tuple(self._compile(i) for i in range(len(self.spine.segments)))
 
     def _compile(self, i: int) -> SegmentLayout:

@@ -248,26 +248,29 @@ def _segment_value_piece(g: GroupSpec, i: int, m: int):
 
 
 @_once_per_group
-def _limit_in_value_set(g: GroupSpec, m: int) -> Optional[Element]:
-    """A generator combination witnessing the limit value modulo m, if any.
+def _limit_in_value_set(g: GroupSpec, p: int) -> Optional[Element]:
+    """A generator combination witnessing the limit value modulo the prime
+    p, if any: the first in the order of ``itertools.product(range(p),
+    repeat=k)``.
 
-    Needs integer coefficients, not all divisible by m, whose tail
-    combination is m-divisible coordinate-wise.  Divisibility of the
-    combination only depends on the coefficients modulo m.
+    A combination with coefficients c, not all divisible by p, is a
+    witness when its tail t = sum(c_i t_i) is p-divisible at every
+    coordinate, i.e. t/p lies in every rib of the terminal segment (t/p
+    is then never in the generator lattice, as the tails are independent).
+    Every tail t_i lies in every one of those ribs, so this depends on c
+    modulo p only, and the witnesses with 0 form an F_p-subspace.  Every
+    nonzero vector is a unit multiple of (1) for one generator, and of
+    (0, 1) or some (1, j) for two; that list keeps the product order and
+    each entry comes first among its multiples, so trying it alone finds
+    the same first witness.
     """
-    if not g.generators or m <= 1:
-        return None
-    k = len(g.generators)
-    for coeffs in itertools.product(range(m), repeat=k):
-        if all(c == 0 for c in coeffs):
-            continue
-        tail = RibElement(0)
-        for c, gen in zip(coeffs, g.generators):
-            tail = tail + gen.tail.scale(c)
+    tails = [gen.tail for gen in g.generators]
+    if len(tails) == 2:
+        t1, t2 = tails
+        tails = [t2, *(t1 + t2.scale(j) for j in range(p))]
+    for tail in tails:
         e = Element((), tail)
-        if not tail:
-            continue
-        if val_m(g, e, m).kind is SpineValueKind.LIMIT:
+        if val_m(g, e, p).kind is SpineValueKind.LIMIT:
             return e
     return None
 
@@ -287,6 +290,11 @@ class ValueSet:
 
 @_once_per_group
 def spine_m(g: GroupSpec, m: int) -> ValueSet:
+    """The value set of val_m.  It holds the limit value exactly when it
+    does modulo some prime p dividing m: scaling a mod-p witness by m/p
+    gives one mod m, and a mod-m witness c, with g = gcd(c, m) and p
+    dividing m/g, gives (m/(g p)) * sum(c_i t_i)/m = sum((c_i/g) t_i)/p
+    with c/g not all divisible by p."""
     if m < 0:
         raise PresentationError("modulus must be nonnegative")
     n = len(g.spine.segments)
@@ -295,8 +303,9 @@ def spine_m(g: GroupSpec, m: int) -> ValueSet:
     if m == 1:
         return ValueSet(1, (NONE,) * n, None)
     pieces = tuple(_segment_value_piece(g, i, m) for i in range(n))
-    witness = _limit_in_value_set(g, m)
-    return ValueSet(m, pieces, g.terminal_omega if witness is not None else None)
+    limit = g.generators and any(
+        _limit_in_value_set(g, p) is not None for p in _primes_of(m))
+    return ValueSet(m, pieces, g.terminal_omega if limit else None)
 
 
 def value_set_contains(g: GroupSpec, vs: ValueSet, v: SpineValue) -> bool:
@@ -490,8 +499,9 @@ def check_m(g: GroupSpec, bound: int = 12) -> HypothesisResult:
     Full products and plain sums satisfy this outright: all-coordinate
     divisibility there already yields an m-th multiple.  With generators,
     a coefficient combination whose tail is coordinate-wise divisible but
-    not divisible inside the generator lattice is a counterexample; the
-    search over coefficients modulo m is exhaustive for each m.
+    not divisible inside the generator lattice is a counterexample.  The
+    first modulus with one is prime (see ``spine_m``), so only the primes
+    up to the bound are searched, each exhaustively.
     """
     if g.mode == "hahn":
         return HypothesisResult("M", True,
@@ -501,7 +511,8 @@ def check_m(g: GroupSpec, bound: int = 12) -> HypothesisResult:
         return HypothesisResult("M", True,
                                 note="finitely supported elements: divisibility "
                                      "is settled coordinate by coordinate")
-    for m in range(2, bound + 1):
+    primes = map(nth_prime, itertools.count())
+    for m in itertools.takewhile(lambda p: p <= bound, primes):
         e = _limit_in_value_set(g, m)
         if e is not None:
             return HypothesisResult("M", False, modulus=m, witness=e,

@@ -7,9 +7,11 @@ the big group directly.  Keep these free of shortcuts through the code
 under test.
 """
 
+import itertools
 from fractions import Fraction
 
 from oagkit.chain import Position, SegKind, piece_contains
+from oagkit.group import Element
 from oagkit.rib import RibElement
 from oagkit.valuation import SV_INF, sv_limit, sv_pos
 
@@ -127,6 +129,18 @@ def oracle_val_m(g, x, m):
             g.tail_coefficients(x.tail.scale(Fraction(1, m))) is not None:
         return SV_INF
     return sv_limit(t)
+
+
+def oracle_limit_witness(g, m):
+    """The first generator combination whose tail has the limit value
+    modulo m by ``oracle_val_m``, searched over every coefficient vector
+    modulo m in ``itertools.product`` order; None when there is none."""
+    for coeffs in itertools.product(range(m), repeat=len(g.generators)):
+        x = Element((), sum((gen.tail.scale(c) for c, gen in
+                             zip(coeffs, g.generators)), RibElement(0)))
+        if x.tail and oracle_val_m(g, x, m) == sv_limit(g.terminal_omega):
+            return x
+    return None
 
 
 def first_positions(g, n=6):

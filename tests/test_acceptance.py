@@ -1,109 +1,31 @@
 """Acceptance suite: one test per advertised behaviour.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
-line per criterion.  Each test is self-contained and leans on the
-independent oracles in tests/oracles.py rather than on the library's
-own arithmetic wherever a reference value is computable by brute force.
+line per behaviour.  The headline checks live once, in
+``oagkit.corpus.CASES``, which ``oagkit corpus`` prints too; each case
+is one test here.  Criteria 8 to 10 stay here because they compare the
+library with the independent brute-force oracles in tests/oracles.py.
 """
 
 import random
 
+import pytest
 from oracles import (big_targets, direct_relation, mod2_staircase,
                      oracle_val_m, random_element, small_samples)
 
 from oagkit.approx import best_approx, decompose_val, scheme_cong, scheme_eqk, scheme_eval, scheme_sign
 from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
-from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, CutKind,
-                          CutStatus, Position, SegKind, Segment,
-                          chain_stably_embedded, integers, omega, omega_star,
-                          ordered_sum)
-from oagkit.classify import Status, classify_frr, classify_main, classify_pair
-from oagkit.pseudo import (NoMaximum, PseudoSequence, immediate_ext_check,
-                           is_pseudo_cauchy, is_pseudo_limit, lift_mod_m)
-from oagkit.valuation import (SpineValueKind, check_m, compare_spine_values,
-                              spine_m, sv_pos, val_m, value_set_contains)
+from oagkit.corpus import CASES
+from oagkit.pseudo import (NoMaximum, immediate_ext_check, is_pseudo_cauchy,
+                           lift_mod_m)
+from oagkit.valuation import compare_spine_values, val_m
 
 
-def test_criterion_01_prime_value_sets_of_the_local_ring_product():
-    g = builtin_group("h235")
-    for m, seg in ((2, 0), (3, 1), (5, 2)):
-        vs = spine_m(g, m)
-        assert vs.inf
-        assert not vs.contains_limit()
-        for other in range(3):
-            got = value_set_contains(g, vs, sv_pos(Position(other, 0)))
-            assert got == (other == seg), (m, other)
-
-
-def test_criterion_02_product_embeds_sum_does_not():
-    assert classify_main(builtin_group("g1")).status is Status.SE
-    v = classify_main(builtin_group("sigma"))
-    assert v.status is Status.NOT_SE
-    witnesses = [r.witness for r in v.reasons if r.rule == "not-maximal"]
-    assert witnesses and witnesses[0].kind == "no_maximum"
-    assert witnesses[0].samples
-
-
-def test_criterion_03_dense_codense_marking_keeps_embeddedness():
-    v = classify_main(builtin_group("g2"))
-    assert v.status is Status.SE
-    rules = {r.rule for r in v.reasons}
-    assert "ribs" in rules
-    trace = v.why()
-    assert "dense-codense" in trace
-
-
-def test_criterion_04_glued_ladders_fail_on_the_middle_cut():
-    v = classify_main(builtin_group("g3"))
-    assert v.status is Status.NOT_SE
-    cuts = [r for r in v.reasons if r.rule == "spine-cut"]
-    assert cuts
-    assert cuts[0].witness.kind is CutKind.SEGMENT_BOUNDARY
-    assert cuts[0].witness.index == 0
-
-
-def test_criterion_05_limit_value_group():
-    g = builtin_group("g4")
-    vs = spine_m(g, 2)
-    for c in range(6):
-        assert value_set_contains(g, vs, sv_pos(Position(0, c)))
-    assert vs.contains_limit()
-    assert vs.inf
-    a = g.generator_element("a")
-    assert val_m(g, a, 2).kind is SpineValueKind.LIMIT
-    assert not check_m(g).holds
-    assert classify_main(g).status is Status.UNKNOWN
-
-
-def test_criterion_06_finite_rank_table():
-    expected = {
-        "z": Status.USE,
-        "z2": Status.USE,
-        "z3": Status.USE,
-        "z2r": Status.USE,
-        "zq": Status.NOT_SE,
-    }
-    for name, want in expected.items():
-        assert classify_frr(builtin_group(name)).status is want, name
-
-
-def test_criterion_07_chain_suite():
-    coloured = ChainSpec(
-        (Segment(SegKind.DENSE_COMPLETE),),
-        (ColourRule("rational", (("dense", "rational", True),)),))
-    marked = ChainSpec(
-        (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-        (ColourRule("head", (ALL, NONE)),))
-    suite = [
-        (omega(), CutStatus.DEFINABLE),
-        (omega_star(), CutStatus.DEFINABLE),
-        (integers(), CutStatus.DEFINABLE),
-        (coloured, CutStatus.DEFINABLE),
-        (ordered_sum(omega(), omega_star()), CutStatus.NOT_DEFINABLE),
-        (marked, CutStatus.DEFINABLE),
-    ]
-    for chain, want in suite:
-        assert chain_stably_embedded(chain).status is want, chain
+@pytest.mark.parametrize("check", [check for _, check in CASES],
+                         ids=[name for name, _ in CASES])
+def test_corpus_case(check):
+    ok, detail = check()
+    assert ok, detail
 
 
 def test_criterion_08_valuations_match_brute_force_enumeration():
@@ -188,22 +110,3 @@ def test_criterion_10_schemes_decide_their_relations_on_every_pair():
                     mismatches += 1
     assert mismatches == 0
     assert checked >= 2000
-
-
-def test_criterion_11_congruence_extension_fails_the_ladder_clause():
-    pair = builtin_pair("mod2")
-    w = pair.big.generator_element("w")
-    rep = immediate_ext_check(pair, w)
-    assert rep.kind == "not_immediate"
-    ladder = best_approx(pair, w, 1, 2)
-    assert isinstance(ladder, NoMaximum)
-    terms = tuple(s.g for s in ladder.samples)
-    assert all(pair.small.contains(t) for t in terms)
-    seq = PseudoSequence(terms, modulus=2)
-    assert is_pseudo_cauchy(pair.small, seq, 2)[0]
-    assert is_pseudo_limit(pair.big, seq, w, 2)
-    lifted = lift_mod_m(pair.small, seq, 2)
-    assert is_pseudo_cauchy(pair.small, lifted, 0)[0]
-    v = classify_pair(pair)
-    assert v.status is Status.NOT_SE
-    assert any(r.rule == "congruence-ladder" for r in v.reasons)

@@ -189,26 +189,6 @@ def test_cut_classes_cover_the_report():
     assert not kinds & {CutKind.PRINCIPAL_PLUS, CutKind.PRINCIPAL_MINUS}
 
 
-def test_chain_suite():
-    coloured = ChainSpec(
-        (Segment(SegKind.DENSE_COMPLETE),),
-        (ColourRule("rational", (("dense", "rational", True),)),))
-    marked = ChainSpec(
-        (Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)),
-        (ColourRule("head", (ALL, NONE)),))
-    expectations = [
-        (omega(), CutStatus.DEFINABLE),
-        (omega_star(), CutStatus.DEFINABLE),
-        (integers(), CutStatus.DEFINABLE),
-        (coloured, CutStatus.DEFINABLE),
-        (ordered_sum(omega(), omega_star()), CutStatus.NOT_DEFINABLE),
-        (marked, CutStatus.DEFINABLE),
-    ]
-    for ch, want in expectations:
-        rep = chain_stably_embedded(ch)
-        assert rep.status is want, (ch, rep)
-
-
 def test_not_definable_report_names_the_boundary():
     rep = chain_stably_embedded(ordered_sum(omega(), omega_star()))
     assert rep.status is CutStatus.NOT_DEFINABLE

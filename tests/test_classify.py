@@ -12,41 +12,6 @@ from oagkit.group import GroupSpec, PairSpec, RibEntry
 from oagkit.rib import RibSpec, window_rib, z_rib
 
 
-def test_product_over_omega_is_stably_embedded():
-    v = classify_main(builtin_group("g1"))
-    assert v.status is Status.SE
-
-
-def test_sum_over_omega_is_not_maximal():
-    v = classify_main(builtin_group("sigma"))
-    assert v.status is Status.NOT_SE
-    assert any(r.rule == "not-maximal" for r in v.reasons)
-
-
-def test_dense_codense_marking_rescues_the_spine():
-    v = classify_main(builtin_group("g2"))
-    assert v.status is Status.SE
-    rules = {r.rule for r in v.reasons}
-    assert "ribs" in rules
-    assert "spine-cuts" in rules
-
-
-def test_glued_ladders_have_an_undefinable_middle_cut():
-    v = classify_main(builtin_group("g3"))
-    assert v.status is Status.NOT_SE
-    rules = {r.rule for r in v.reasons}
-    assert "spine-cut" in rules or "value-sets" in rules
-    spine = [r for r in v.reasons if r.rule == "spine-cut"]
-    assert spine and "after segment 0" in spine[0].detail
-    assert spine[0].witness.index == 0
-
-
-def test_limit_value_group_stays_open():
-    v = classify_main(builtin_group("g4"))
-    assert v.status is Status.UNKNOWN
-    assert any(r.rule == "limit-value" for r in v.reasons)
-
-
 def test_schematic_prime_ladder_is_open():
     v = classify_main(builtin_group("h_primes"))
     assert v.status is Status.UNKNOWN
@@ -56,12 +21,6 @@ def test_local_ring_product_has_rib_cuts():
     v = classify_main(builtin_group("h235"))
     assert v.status is Status.NOT_SE
     assert any(r.rule == "rib-cut" for r in v.reasons)
-
-
-def test_why_renders_the_trace():
-    text = classify_main(builtin_group("g2")).why()
-    assert "ribs" in text
-    assert "spine-cuts" in text
 
 
 # -- regular and finite-rank groups -------------------------------------------
@@ -83,20 +42,6 @@ def test_rank_counts_convex_blocks():
     assert len(regular_rank(builtin_group("z2")).classes) == 2
     assert len(regular_rank(builtin_group("z2r")).classes) == 3
     assert len(regular_rank(builtin_group("qqz")).classes) == 1
-
-
-def test_finite_rank_table():
-    expected = {
-        "z": Status.USE,
-        "z2": Status.USE,
-        "z3": Status.USE,
-        "z2r": Status.USE,
-        "zq": Status.NOT_SE,
-        "qz": Status.NOT_SE,
-        "qqz": Status.NOT_SE,
-    }
-    for name, want in expected.items():
-        assert classify_frr(builtin_group(name)).status is want, name
 
 
 def test_frr_needs_a_finite_spine():
@@ -141,12 +86,6 @@ def test_identity_pairs_are_stably_embedded():
         v = classify_pair(builtin_pair(name))
         assert v.status is Status.SE, name
         assert any(r.rule == "identity" for r in v.reasons)
-
-
-def test_congruence_extension_fails_the_ladder():
-    v = classify_pair(builtin_pair("mod2"))
-    assert v.status is Status.NOT_SE
-    assert any(r.rule == "congruence-ladder" for r in v.reasons)
 
 
 def test_sum_inside_its_product_misses_a_limit():

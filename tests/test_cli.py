@@ -294,7 +294,8 @@ def test_composite_coprime_domain_is_a_usage_error(tmp_path, capsys):
     assert data["kind"] == "PresentationError"
 
 
-BAD_SEGMENT = Path(__file__).parent / "presentations" / "bad_segment.json"
+PRESENTATIONS = Path(__file__).parent / "presentations"
+BAD_SEGMENT = PRESENTATIONS / "bad_segment.json"
 
 
 @pytest.mark.parametrize("seg", ["x", None, [0], True, 1.5])
@@ -313,3 +314,32 @@ def test_the_bad_segment_presentation_is_refused(capsys):
     code, out = run_json(capsys, "--json", "classify", str(BAD_SEGMENT))
     assert code == 64
     assert out["kind"] == "PositionOutOfDomain"
+
+
+def _z_at_ten(edit):
+    data = json.loads((PRESENTATIONS / "z_at_ten.json").read_text())
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("classify", (PRESENTATIONS / "not_json.json").read_text()),
+    ("classify", (PRESENTATIONS / "no_name.json").read_text()),
+    ("classify", _z_at_ten(lambda d: d.update(name=["x"]))),
+    *(("classify", _z_at_ten(lambda d, seg=seg: d["ribs"].insert(1, {
+        "rib": d["ribs"][0]["rib"], "segment": seg}))) for seg in ("0", 1)),
+    ("classify", _z_at_ten(lambda d: d["ribs"][1]["rib"].update(
+        cut_complete="no"))),
+    ("classify", _z_at_ten(lambda d: d["spine"]["segments"][0].update(
+        kind="fin", size=1.5))),
+    ("pair-classify", json.dumps({"small": "sigma", "big": "sigma", "flags": 5})),
+], ids=["not-json", "no-name", "name-not-a-string", "segment-not-an-int",
+        "segment-out-of-range", "cut-complete-not-a-bool", "size-not-an-int",
+        "flags-not-a-list"])
+def test_a_malformed_presentation_is_a_usage_error(tmp_path, capsys,
+                                                   command, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out = run_json(capsys, "--json", command, str(path))
+    assert code == 64
+    assert out["kind"] == "PresentationError"

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_contains, oracle_val_m
+from oracles import oracle_contains, oracle_limit_witness, oracle_val_m
 
 from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Position, Segment,
                           SegKind)
@@ -23,10 +23,10 @@ from oagkit.classify import Status, classify_main
 from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (Generator, GroupSpec, PairSpec, RibEntry,
                           SchematicRib)
-from oagkit.rib import (RibElement, q_rib, r_proxy_rib, window_rib, z_local_rib,
-                        z_rib)
-from oagkit.valuation import (SpineValueKind, spine_m, sv_limit, sv_pos,
-                              val_m, value_set_contains)
+from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib, window_rib,
+                        z_local_rib, z_rib)
+from oagkit.valuation import (SpineValueKind, check_m, spine_m, sv_limit,
+                              sv_pos, val_m, value_set_contains)
 
 OMEGA = ChainSpec((Segment(SegKind.OMEGA),))
 HALF = Fraction(1, 2)
@@ -56,9 +56,15 @@ def test_a_position_clause_on_a_finite_spine_reaches_the_rib_verdict():
 
 def test_a_generator_tail_is_read_against_the_eventual_rib():
     gen = (Generator("a", RibElement(HALF)),)
-    _at(z_rib(), 0, q_rib(), "sum", generators=gen)  # Q from coordinate 1 on
-    with pytest.raises(PresentationError):
+    # Q from coordinate 1 on, but the tail must lie in every rib
+    with pytest.raises(PresentationError, match=r"leaves the ribs at pos\(0, 0\)$"):
+        _at(z_rib(), 0, q_rib(), "sum", generators=gen)
+    with pytest.raises(PresentationError, match="cofinally"):
         _at(q_rib(), 0, z_rib(), "sum", generators=gen)
+    # 10/7 lies in z_(5) but not in the integer rib at coordinate 2
+    with pytest.raises(PresentationError, match=r"pos\(0, 2\)$"):
+        _at(z_rib(), 2, z_local_rib(5), "sum",
+            generators=(Generator("a", RibElement(Fraction(10, 7))),))
 
 
 def test_a_pair_compares_every_position_clause():
@@ -165,6 +171,16 @@ def test_a_far_position_clause_answers_at_once(mode):
     assert time.perf_counter() - start < 1.0
 
 
+def test_limit_values_over_many_primes_answer_at_once():
+    coprime = RibSpec("x", ("coprime", (2, 3, 5, 7, 11, 13, 17)), False)
+    start = time.perf_counter()
+    g = _at(coprime, 0, z_rib(), "sum",
+            generators=(Generator("a", RibElement(1)),))
+    assert classify_main(g).status is Status.UNKNOWN
+    assert spine_m(g, 104729).limit_seg is None
+    assert time.perf_counter() - start < 1.0
+
+
 # -- invariance under re-presentation -------------------------------------------
 
 RIBS = (z_rib(), q_rib(), z_local_rib(3), window_rib())
@@ -235,6 +251,27 @@ def test_an_initial_run_of_omega_reads_as_a_finite_segment(k):
                 p = Position(0, n)
                 assert value_set_contains(g, vg, sv_pos(p)) == \
                     value_set_contains(h, vh, sv_pos(to_h(p))), (m, n)
+
+
+def test_the_prime_limit_search_matches_the_search_over_every_combination():
+    rng, seen = random.Random(1409), set()
+    while len(seen) < 40:
+        c, r1, r2, _, _, _ = _draw(rng)
+        tails = rng.sample(TAILS[1:], rng.randint(1, 2))
+        try:
+            g = _at(r1, c, r2, "sum", generators=tuple(
+                Generator(name, t) for name, t in zip("ab", tails)))
+        except PresentationError:
+            continue
+        witnesses = [(m, oracle_limit_witness(g, m)) for m in range(2, 13)]
+        for m, w in witnesses:
+            assert (spine_m(g, m).limit_seg is not None) == (w is not None)
+        res = check_m(g)
+        assert (res.modulus, res.witness) == next(
+            ((m, w) for m, w in witnesses if w is not None), (None, None))
+        seen.add((g, res.holds))
+    assert {(len(g.generators), holds) for g, holds in seen} == {
+        (1, True), (1, False), (2, False)}
 
 
 # -- segments with one rib at every coordinate ------------------------------------

@@ -26,11 +26,11 @@ from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
                           SchematicRib, _primes_of)
 from oagkit.rib import (RibElement, q_rib, r_proxy_rib, script_z_rib,
                         window_rib, z_local_rib, z_rib)
-from oagkit.valuation import (SV_INF, SpineValueKind, _m_hits, check_m,
-                              check_ur, compare_spine_values, lead_m,
-                              pred_cong_bullet, pred_eq_bullet,
-                              regular_spine, relevant_primes, spine_m,
-                              sv_pos, t_spine, val_m, value_set_contains)
+from oagkit.valuation import (SV_INF, _m_hits, check_m, check_ur,
+                              compare_spine_values, lead_m, pred_cong_bullet,
+                              pred_eq_bullet, regular_spine, relevant_primes,
+                              spine_m, sv_pos, t_spine, val_m,
+                              value_set_contains)
 
 PRESENTATIONS = Path(__file__).parent / "presentations"
 
@@ -79,39 +79,12 @@ def test_val_one_is_trivial():
 # -- spine tables -------------------------------------------------------------
 
 
-def test_prime_spines_of_h235():
-    g = builtin_group("h235")
-    for m, seg in ((2, 0), (3, 1), (5, 2)):
-        vs = spine_m(g, m)
-        assert vs.inf
-        for other in range(3):
-            want = other == seg
-            got = value_set_contains(g, vs, sv_pos(Position(other, 0)))
-            assert got == want, (m, other)
-    # 7 divides every local ring here, so nothing is pinned
-    vs7 = spine_m(g, 7)
-    assert vs7.inf
-    for seg in range(3):
-        assert not value_set_contains(g, vs7, sv_pos(Position(seg, 0)))
-
-
 def test_composite_spine_is_union_over_prime_parts():
     g = builtin_group("h235")
     vs = spine_m(g, 30)
     for seg in range(3):
         assert value_set_contains(g, vs, sv_pos(Position(seg, 0)))
     assert vs.inf
-
-
-def test_spine_of_limit_value_group():
-    g = builtin_group("g4")
-    vs = spine_m(g, 2)
-    for c in range(5):
-        assert value_set_contains(g, vs, sv_pos(Position(0, c)))
-    assert vs.contains_limit()
-    assert vs.inf
-    x = g.el([], tail=2)
-    assert val_m(g, x, 2).kind is SpineValueKind.LIMIT
 
 
 def test_divisible_spine_is_endpoints_only():
