@@ -164,10 +164,10 @@ def _hahnification(g: GroupSpec) -> PairSpec:
     return PairSpec(g, big, frozenset({"sum_inside_hahn"}))
 
 
-def classify_main(g: GroupSpec, bound: int = 12) -> Verdict:
+def classify_main(g: GroupSpec) -> Verdict:
     reasons = []
 
-    ur = check_ur(g, bound)
+    ur = check_ur(g)
     if not ur.holds:
         rep = chain_stably_embedded(g.spine)
         if rep.status is CutStatus.NOT_DEFINABLE:
@@ -185,7 +185,7 @@ def classify_main(g: GroupSpec, bound: int = 12) -> Verdict:
                    + ", ".join(sorted(dense)))
     reasons.append(Reason("value-sets", None, detail))
 
-    mres = check_m(g, bound)
+    mres = check_m(g)
     if not mres.holds:
         return Verdict(Status.UNKNOWN, (*reasons, Reason(
             "limit-value", mres.witness, mres.note)))
@@ -243,20 +243,20 @@ class CutReport:
     detail: str = ""
 
 
-def all_cuts_definable(g: GroupSpec, bound: int = 12) -> CutReport:
+def all_cuts_definable(g: GroupSpec) -> CutReport:
     """Whether every parameter cut over the group is definable.  Only
     meaningful under the two value-set hypotheses; raises otherwise."""
-    ur = check_ur(g, bound)
+    ur = check_ur(g)
     if not ur.holds:
         raise HypothesisViolated(
             f"{g.name}: value sets do not stabilize; " + ur.note,
             check="uniform value sets", witness=ur.witness)
-    mres = check_m(g, bound)
+    mres = check_m(g)
     if not mres.holds:
         raise HypothesisViolated(
             f"{g.name}: a combination has a limit value; " + mres.note,
             check="no limit values", witness=mres.witness)
-    verdict = classify_main(g, bound)
+    verdict = classify_main(g)
     if verdict.status in (Status.SE, Status.USE):
         return CutReport(True, None,
                          "stably embedded: every cut trace is definable")
@@ -318,8 +318,7 @@ def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
             detail + "; stable embeddedness is not posed"),))
     reasons.append(Reason("elementary", None, detail))
 
-    small_ready = check_ur(pair.small, bound).holds and \
-        check_m(pair.small, bound).holds
+    small_ready = check_ur(pair.small).holds and check_m(pair.small).holds
 
     fresh = _fresh_elements(pair)
     for label, h in fresh:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from . import classify as cls
 from .approx import (best_approx, scheme_cases, scheme_cong, scheme_eqk,
@@ -52,13 +53,13 @@ def _verdict_data(v: cls.Verdict, trace: bool) -> dict:
     return out
 
 
-def _bound(args, default: int) -> int:
-    if args.bound is not None:
-        bound = args.bound
-    else:
+def _bound(args) -> Optional[int]:
+    """``--bound``, else ``OAGKIT_BOUND``, else None; refused if negative."""
+    bound = args.bound
+    if bound is None:
         env = os.environ.get("OAGKIT_BOUND")
         if env is None:
-            return default
+            return None
         try:
             bound = int(env)
         except ValueError:
@@ -96,7 +97,7 @@ def _cmd_val(args) -> int:
 def _cmd_preds(args) -> int:
     g = load_group(args.group)
     e = parse_element(args.element, g)
-    bound = _bound(args, 4)
+    bound = 4 if args.bound is None else args.bound
     out = {
         "element": to_jsonable(e),
         "sign": g.sign_of(e),
@@ -113,7 +114,7 @@ def _cmd_preds(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = load_group(args.group)
-    v = cls.classify_main(g, _bound(args, 12))
+    v = cls.classify_main(g)
     _emit(args, _verdict_data(v, args.trace))
     return STATUS_EXITS[v.status]
 
@@ -130,14 +131,14 @@ def _cmd_classify_frr(args) -> int:
 
 def _cmd_pair_classify(args) -> int:
     pair = load_pair(args.pair)
-    v = cls.classify_pair(pair, _bound(args, 6))
+    v = cls.classify_pair(pair, 6 if args.bound is None else args.bound)
     _emit(args, _verdict_data(v, args.trace))
     return STATUS_EXITS[v.status]
 
 
-def _cmd_check(args, checker, default_bound: int) -> int:
+def _cmd_check(args, checker) -> int:
     g = load_group(args.group)
-    res = checker(g, _bound(args, default_bound))
+    res = checker(g)
     _emit(args, to_jsonable(res))
     return 0 if res.holds else 2
 
@@ -267,7 +268,7 @@ def _build_parser() -> _Parser:
     top.add_argument("--trace", action="store_true",
                      help="include full reason trees in verdicts")
     top.add_argument("--bound", type=int, default=None,
-                     help="search bound for semi-decisions "
+                     help="search bound for preds and pair-classify "
                           "(default from OAGKIT_BOUND)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -311,11 +312,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-m", help="limit-value hypothesis")
     p.add_argument("group", help=group_help)
-    p.set_defaults(fn=lambda a: _cmd_check(a, check_m, 12))
+    p.set_defaults(fn=lambda a: _cmd_check(a, check_m))
 
     p = sub.add_parser("check-ur", help="uniform value-set hypothesis")
     p.add_argument("group", help=group_help)
-    p.set_defaults(fn=lambda a: _cmd_check(a, check_ur, 64))
+    p.set_defaults(fn=lambda a: _cmd_check(a, check_ur))
 
     p = sub.add_parser("pseudo", help="pseudo-Cauchy check for a sequence")
     p.add_argument("-m", type=int, default=0)
@@ -364,6 +365,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if e.code is not None else USAGE_EXIT
     try:
+        args.bound = _bound(args)
         return args.fn(args)
     except (PresentationError, FormulaSyntaxError, UnboundVariable,
             PositionOutOfDomain) as e:

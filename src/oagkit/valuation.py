@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -34,7 +35,7 @@ from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
 from .errors import PresentationError
 from .group import Element, GroupSpec, SchematicRib
 from .rib import (RibElement, RibSpec, _primes_of, nth_prime, prime_index,
-                  rib_divides, rib_min_positive)
+                  rib_divides, rib_min_positive, rib_residue)
 
 
 def _once_per_group(fn):
@@ -249,30 +250,37 @@ def _segment_value_piece(g: GroupSpec, i: int, m: int):
 
 @_once_per_group
 def _limit_in_value_set(g: GroupSpec, p: int) -> Optional[Element]:
-    """A generator combination witnessing the limit value modulo the prime
-    p, if any: the first in the order of ``itertools.product(range(p),
-    repeat=k)``.
+    """A group element whose value modulo the prime p is the limit, or
+    None: the one for the first coefficient vector c, in the order of
+    ``itertools.product(range(p), repeat=k)``, that has one.
 
-    A combination with coefficients c, not all divisible by p, is a
-    witness when its tail t = sum(c_i t_i) is p-divisible at every
-    coordinate, i.e. t/p lies in every rib of the terminal segment (t/p
-    is then never in the generator lattice, as the tails are independent).
-    Every tail t_i lies in every one of those ribs, so this depends on c
-    modulo p only, and the witnesses with 0 form an F_p-subspace.  Every
-    nonzero vector is a unit multiple of (1) for one generator, and of
-    (0, 1) or some (1, j) for two; that list keeps the product order and
-    each entry comes first among its multiples, so trying it alone finds
-    the same first witness.
+    Let t = sum(c_i t_i).  If p divides c, t/p is in the generator
+    lattice and no element with tail t has the limit value; otherwise
+    (the tails are independent) one does iff its coordinates are all
+    p-divisible.  Off finitely many deviations its terminal coordinates
+    hold t, so t/p must leave the terminal ribs at a finite set E of
+    coordinates only (``_tail_exits`` not cofinal).  Then t with 0 at E
+    is a witness: it differs from c times the generators by their
+    prefixes and by -t at E, group elements as t lies in every rib.
+
+    The condition depends on c modulo p (t/p moves by a lattice tail),
+    and its solutions form an F_p-subspace: 0 or all for one generator,
+    so c = (1) decides.  Two independent tails are not both standard,
+    and the nonstandard one lies in every terminal rib, so each is the
+    window: t/p stays in it iff p divides c_1 r_1 + c_2 r_2 (r_i the
+    ``rib_residue`` of t_i).  That form has a nonzero kernel, whose first
+    nonzero vector is (0, 1) if p divides r_2, else (1, -r_1/r_2 mod p).
     """
-    tails = [gen.tail for gen in g.generators]
-    if len(tails) == 2:
-        t1, t2 = tails
-        tails = [t2, *(t1 + t2.scale(j) for j in range(p))]
-    for tail in tails:
-        e = Element((), tail)
-        if val_m(g, e, p).kind is SpineValueKind.LIMIT:
-            return e
-    return None
+    tail = g.generators[0].tail
+    if len(g.generators) == 2:
+        rib = g.layouts[g.terminal_omega].eventual
+        t1, t2 = tail, g.generators[1].tail
+        r1, r2 = rib_residue(rib, t1, p), rib_residue(rib, t2, p)
+        tail = t2 if r2 == 0 else t1 + t2.scale(-r1 * pow(r2, -1, p) % p)
+    cofinal, exits = g._tail_exits(tail.scale(Fraction(1, p)))
+    if cofinal:
+        return None
+    return g.el([(Position(g.terminal_omega, n), 0) for n in exits], tail)
 
 
 @dataclass(frozen=True)
@@ -283,9 +291,6 @@ class ValueSet:
     pieces: tuple
     limit_seg: Optional[int]
     inf: bool = True
-
-    def contains_limit(self) -> bool:
-        return self.limit_seg is not None
 
 
 @_once_per_group
@@ -448,13 +453,10 @@ def regular_spine(g: GroupSpec) -> SpineQuotient:
                                   "spine: quotient not finitely presented")
     colours = list(g.spine.colours)
     primes, wildcard, unbounded = relevant_primes(g)
-    probe = sorted(primes)
-    if wildcard:
-        probe = sorted(set(probe) | {2})
-    if unbounded:
-        probe = sorted(set(probe) | {nth_prime(0), nth_prime(1)})
+    probe = primes | ({2} if wildcard else set()) | (
+        {2, 3} if unbounded else set())
     existing = {tuple(c.rules) for c in colours}
-    for p in probe[:6]:
+    for p in sorted(probe):
         vs = spine_m(g, p)
         if not _informative(vs.pieces) or vs.pieces in existing:
             continue
@@ -479,29 +481,25 @@ def _discreteness_piece(g: GroupSpec, i: int):
 
 @dataclass(frozen=True)
 class HypothesisResult:
-    """Outcome of a structural hypothesis check.
-
-    ``holds`` is True/False; ``bounded`` marks a search that only covered
-    moduli up to the stated bound, as opposed to a symbolic argument.
-    """
+    """Outcome of a structural hypothesis check: ``holds`` is decided for
+    the whole presentation, with the modulus and witness of a failure."""
 
     hypothesis: str
     holds: bool
     modulus: Optional[int] = None
     witness: Optional[object] = None
     note: str = ""
-    bounded: bool = False
 
 
-def check_m(g: GroupSpec, bound: int = 12) -> HypothesisResult:
+def check_m(g: GroupSpec) -> HypothesisResult:
     """No modulus puts a limit value into the value set.
 
     Full products and plain sums satisfy this outright: all-coordinate
-    divisibility there already yields an m-th multiple.  With generators,
-    a coefficient combination whose tail is coordinate-wise divisible but
-    not divisible inside the generator lattice is a counterexample.  The
-    first modulus with one is prime (see ``spine_m``), so only the primes
-    up to the bound are searched, each exhaustively.
+    divisibility there already yields an m-th multiple.  With generators
+    the first failing modulus is a prime (see ``spine_m``), decided by
+    ``_limit_in_value_set``.  The primes outside the relevant ones all
+    answer alike (a tail over p leaves a rib cofinally or not by the same
+    rule for each), so the first of them stands for the rest.
     """
     if g.mode == "hahn":
         return HypothesisResult("M", True,
@@ -511,18 +509,21 @@ def check_m(g: GroupSpec, bound: int = 12) -> HypothesisResult:
         return HypothesisResult("M", True,
                                 note="finitely supported elements: divisibility "
                                      "is settled coordinate by coordinate")
-    primes = map(nth_prime, itertools.count())
-    for m in itertools.takewhile(lambda p: p <= bound, primes):
-        e = _limit_in_value_set(g, m)
+    primes = relevant_primes(g)[0]
+    outside = next(p for p in map(nth_prime, itertools.count())
+                   if p not in primes)
+    for p in sorted(primes | {outside}):
+        e = _limit_in_value_set(g, p)
         if e is not None:
-            return HypothesisResult("M", False, modulus=m, witness=e,
+            return HypothesisResult("M", False, modulus=p, witness=e,
                                     note=f"generator combination with a limit "
-                                         f"value modulo {m}")
-    return HypothesisResult("M", True, bounded=True,
-                            note=f"no limit values for moduli up to {bound}")
+                                         f"value modulo {p}")
+    return HypothesisResult("M", True,
+                            note="no generator combination has a limit value "
+                                 "modulo any prime")
 
 
-def check_ur(g: GroupSpec, bound: int = 64) -> HypothesisResult:
+def check_ur(g: GroupSpec) -> HypothesisResult:
     """One modulus N whose value set already separates like all of them.
 
     The product of the finitely many relevant primes works whenever the
@@ -530,7 +531,7 @@ def check_ur(g: GroupSpec, bound: int = 64) -> HypothesisResult:
     alike for every modulus, so one representative prime covers them).  A
     schematic assignment running through infinitely many primes defeats
     every finite N: each later prime pins a coordinate no earlier value
-    set sees.
+    set sees.  ``spine_m(g, N)`` holds the limit iff some prime of N does.
     """
     primes, wildcard, unbounded = relevant_primes(g)
     if unbounded:
@@ -539,26 +540,15 @@ def check_ur(g: GroupSpec, bound: int = 64) -> HypothesisResult:
             "UR", False, witness=f"prime {beyond} pins a coordinate outside "
                                  f"any fixed value set",
             note="rib assignment runs through infinitely many primes")
-    probe = sorted(primes | ({2} if wildcard or not primes else set()))
-    n_val = 1
-    for p in probe:
-        n_val *= p
+    n_val = math.prod(primes | ({2} if wildcard or not primes else set()))
     vs_n = spine_m(g, n_val)
     for i in range(len(g.spine.segments)):
-        union = _union_piece(g, i)
-        if _normalize_cmp(vs_n.pieces[i]) != _normalize_cmp(union):
+        if _normalize_cmp(vs_n.pieces[i]) != _normalize_cmp(_union_piece(g, i)):
             return HypothesisResult(
                 "UR", False, modulus=n_val,
                 witness=f"segment {i}",
                 note=f"the modulus-{n_val} value set misses part of the union")
-    limit_any = any(_limit_in_value_set(g, p) is not None for p in probe)
-    limit_n = vs_n.limit_seg is not None
-    if limit_any and not limit_n:
-        return HypothesisResult("UR", False, modulus=n_val,
-                                witness="limit value",
-                                note="a prime sees the limit value but the "
-                                     "product modulus does not")
-    return HypothesisResult("UR", True, modulus=n_val, bounded=n_val > bound,
+    return HypothesisResult("UR", True, modulus=n_val,
                             note=f"value set modulo {n_val} separates like the "
                                  f"union over all primes")
 

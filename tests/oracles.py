@@ -132,13 +132,24 @@ def oracle_val_m(g, x, m):
 
 
 def oracle_limit_witness(g, m):
-    """The first generator combination whose tail has the limit value
-    modulo m by ``oracle_val_m``, searched over every coefficient vector
-    modulo m in ``itertools.product`` order; None when there is none."""
+    """The first element with the limit value modulo m by
+    ``oracle_val_m`` among one per generator combination, taken over
+    every coefficient vector modulo m in ``itertools.product`` order;
+    None when there is none.  A combination's element has its tail t and
+    coordinate 0 at each terminal coordinate of the oracle's window
+    where t / m leaves the clause rib: a limit value needs every
+    coordinate m-divisible, and 0 is."""
+    t = g.terminal_omega
     for coeffs in itertools.product(range(m), repeat=len(g.generators)):
-        x = Element((), sum((gen.tail.scale(c) for c, gen in
-                             zip(coeffs, g.generators)), RibElement(0)))
-        if x.tail and oracle_val_m(g, x, m) == sv_limit(g.terminal_omega):
+        tail = sum((gen.tail.scale(c) for c, gen in zip(coeffs, g.generators)),
+                   RibElement(0))
+        if not tail:
+            continue
+        exits = [Position(t, n) for n in _window(g, Element((), tail), m)
+                 if not coordinate_divisible(_clause_rib(g, Position(t, n)),
+                                             tail, m)]
+        x = Element(tuple((p, RibElement(0) - tail) for p in exits), tail)
+        if oracle_val_m(g, x, m) == sv_limit(t):
             return x
     return None
 

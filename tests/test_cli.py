@@ -1,6 +1,7 @@
 """End-to-end behaviour of the command line front end."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,23 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
     assert data["kind"] == "PresentationError"
     monkeypatch.setenv("OAGKIT_BOUND", "0")
     assert run(capsys, "check-ur", "z")[0] == 0
+
+
+def test_check_m_is_decided_whatever_the_bound(capsys, monkeypatch):
+    monkeypatch.delenv("OAGKIT_BOUND", raising=False)
+    code, data = run_json(capsys, "--json", "--bound", "1", "check-m", "g4")
+    assert code == 2
+    assert data["modulus"] == 2 and data["holds"] is False
+    assert "bounded" not in data
+
+
+def test_two_tails_hold_the_limit_at_a_large_prime_at_once(capsys):
+    path = str(Path(__file__).parent / "presentations" / "two_tails.json")
+    start = time.perf_counter()
+    code, data = run_json(capsys, "--json", "spine", "104729", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert data["limit_seg"] == 0
 
 
 def test_negative_modulus_for_spine_is_a_usage_error(capsys):

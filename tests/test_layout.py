@@ -181,6 +181,31 @@ def test_limit_values_over_many_primes_answer_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_limit_value_off_the_pure_tail_is_in_the_value_set():
+    # the tail 1 is odd at coordinate 0, where the rib is Z, and even in Q
+    # everywhere else; adding 1 there makes every coordinate even
+    g = _at(z_rib(), 0, q_rib(), "sum",
+            generators=(Generator("a", RibElement(1)),))
+    e = g.add(g.generator_element("a"), g.el([((0, 0), 1)]))
+    assert val_m(g, e, 2) == sv_limit(0)
+    assert value_set_contains(g, spine_m(g, 2), sv_limit(0))
+    res = check_m(g)
+    assert not res.holds and res.modulus == 2
+    assert val_m(g, res.witness, 2) == sv_limit(0)
+
+
+def test_two_tails_hold_the_limit_at_every_prime_at_once():
+    g = GroupSpec("two_tails", OMEGA, (RibEntry(rib=window_rib()),), "sum",
+                  (Generator("a", RibElement(1)),
+                   Generator("b", RibElement(0, 1))))
+    start = time.perf_counter()
+    vs = spine_m(g, 104729)
+    assert time.perf_counter() - start < 0.1
+    assert vs.limit_seg == 0
+    res = check_m(g)
+    assert (res.modulus, res.witness) == (2, g.el(tail=RibElement(1, 1)))
+
+
 # -- invariance under re-presentation -------------------------------------------
 
 RIBS = (z_rib(), q_rib(), z_local_rib(3), window_rib())
@@ -253,6 +278,9 @@ def test_an_initial_run_of_omega_reads_as_a_finite_segment(k):
                     value_set_contains(h, vh, sv_pos(to_h(p))), (m, n)
 
 
+PRIMES_TO_53 = tuple(n for n in range(2, 54) if all(n % d for d in range(2, n)))
+
+
 def test_the_prime_limit_search_matches_the_search_over_every_combination():
     rng, seen = random.Random(1409), set()
     while len(seen) < 40:
@@ -263,9 +291,10 @@ def test_the_prime_limit_search_matches_the_search_over_every_combination():
                 Generator(name, t) for name, t in zip("ab", tails)))
         except PresentationError:
             continue
-        witnesses = [(m, oracle_limit_witness(g, m)) for m in range(2, 13)]
+        witnesses = [(m, oracle_limit_witness(g, m)) for m in PRIMES_TO_53]
         for m, w in witnesses:
             assert (spine_m(g, m).limit_seg is not None) == (w is not None)
+            assert w is None or val_m(g, w, m) == sv_limit(0), (m, w)
         res = check_m(g)
         assert (res.modulus, res.witness) == next(
             ((m, w) for m, w in witnesses if w is not None), (None, None))

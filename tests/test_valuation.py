@@ -19,13 +19,13 @@ from oracles import oracle_val_m, random_element
 from oagkit.catalogue import GROUPS as CATALOGUE
 from oagkit.catalogue import builtin_group
 from oagkit.chain import ChainSpec, Position, Segment, SegKind, omega
-from oagkit.classify import classify_main
+from oagkit.classify import Status, classify_main
 from oagkit.codec import dumps, group_from_data, group_to_data, load_group
 from oagkit.errors import OagError
 from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
                           SchematicRib, _primes_of)
-from oagkit.rib import (RibElement, q_rib, r_proxy_rib, script_z_rib,
-                        window_rib, z_local_rib, z_rib)
+from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib,
+                        script_z_rib, window_rib, z_local_rib, z_rib)
 from oagkit.valuation import (SV_INF, _m_hits, check_m, check_ur,
                               compare_spine_values, lead_m, pred_cong_bullet,
                               pred_eq_bullet, regular_spine, relevant_primes,
@@ -197,6 +197,22 @@ def test_t_spine_identifies_divisible_positions():
     assert not t_spine(builtin_group("h235"), 2).identity
     assert t_spine(builtin_group("z2"), 2).identity
     assert regular_spine(builtin_group("z")) is not None
+
+
+def test_every_relevant_prime_colours_the_regular_spine():
+    # the seventh relevant prime, 17, divides segment 0 but not segment 1:
+    # its value set is cofinal in segment 0 and empty above it
+    def cut_complete(*primes):
+        return RibSpec("c", ("coprime", primes), True)
+
+    spine = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA_STAR)))
+    g = GroupSpec("seven", spine,
+                  (RibEntry(rib=cut_complete(2, 3, 5, 7, 11, 13, 17), segment=0),
+                   RibEntry(rib=cut_complete(2, 3, 5, 7, 11, 13), segment=1)),
+                  "hahn")
+    names = [c.name for c in regular_spine(g).chain.colours]
+    assert names == ["mod-17 values"]
+    assert classify_main(g).status is Status.SE
 
 
 # -- predicates ---------------------------------------------------------------
