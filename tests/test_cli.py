@@ -249,6 +249,9 @@ def test_two_tails_hold_the_limit_at_a_large_prime_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert data["limit_seg"] == 0
+    code, data = run_json(capsys, "--json", "check-m", path)
+    assert code == 2
+    assert (data["modulus"], data["witness"]) == (2, "el(tail: W+1)")
 
 
 def test_negative_modulus_for_spine_is_a_usage_error(capsys):
