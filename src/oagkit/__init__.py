@@ -19,9 +19,9 @@ from .chain import (ALL, INF, NONE, ChainSEReport, ChainSpec, ColourRule, Cut,
                     dense_complete, dense_q, fin, integers, omega, omega_star,
                     ordered_sum)
 from .classify import (CutReport, RankReport, Reason, Status, Verdict,
-                       all_cuts_definable, check_elementary_pair,
-                       classify_frr, classify_main, classify_pair,
-                       classify_regular, frr_classes, regular_rank)
+                       all_cuts_definable, classify_frr, classify_main,
+                       classify_pair, classify_regular, frr_classes,
+                       regular_rank)
 from .codec import (dumps, group_from_data, group_to_data, load_group,
                     load_pair, pair_from_data, pair_to_data, to_jsonable)
 from .errors import (ElementInG, FormulaSyntaxError, GuardGap,
@@ -35,10 +35,9 @@ from .formula import (And, Bool, CongBullet, CongM, EqBullet, Gt0, Not, Or,
                       spine_value_text, term_text)
 from .group import (Element, Generator, GroupSpec, PairSpec, RibEntry,
                     SchematicRib, SegmentLayout, ZERO_ELEMENT)
-from .pseudo import (BestInGroupWitness, ImmediateReport, NoMaximum,
-                     PseudoSequence, TruncationRule, delta_max,
-                     hahn_pseudo_limit, immediate_ext_check, is_pseudo_cauchy,
-                     is_pseudo_limit, lift_mod_m)
+from .pseudo import (ImmediateReport, Ladder, NoMaximum, PseudoSequence,
+                     TruncationRule, hahn_pseudo_limit, immediate_ext_check,
+                     is_pseudo_cauchy, is_pseudo_limit, lift_mod_m)
 from .rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec, q_rib,
                   r_proxy_rib, rib_contains, rib_divides, rib_divisible,
                   rib_elem_equiv, rib_min_positive, rib_pair_stably_embedded,

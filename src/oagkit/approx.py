@@ -11,7 +11,8 @@ congruence, and leading-coefficient relations against ``n*a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -20,9 +21,10 @@ from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
                       lead_holds, make_term)
 from .group import Element, PairSpec
-from .pseudo import ApproxSample, NoMaximum
+from .pseudo import ApproxSample, Ladder, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
-                  rib_divides, rib_min_positive, rib_pair_stably_embedded)
+                  rib_divides, rib_min_positive, rib_pair_stably_embedded,
+                  rib_residue)
 from .valuation import (SV_INF, SpineValue, SpineValueKind,
                         coefficient_bullet, compare_spine_values, lead_m,
                         sv_pos)
@@ -49,22 +51,21 @@ def _match_coordinate(rib_s: RibSpec, rib_b: RibSpec, c: RibElement, m: int):
     if rib_divides(rib_b, c, m):
         return True, RIB_ZERO
     if rib_s.discrete and rib_b.discrete:
-        u = rib_min_positive(rib_s)
-        for j in range(1, m):
-            cand = u.scale(j)
-            if rib_contains(rib_s, cand) and \
-                    rib_divides(rib_b, c - cand, m):
-                return True, cand
+        # c is congruent to the integer q + w, which every discrete rib holds
+        return True, RibElement(rib_residue(rib_b, c, m))
     return False, None
 
 
-def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
-                depth: int = 6):
+def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0):
     """Best approximation of n*a from the small group, at modulus m, for
-    an element a of the big group.
-
-    Returns a BestApproximation, or a NoMaximum certificate whose
-    samples climb cofinally.
+    an element a of the big group: a BestApproximation, or a NoMaximum
+    whose ladder climbs cofinally.  The walk reads x = n*a up to ``top``,
+    past its deviations, both horizons and every coordinate where x.tail
+    over m leaves the big rib.  Each later coordinate holds x.tail under
+    the ribs at ``top`` (or one schematic rib both share), so every rung
+    matches as ``top`` did, by ``step``.  When neither the rungs' limit
+    (tail ``step``) nor the first rung approximates x to INF or a limit
+    value, no rung is best.
     """
     if n < 1:
         raise PresentationError("the multiplier must be at least 1")
@@ -79,58 +80,39 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0,
     if small.contains(x):
         return BestApproximation(n, m, x, SV_INF, None, True)
 
-    # past every coordinate either layout names, a terminal coordinate
-    # past the run reads like the run's last one
     t = big.terminal_omega
-    past = 0 if t is None else max(small.layouts[t].horizon, big.layouts[t].horizon)
-    absorbed = []
-    top = -1
+    past = 0 if t is None else max(small.layouts[t].horizon,
+                                   big.layouts[t].horizon)
+    if m and x.tail:
+        exits = big._tail_exits(x.tail.scale(Fraction(1, m)))[1]
+        past = max((past, *(c + 1 for c in exits)))
+    walked = []  # the match at every coordinate walked, zeros included
+    top, ok = -1, True
     for p, c in big.support_walk(x, past):
         if p.seg == t:
             top = p.coord
-        if not c:
-            continue
-        ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m)
+        ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m) \
+            if c else (True, c)
         if not ok:
-            return BestApproximation(n, m, Element(tuple(absorbed)),
-                                     sv_pos(p), c)
-        if gp:
-            absorbed.append((p, gp))
+            break
+        walked.append((p, gp))
+    base = Element(tuple(pv for pv in walked if pv[1]))
+    if not ok:
+        return BestApproximation(n, m, base, sv_pos(p), c)
 
-    # absorbed holds nonzero values at distinct positions in chain order:
-    # with no tail, it is an element as it stands
-    if not x.tail:
-        g = Element(tuple(absorbed))
-        if m == 0 or lead_m(big, x, m, g)[0].kind is SpineValueKind.INF:
-            return BestApproximation(n, m, g, SV_INF, None, True)
-        raise GuardGap("finite remainder escaped the divisibility scan")
+    if not x.tail:  # x - base is finite with m-th multiples everywhere
+        return BestApproximation(n, m, base, SV_INF, None, True)
 
-    # the tail runs cofinally; first try matching it whole
-    for tau in (x.tail, RIB_ZERO):
-        g = small.el(absorbed, tail=tau) if small.terminal_omega is not None \
-            else None
-        if g is None or not small.contains(g):
+    step = walked[-1][1]  # the match at ``top``
+    for g in (small.el(walked, tail=step), base):
+        if not small.contains(g):
             continue
         v = lead_m(big, x, m, g)[0]
         if v.kind is SpineValueKind.INF:
             return BestApproximation(n, m, g, SV_INF, None, True)
         if v.kind is SpineValueKind.LIMIT:
             return BestApproximation(n, m, g, v, None, False)
-
-    # then rung by rung, past every deviation: each rung holds the tail
-    samples = []
-    rungs = list(absorbed)
-    c = x.tail
-    for i in range(depth):
-        p = Position(t, top + 1 + i)
-        g_i = Element(tuple(rungs))
-        samples.append(ApproxSample(g_i, sv_pos(p), c))
-        ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m)
-        if not ok:
-            return BestApproximation(n, m, g_i, sv_pos(p), c)
-        if gp:
-            rungs.append((p, gp))
-    return NoMaximum(tuple(samples),
+    return NoMaximum(Ladder(base, t, top + 1, step, x.tail),
                      "every rung is matchable but only finitely many at a "
                      "time; the approximation quality climbs cofinally")
 
@@ -153,9 +135,9 @@ _ZERO_TERM = make_term()
 class Scheme:
     """Case formula deciding a relation of n*a - x inside the small
     group.  A fixed approximation (approx, beta, rho) is the one-rung
-    ladder; a cofinal ladder lists its sampled rungs in ``samples``.  On
-    each rung the guard compares val of (x - g) against the rung's
-    value."""
+    ladder; a cofinal ladder is held in ``ladder``, and its first rungs
+    are its ``samples``.  On each rung the guard compares val of (x - g)
+    against the rung's value."""
 
     kind: str  # "sign" | "cong" | "eqk"
     n: int
@@ -165,14 +147,16 @@ class Scheme:
     beta: Optional[SpineValue] = None
     rho: Optional[RibElement] = None
     exact: bool = False
-    samples: Tuple[ApproxSample, ...] = ()
+    ladder: Optional[Ladder] = field(default=None,
+                                     metadata={"json": "samples"})
     note: str = ""
 
-    @cached_property
-    def _rungs(self) -> Tuple[ApproxSample, ...]:
-        """The ladder the scheme walks: its samples, or the fixed
-        approximation as the one rung."""
-        return self.samples or (ApproxSample(self.approx, self.beta, self.rho),)
+    @property
+    def samples(self) -> Tuple[ApproxSample, ...]:
+        """The first eight rungs of the ladder, or the one fixed rung."""
+        if self.ladder is None:
+            return (ApproxSample(self.approx, self.beta, self.rho),)
+        return self.ladder.samples(8)
 
     @cached_property
     def _relation(self):
@@ -209,72 +193,87 @@ def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
         f"small rib: {reason}")
 
 
-def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int, k: int,
-            depth: int) -> Scheme:
+def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int,
+            k: int) -> Scheme:
     elem, detail = pair.elementary
     if elem is False:
         raise PresentationError("the pair is not elementary, so no scheme "
                                 "is posed: " + detail)
-    ap = best_approx(pair, a, n, m, depth)
+    ap = best_approx(pair, a, n, m)
     if isinstance(ap, NoMaximum):
-        return Scheme(kind, n, m, k, samples=ap.samples, note=ap.note)
+        return Scheme(kind, n, m, k, ladder=ap.ladder, note=ap.note)
     return Scheme(kind, n, m, k, ap.approx, ap.beta, ap.rho, ap.exact)
 
 
-def scheme_sign(pair: PairSpec, a: Element, n: int = 1,
-                depth: int = 8) -> Scheme:
+def scheme_sign(pair: PairSpec, a: Element, n: int = 1) -> Scheme:
     """Decides n*a - x > 0 over small x."""
-    s = _scheme(pair, a, "sign", n, 0, 0, depth)
+    s = _scheme(pair, a, "sign", n, 0, 0)
     if s.rho is not None:
         _rib_cut_definable(pair, s.beta, s.rho)
     return s
 
 
-def scheme_cong(pair: PairSpec, a: Element, n: int, m: int, k: int,
-                depth: int = 8) -> Scheme:
+def scheme_cong(pair: PairSpec, a: Element, n: int, m: int,
+                k: int) -> Scheme:
     """Decides (n*a - x) bullet-congruent to k modulo m, over small x."""
     if m < 2:
         raise PresentationError("congruence schemes need a modulus of at "
                                 "least 2")
-    return _scheme(pair, a, "cong", n, m, k, depth)
+    return _scheme(pair, a, "cong", n, m, k)
 
 
-def scheme_eqk(pair: PairSpec, a: Element, n: int, k: int,
-               depth: int = 8) -> Scheme:
+def scheme_eqk(pair: PairSpec, a: Element, n: int, k: int) -> Scheme:
     """Decides (n*a - x) with leading coefficient exactly k steps, over
     small x."""
-    return _scheme(pair, a, "eqk", n, 0, k, depth)
+    return _scheme(pair, a, "eqk", n, 0, k)
 
 
 def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
-    """The scheme's relation of n*a - x, read rung by rung.  Below a
-    rung's value it is the relation of g - x; past it, the relation of
-    the rung's coefficient; at it, the relation of what the coefficient
-    of x leaves over, unless that vanishes modulo m and the next rung
-    decides."""
+    """The scheme's relation of n*a - x.  Below a rung's value it is the
+    relation of g - x; past it, that of the rung's coefficient; at it,
+    that of what the coefficient of x leaves over, unless that vanishes
+    modulo m (x tracks the rung) and the next rung decides.
+
+    Every rung of a cofinal ladder agrees with its base below ``first``
+    and then adds ``step``, congruent to ``rho``, one coordinate at a
+    time, so the first coordinate x does not track decides.  Off its
+    deviations x holds its tail, so ``first`` and the coordinate past
+    each deviation stand for the rest; when x tracks them all, n*a - x
+    is an m-th multiple everywhere, with no coefficient to read."""
     big = pair.big
-    for smp in s._rungs:
-        # the lead of g - x at the scheme's modulus decides its relation
-        lead = lead_m(big, smp.g, s.m, x)
-        if smp.rho is None:
-            # an exact or limit-valued rung has no coefficient to read:
-            # n*a - x and g - x differ by an m-th multiple, or agree below
-            # the limit and have no coordinate at their val_m past it
-            return lead_holds(big, s._relation, lead)
-        cmp = compare_spine_values(big.spine, lead[0], smp.delta)
-        if cmp < 0:
-            return lead_holds(big, s._relation, lead)
-        rib = big._rib_at(smp.delta.position)
-        c = smp.rho
-        if cmp == 0:
-            c = c + lead[1]
-            if rib_divides(rib, c, s.m) if s.m else not c:
-                continue
-        return _coefficient_relation(s, rib, c)
-    if s.samples:
-        raise GuardGap("x tracks the ladder past its sampled depth")
-    raise GuardGap(f"{'residue' if s.m else 'coefficient'} collision at the "
-                   f"best approximation")
+    ladder = s.ladder
+    if ladder is not None:
+        t = ladder.seg
+        below = lead_m(big, ladder.base, s.m, x)
+        if compare_spine_values(big.spine, below[0],
+                                sv_pos(Position(t, ladder.first))) < 0:
+            return lead_holds(big, s._relation, below)
+        devs = {p.coord: d for p, d in x.fp
+                if p.seg == t and p.coord >= ladder.first}
+        for c in sorted({ladder.first, *devs, *(d + 1 for d in devs)}):
+            rib = big._rib_at(Position(t, c))
+            e = ladder.rho - x.tail - devs.get(c, RIB_ZERO)
+            if not (rib_divides(rib, e, s.m) if s.m else not e):
+                return _coefficient_relation(s, rib, e)
+        return lead_holds(big, s._relation, (SV_INF, None))
+    # the lead of g - x at the scheme's modulus decides its relation
+    lead = lead_m(big, s.approx, s.m, x)
+    if s.rho is None:
+        # an exact or limit-valued approximation has no coefficient to
+        # read: n*a - x and g - x differ by an m-th multiple, or agree
+        # below the limit and have no coordinate at their val_m past it
+        return lead_holds(big, s._relation, lead)
+    cmp = compare_spine_values(big.spine, lead[0], s.beta)
+    if cmp < 0:
+        return lead_holds(big, s._relation, lead)
+    rib = big._rib_at(s.beta.position)
+    c = s.rho
+    if cmp == 0:
+        c = c + lead[1]
+        if rib_divides(rib, c, s.m) if s.m else not c:
+            raise GuardGap(f"{'residue' if s.m else 'coefficient'} "
+                           f"collision at the best approximation")
+    return _coefficient_relation(s, rib, c)
 
 
 # -- rendering schemes as formulas --------------------------------------------
@@ -312,13 +311,13 @@ def scheme_cases(pair: PairSpec, s: Scheme, var: str = "x"):
     everywhere.  Returns (rows, complete); a cofinal ladder yields one
     "lt" row per sampled rung and is flagged incomplete."""
     rows = []
-    for smp in s._rungs:
+    for smp in s.samples:
         payload = replace(s._relation, term=_term_minus_x(smp.g, var))
         if s.exact:
             return (("eq", None, payload),), True
         rows.append(("lt", ValCmp(_term_x_minus(smp.g, var), s.m, "<",
                                   smp.delta), payload))
-    if s.samples:
+    if s.ladder is not None:
         return tuple(rows), False
     t = _term_x_minus(s.approx, var)
     if s.rho is None:

@@ -9,6 +9,7 @@ recorded as a reason, so a verdict can be audited step by step.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -16,10 +17,10 @@ from .chain import CutStatus, chain_stably_embedded
 from .errors import HypothesisViolated, NotFRRError, NotRegularError
 from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
-from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, rib_contains,
+from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, RibSpec, rib_contains,
                   rib_pair_stably_embedded, rib_stably_embedded)
-from .valuation import (check_m, check_ur, finite_positions, regular_spine,
-                        spine_m)
+from .valuation import (_finite_spine_classes, check_m, check_ur,
+                        finite_positions, regular_spine, spine_m)
 
 
 class Status(enum.Enum):
@@ -55,29 +56,18 @@ class Verdict:
 # -- finite decompositions ----------------------------------------------------
 
 
-def _is_p_point(g: GroupSpec, p) -> bool:
-    """Positions whose rib resists division by some prime."""
-    return g.rib_at(p).nondivisible_primes != ()
-
-
 def frr_classes(g: GroupSpec):
     """Convex blocks of the spine, each closed on top at a resisting
-    position; a trailing block of divisible positions may remain."""
+    position (whose rib resists division by some prime); a trailing block
+    of divisible positions may remain."""
     positions = finite_positions(g.spine)
     if positions is None:
         raise NotFRRError(
             f"{g.name}: the spine is infinite, so the chain of full convex "
             "subgroups picked out by resisting positions does not terminate")
-    classes = []
-    cur = []
-    for p in positions:
-        cur.append(p)
-        if _is_p_point(g, p):
-            classes.append(tuple(cur))
-            cur = []
-    if cur:
-        classes.append(tuple(cur))
-    return tuple(classes)
+    opens = {q for p, q in zip(positions, positions[1:])
+             if g.rib_at(p).nondivisible_primes != ()}
+    return _finite_spine_classes(positions, opens.__contains__)
 
 
 def _class_verdict(g: GroupSpec, cls) -> Tuple[Status, Reason]:
@@ -269,11 +259,6 @@ def all_cuts_definable(g: GroupSpec) -> CutReport:
 # -- pairs --------------------------------------------------------------------
 
 
-def check_elementary_pair(pair: PairSpec):
-    """(True | False | None, detail) for smallness sitting elementarily."""
-    return pair.elementary
-
-
 def _fresh_elements(pair: PairSpec):
     """Elements of the big group likely to sit outside the small one:
     generator tails, the constant-1 thread, and a one-off coordinate from
@@ -300,7 +285,42 @@ def _fresh_elements(pair: PairSpec):
     return out
 
 
-def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
+def _ladder_modulus(pair: PairSpec, h: Element) -> Optional[int]:
+    """The one modulus ``classify_pair`` asks h for a ladder, or None."""
+    big = pair.big
+    rib = big.layouts[big.terminal_omega].eventual if h.tail else None
+    if not isinstance(rib, RibSpec):
+        return None
+    if rib.discrete:
+        k = int(h.tail.q + h.tail.w)
+        return next(m for m in itertools.count(2) if k % m) if k else None
+    num = h.tail.q.numerator
+    return min((next(p ** e for e in itertools.count(1) if num % p ** e)
+                for p in rib.nondivisible_primes), default=None)
+
+
+def classify_pair(pair: PairSpec) -> Verdict:
+    """Verdict for the small group sitting in the big one.
+
+    Congruence ladders.  Past the early exits (the pair is elementary,
+    the small group has no generators), ``best_approx(pair, h, 1, m)`` on
+    a fresh element h is a NoMaximum exactly when h has a tail t, the
+    small group is a sum, and t is no m-th multiple in R, the big rib
+    past the terminal horizon.  For every coordinate matches at every m:
+    elementarily equivalent ribs are dense with the same rationals, or
+    discrete, and then only z inside the window leaves a coordinate
+    outside the small rib, where its residue q + w is the match.  So no
+    rung is best iff neither the ladder's limit (tail ``step``, in a sum
+    only as the first rung) nor the first rung approximates h to INF or
+    a limit value, and the first rung leaves t past the walk, which
+    passes where t / m leaves a schematic rib: so iff t is no m-th
+    multiple in R.  These moduli are closed under multiples, and
+    ``_ladder_modulus`` asks the least: in a discrete R the least m >= 2
+    not dividing k = q + w, none when k is 0; in a dense R with
+    nondivisible primes P, the least power of a p in P not dividing the
+    numerator of t, none when P is empty.  A small group with generators
+    has a tail lattice the walk does not search: its ladders stay open.
+    """
     from .approx import best_approx
 
     if pair.small == pair.big:
@@ -311,20 +331,17 @@ def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
     reasons = []
     open_points = []
 
-    elem, detail = check_elementary_pair(pair)
+    elem, detail = pair.elementary
     if elem is False:
         return Verdict(Status.UNKNOWN, (Reason(
             "not-elementary", None,
             detail + "; stable embeddedness is not posed"),))
     reasons.append(Reason("elementary", None, detail))
 
-    small_ready = check_ur(pair.small).holds and check_m(pair.small).holds
-
-    fresh = _fresh_elements(pair)
+    fresh = [(label, h) for label, h in _fresh_elements(pair)
+             if not pair.small.contains(h)]
     for label, h in fresh:
-        if pair.small.contains(h):
-            continue
-        rep = immediate_ext_check(pair, h, depth)
+        rep = immediate_ext_check(pair, h)
         if rep.kind == "no_maximum":
             return Verdict(Status.NOT_SE, (*reasons, Reason(
                 "missing-pseudo-limit", rep,
@@ -334,23 +351,27 @@ def classify_pair(pair: PairSpec, bound: int = 6, depth: int = 6) -> Verdict:
                               f"{label} deviates at {rep.position} inside "
                               "a strictly bigger rib"))
 
+    if fresh and pair.small.generators:
+        open_points.append(Reason(
+            "congruence-ladder-open", None,
+            "the small group has generators, and best approximations over "
+            "its tail lattice are not searched"))
+        fresh = []
     for label, h in fresh:
-        if pair.small.contains(h):
-            continue
-        for m in range(2, bound + 1):
-            ap = best_approx(pair, h, 1, m, depth)
-            if isinstance(ap, NoMaximum):
-                if small_ready:
-                    return Verdict(Status.NOT_SE, (*reasons, Reason(
-                        "congruence-ladder", ap,
-                        f"no best approximation of {label} modulo {m}: the "
-                        "residue ladder is pseudo-convergent with no "
-                        "pseudo-limit in the small group, and its trace is "
-                        "not definable")))
-                open_points.append(Reason(
-                    "congruence-ladder-open", ap,
-                    f"a cofinal residue ladder modulo {m} was found but the "
-                    "small group fails a value-set hypothesis"))
+        m = _ladder_modulus(pair, h)
+        ap = None if m is None else best_approx(pair, h, 1, m)
+        if isinstance(ap, NoMaximum):
+            if check_ur(pair.small).holds and check_m(pair.small).holds:
+                return Verdict(Status.NOT_SE, (*reasons, Reason(
+                    "congruence-ladder", ap,
+                    f"no best approximation of {label} modulo {m}: the "
+                    "residue ladder is pseudo-convergent with no "
+                    "pseudo-limit in the small group, and its trace is "
+                    "not definable")))
+            open_points.append(Reason(
+                "congruence-ladder-open", ap,
+                f"a cofinal residue ladder modulo {m} was found but the "
+                "small group fails a value-set hypothesis"))
 
     seen = set()
     for where, rib_s, rib_b in pair.rib_pairs():

@@ -66,7 +66,7 @@ def _bound(args) -> Optional[int]:
             raise PresentationError(f"OAGKIT_BOUND must be an integer, "
                                     f"got {env!r}")
     if bound < 0:
-        raise PresentationError(f"the search bound must be nonnegative, "
+        raise PresentationError(f"the bound must be nonnegative, "
                                 f"got {bound}")
     return bound
 
@@ -131,7 +131,7 @@ def _cmd_classify_frr(args) -> int:
 
 def _cmd_pair_classify(args) -> int:
     pair = load_pair(args.pair)
-    v = cls.classify_pair(pair, 6 if args.bound is None else args.bound)
+    v = cls.classify_pair(pair)
     _emit(args, _verdict_data(v, args.trace))
     return STATUS_EXITS[v.status]
 
@@ -210,7 +210,7 @@ def _cmd_scheme(args) -> int:
         "complete": complete,
         "formula": formula_text(formula),
     }
-    if s.samples:
+    if s.ladder is not None:
         data["note"] = s.note
     _emit(args, data)
     return 0 if complete else 2
@@ -268,8 +268,8 @@ def _build_parser() -> _Parser:
     top.add_argument("--trace", action="store_true",
                      help="include full reason trees in verdicts")
     top.add_argument("--bound", type=int, default=None,
-                     help="search bound for preds and pair-classify "
-                          "(default from OAGKIT_BOUND)")
+                     help="largest modulus preds reads (default from "
+                          "OAGKIT_BOUND, else 4)")
     sub = top.add_subparsers(dest="command", required=True)
 
     group_help = ("builtin group name (%s) or a JSON presentation file"

@@ -25,12 +25,12 @@ from .rib import RibElement, RibSpec
 from .valuation import SpineValue
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x)
-
-
 def _coord_data(c):
-    return c if isinstance(c, int) else _frac_text(c)
+    return c if isinstance(c, int) else str(c)
+
+
+def _rib_elem_data(v: RibElement):
+    return {"q": str(v.q), "w": str(v.w)}
 
 
 def _typed(value, kind, what):
@@ -52,9 +52,9 @@ def _coord_from(d):
 # scalars as themselves, then special forms ahead of generic dataclasses
 _FORMS = (((type(None), bool, int, float, str), lambda obj: obj),
           (type(INF), lambda obj: "inf"),
-          (Fraction, _frac_text), (enum.Enum, lambda e: e.value),
+          (Fraction, str), (enum.Enum, lambda e: e.value),
           (Position, lambda p: f"pos({p.seg}, {p.coord})"),
-          (RibElement, lambda v: {"q": _frac_text(v.q), "w": _frac_text(v.w)}),
+          (RibElement, _rib_elem_data),
           (Element, element_text),
           (SpineValue, spine_value_text), (GroupSpec, lambda g: {"group": g.name}))
 _ENCODERS = {}  # type -> its encoder, resolved on first sight
@@ -62,13 +62,15 @@ _ENCODERS = {}  # type -> its encoder, resolved on first sight
 
 def _encoder(cls):
     """How ``to_jsonable`` renders an instance of cls: its first form,
-    else field by field for a dataclass, item by item for a container,
-    and ``repr`` for anything else."""
+    else field by field for a dataclass (a field whose metadata names a
+    "json" attribute renders that attribute in its place), item by item
+    for a container, and ``repr`` for anything else."""
     for base, form in _FORMS:
         if issubclass(cls, base):
             return form
     if is_dataclass(cls):
-        name, names = cls.__name__, tuple(f.name for f in fields(cls))
+        name = cls.__name__
+        names = tuple(f.metadata.get("json", f.name) for f in fields(cls))
         return lambda obj: {"type": name, **{
             n: to_jsonable(getattr(obj, n)) for n in names}}
     if issubclass(cls, (set, frozenset)):
@@ -157,10 +159,6 @@ def _rib_from(d) -> RibSpec:
                    _domain_from(d.get("domain", "int")),
                    _typed(d.get("cut_complete", True), bool, "cut_complete"),
                    _typed(d.get("nonstandard", False), bool, "nonstandard"))
-
-
-def _rib_elem_data(v: RibElement):
-    return {"q": _frac_text(v.q), "w": _frac_text(v.w)}
 
 
 def _rib_elem_from(d) -> RibElement:

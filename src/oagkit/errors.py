@@ -26,11 +26,7 @@ class TooShort(OagError):
 
 
 class NotPseudoCauchy(OagError):
-    """The sequence fails the pseudo-Cauchy law; carries a witness triple."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """The sequence fails the pseudo-Cauchy law."""
 
 
 class ElementInG(OagError):

@@ -410,10 +410,6 @@ class GroupSpec:
 
     def coordinate(self, e: Element, p: Position) -> RibElement:
         self.spine.check_position(p)
-        return self._coord(e, p)
-
-    def _coord(self, e: Element, p: Position) -> RibElement:
-        """``coordinate`` at a position already checked against the chain."""
         dev = e._index.get(p)
         if p.seg != self.terminal_omega or not e.tail:
             return RIB_ZERO if dev is None else dev

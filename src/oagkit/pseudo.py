@@ -1,5 +1,5 @@
 """Pseudo-Cauchy sequences, pseudo-limits, congruence lifts, and the
-attainability of valuation maxima.
+cofinal approximation ladders of a pair.
 
 A sequence (a_i) is pseudo-Cauchy for a valuation v when the values
 v(a_{i+1} - a_i) strictly increase from some threshold on; then
@@ -14,7 +14,7 @@ first ``offset + i`` coordinates of the terminal segment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .chain import Position
@@ -22,8 +22,8 @@ from .errors import (ElementInG, LiftObstruction, NotPseudoCauchy,
                      NotRepresentable, PresentationError, TooShort)
 from .group import Element, GroupSpec, PairSpec
 from .rib import RibElement
-from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        compare_spine_values, lead_m, val_m)
+from .valuation import (SpineValue, SpineValueKind, compare_spine_values,
+                        lead_m, sv_pos, val_m)
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class PseudoSequence:
         if self.rule is None and len(self.terms) < 3:
             raise TooShort("a sequence needs at least three terms or a rule")
 
-    @property
-    def unbounded(self) -> bool:
-        return self.rule is not None
-
     def term(self, g: GroupSpec, i: int) -> Element:
         if i < len(self.terms):
             return self.terms[i]
@@ -68,10 +64,11 @@ class PseudoSequence:
             return self.rule.term(g, i - len(self.terms))
         raise TooShort(f"term {i} requested from a {len(self.terms)}-term sequence")
 
-    def window(self, g: GroupSpec, extra: int = 3) -> Tuple[Element, ...]:
-        n = len(self.terms) + (extra if self.rule is not None else 0)
-        n = max(n, 3 + extra if self.rule is not None else len(self.terms))
-        return tuple(self.term(g, i) for i in range(n))
+    def window(self, g: GroupSpec) -> Tuple[Element, ...]:
+        """The explicit terms, and three more (six at least) from a rule."""
+        n = len(self.terms)
+        return tuple(self.term(g, i) for i in range(
+            n if self.rule is None else max(n + 3, 6)))
 
 
 def is_pseudo_cauchy(g: GroupSpec, seq: PseudoSequence,
@@ -138,9 +135,7 @@ def hahn_pseudo_limit(g: GroupSpec, seq: PseudoSequence) -> Element:
 def _strip_below(g: GroupSpec, e: Element, v: SpineValue) -> Element:
     if e.tail:
         raise LiftObstruction("lifting works on finitely supported terms")
-    if v.kind is SpineValueKind.INF:
-        return Element()
-    if v.kind is SpineValueKind.LIMIT:
+    if v.kind is not SpineValueKind.POS:
         return Element()
     cutoff = g.spine.sort_key(v.position)
     key = g.spine.unchecked_key
@@ -175,13 +170,7 @@ def lift_mod_m(g: GroupSpec, seq: PseudoSequence, m: int) -> PseudoSequence:
 
 
 # ---------------------------------------------------------------------------
-# Attainability of the valuation maximum.
-
-
-@dataclass(frozen=True)
-class BestInGroupWitness:
-    gamma: SpineValue
-    g_star: Element
+# Cofinal approximation ladders.
 
 
 @dataclass(frozen=True)
@@ -194,42 +183,42 @@ class ApproxSample:
 
 
 @dataclass(frozen=True)
+class Ladder:
+    """A cofinal approximation ladder, any rung of which is computed on
+    demand.  Rung i is ``base`` plus ``step`` at the i terminal
+    coordinates from ``first`` on; its value is the next coordinate,
+    where the target holds the coefficient ``rho``.  Every position of
+    ``base`` lies below ``first``."""
+
+    base: Element
+    seg: int
+    first: int
+    step: RibElement
+    rho: RibElement
+
+    def rung(self, i: int) -> ApproxSample:
+        run = tuple((Position(self.seg, self.first + j), self.step)
+                    for j in range(i)) if self.step else ()
+        return ApproxSample(Element(self.base.fp + run),
+                            sv_pos(Position(self.seg, self.first + i)),
+                            self.rho)
+
+    def samples(self, count: int) -> Tuple[ApproxSample, ...]:
+        return tuple(self.rung(i) for i in range(count))
+
+
+@dataclass(frozen=True)
 class NoMaximum:
     """The distance values approach the limit point cofinally, with no best
-    approximation; ``samples`` list ever better rungs."""
+    approximation; the ladder climbs through ever better rungs, and
+    renders as ``samples``, its first six."""
 
-    samples: Tuple[ApproxSample, ...]
+    ladder: Ladder = field(metadata={"json": "samples"})
     note: str = ""
 
-
-def delta_max(g: GroupSpec, a: Element, m: int, depth: int = 4):
-    """Maximum of nat_val(a - x) over m-th multiples x, if attained.
-
-    The coarse valuation val_m(a) is by construction the supremum; a
-    witness exists exactly when it is a position or INF.  At a limit
-    value the approximations improve cofinally and no single multiple is
-    best: the certificate shows ever better ones.
-    """
-    if m < 2:
-        raise PresentationError("the maximum question needs a modulus of at "
-                                "least 2")
-    v = val_m(g, a, m)
-    if v.kind is SpineValueKind.INF:
-        ok, w = g.in_m_multiples(a, m)
-        if ok:
-            return BestInGroupWitness(SV_INF, g.scale(w, m))
-        return BestInGroupWitness(SV_INF, a)  # a is zero
-    if v.kind is SpineValueKind.POS:
-        absorbed = g.el(_below(g, a, v.position))
-        return BestInGroupWitness(v, absorbed)
-    t = v.seg
-    samples = []
-    for n in range(1, depth + 1):
-        x = g.el(_below(g, a, Position(t, n)))
-        samples.append(ApproxSample(x, *lead_m(g, a, 0, x)))
-    return NoMaximum(tuple(samples),
-                     note="every m-th multiple is beaten by absorbing one "
-                          "more coordinate")
+    @property
+    def samples(self) -> Tuple[ApproxSample, ...]:
+        return self.ladder.samples(6)
 
 
 def _below(g: GroupSpec, a: Element, stop: Position) -> list:
@@ -247,22 +236,33 @@ def _below(g: GroupSpec, a: Element, stop: Position) -> list:
 
 @dataclass(frozen=True)
 class ImmediateReport:
+    """How h approaches the small group; a "no_maximum" report holds the
+    ladder of approximations, which renders as ``samples``, the first
+    five (approximation, value) pairs."""
+
     kind: str                       # "not_immediate" | "no_maximum"
     position: Optional[Position] = None
     partial: Optional[Element] = None
-    samples: Tuple = ()
+    ladder: Optional[Ladder] = field(default=None,
+                                     metadata={"json": "samples"})
     note: str = ""
 
+    @property
+    def samples(self) -> Tuple[Tuple[Element, SpineValue], ...]:
+        return tuple((s.g, s.delta) for s in self.ladder.samples(5)) \
+            if self.ladder else ()
 
-def immediate_ext_check(pair: PairSpec, h: Element,
-                        depth: int = 5) -> ImmediateReport:
+
+def immediate_ext_check(pair: PairSpec, h: Element) -> ImmediateReport:
     """How the element h of the big group approaches the small one.
 
     Raises ElementInG when h already belongs.  Otherwise either some
     coordinate of h cannot be matched by the small rib there (the
     extension adds width at that position: not immediate), or every
     coordinate matches and the approximations improve cofinally (the
-    small group misses a pseudo-limit: not maximal).
+    small group misses a pseudo-limit: not maximal).  Then h has a tail,
+    and rung i holds h up to i coordinates past its last terminal
+    deviation, or past coordinate 0.
     """
     small, big = pair.small, pair.big
     if small.contains(h):
@@ -274,14 +274,10 @@ def immediate_ext_check(pair: PairSpec, h: Element,
             "not_immediate", position=p, partial=small.el(_below(big, h, p)),
             note=f"coordinate {c!r} at {p} lies outside the small rib")
     t = big.terminal_omega
-    samples = []
-    if t is not None and h.tail:
-        pairs = []  # every coordinate of h lies in the small rib
-        for k in range(depth):
-            pairs.append((Position(t, k), big.coordinate(h, Position(t, k))))
-            approx = small.el(pairs)
-            samples.append((approx, lead_m(big, h, 0, approx)[0]))
+    last = h.fp[-1][0].coord if h.fp and h.fp[-1][0].seg == t else 0
+    first = Position(t, last + 1)
+    base = small.el(_below(big, h, first))
     return ImmediateReport(
-        "no_maximum", samples=tuple(samples),
+        "no_maximum", ladder=Ladder(base, t, first.coord, h.tail, h.tail),
         note="every coordinate matches the small rib but the tail never "
              "lands in the small group: approximations improve cofinally")

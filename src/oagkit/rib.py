@@ -258,14 +258,6 @@ class RibSpec:
     def discrete(self) -> bool:
         return self.domain == "int"
 
-    def index_at(self, p: int) -> int:
-        """The index of p-multiples, either 1 or p."""
-        if self.domain == "int":
-            return p
-        if self.domain == "rat":
-            return 1
-        return p if p in self.domain[1] else 1
-
     @property
     def nondivisible_primes(self) -> Optional[Tuple[int, ...]]:
         """Primes with index p; None means all of them."""

@@ -22,11 +22,12 @@ from oagkit.approx import (BestApproximation, Scheme, best_approx,
 from oagkit.catalogue import PAIRS, builtin_group, builtin_pair
 from oagkit.chain import ChainSpec, Position, Segment, SegKind
 from oagkit.errors import PresentationError
-from oagkit.formula import eval_formula, formula_text
+from oagkit.formula import eval_formula, formula_text, parse_element
 from oagkit.group import GroupSpec, PairSpec, RibEntry
 from oagkit.pseudo import NoMaximum, immediate_ext_check
-from oagkit.rib import q_rib, z_rib
-from oagkit.valuation import SpineValueKind, val_m
+from oagkit.rib import RibElement, q_rib, window_rib, z_rib
+from oagkit.valuation import (SpineValueKind, pred_cong_bullet,
+                              pred_eq_bullet, val_m)
 
 
 def test_schemes_match_the_direct_relation_everywhere():
@@ -221,3 +222,83 @@ def test_a_best_approximation_reaches_a_position_clause_past_the_run():
     assert isinstance(ladder, NoMaximum)
     for s in ladder.samples:
         assert val_m(pair.big, pair.big.sub(x, s.g), 0) == s.delta
+
+
+# -- cofinal ladders past their listed rungs ------------------------------------
+
+
+def _big_relation(pair, s, a, x):
+    """The scheme's relation, read by the big group's own predicates."""
+    big = pair.big
+    d = big.sub(big.scale(a, s.n), x)
+    if s.kind == "sign":
+        return big.sign_of(d) > 0
+    if s.kind == "cong":
+        return pred_cong_bullet(big, d, s.m, s.k)
+    return pred_eq_bullet(big, d, s.k)
+
+
+@pytest.mark.parametrize("name, literal, build", [
+    ("mod2", "el(pos(0, 0): 3, tail: W)",
+     lambda pair, a: scheme_cong(pair, a, 1, 2, 0)),
+    ("sum_in_hahn", "el(pos(0, 0): 3, tail: 2)",
+     lambda pair, a: scheme_sign(pair, a, 1)),
+    ("sum_in_hahn", "el(pos(0, 0): 3, tail: 2)",
+     lambda pair, a: scheme_eqk(pair, a, 1, 1)),
+], ids=["mod2-cong", "sum_in_hahn-sign", "sum_in_hahn-eqk"])
+def test_a_cofinal_scheme_answers_at_every_rung(name, literal, build):
+    pair = builtin_pair(name)
+    small = pair.small
+    a = parse_element(literal, pair.big)
+    s = build(pair, a)
+    ladder = s.ladder
+    assert ladder is not None and len(s.samples) == 8
+    checked = 0
+    for i in range(1, 65):
+        g = ladder.rung(i).g
+        xs = [g]
+        for d in (-2, -1, 0, 1):
+            p = Position(ladder.seg, ladder.first + i + d)
+            xs += [small.add(g, small.el([(p, c)])) for c in (-1, 1, 2)]
+        # outside the small group: the target itself, which tracks every
+        # rung, and the target moved at one coordinate
+        target = pair.big.scale(a, s.n)
+        p = Position(ladder.seg, i)
+        xs += [target] + [pair.big.add(target, pair.big.el([(p, c)]))
+                          for c in (-1, 1)]
+        for x in xs:
+            assert scheme_eval(pair, s, x) == _big_relation(pair, s, a, x), \
+                (i, x)
+            checked += 1
+    assert checked == 64 * 16
+
+
+def test_a_schematic_rib_is_walked_past_where_the_tail_over_m_leaves_it():
+    # 1/3 leaves z_(3), the rib at coordinate 1, and no other: the best
+    # approximation modulo 3 absorbs coordinates 0 to 2 and is exact
+    big = builtin_group("h_primes")
+    pair = PairSpec(GroupSpec("h_primes_sum", big.spine, big.ribs, "sum"), big)
+    x = big.el(tail=1)
+    ap = best_approx(pair, x, 1, 3)
+    assert isinstance(ap, BestApproximation) and ap.exact
+    assert ap.approx == big.el([((0, c), 1) for c in range(3)])
+    assert val_m(big, big.sub(x, ap.approx), 3).kind is SpineValueKind.INF
+    assert isinstance(best_approx(pair, x, 1, 0), NoMaximum)
+
+
+def test_a_full_product_holds_the_limit_of_every_ladder():
+    # the product of z ribs holds the limit of the rungs, with tail the
+    # rung step: 1 for W modulo 2, and 2 for the tail 2 modulo 3, where
+    # the limit keeps 0 at the coordinate where x is 0
+    small = builtin_group("g1")
+    wide = GroupSpec("g1_window", small.spine, (RibEntry(rib=window_rib()),))
+    at_0 = GroupSpec("g1_window_at_0", small.spine, (
+        RibEntry(rib=window_rib(), position=Position(0, 0)),
+        RibEntry(rib=z_rib())))
+    w = RibElement(0, 1)
+    zero_at_1 = at_0.el([((0, 0), w + RibElement(2)), ((0, 1), 0)], tail=2)
+    for big, x, m in ((wide, wide.el(tail=w), 2), (at_0, zero_at_1, 3)):
+        ap = best_approx(PairSpec(small, big), x, 1, m)
+        assert isinstance(ap, BestApproximation) and ap.exact
+        assert small.contains(ap.approx)
+        assert val_m(big, big.sub(x, ap.approx), m).kind is SpineValueKind.INF

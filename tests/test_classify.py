@@ -1,15 +1,28 @@
 """Verdict tables for groups, pairs, finite-rank towers, and hypotheses."""
 
+import importlib.util
+import itertools
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from oagkit.catalogue import builtin_group, builtin_pair, sigma_group
+from oagkit.approx import best_approx
+from oagkit.catalogue import PAIRS, builtin_group, builtin_pair, sigma_group
 from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
-from oagkit.classify import (Status, all_cuts_definable, check_elementary_pair,
+from oagkit.classify import (Status, _fresh_elements, all_cuts_definable,
                              classify_frr, classify_main, classify_pair,
                              classify_regular, frr_classes, regular_rank)
-from oagkit.errors import (HypothesisViolated, NotFRRError, NotRegularError)
-from oagkit.group import GroupSpec, PairSpec, RibEntry
-from oagkit.rib import RibSpec, window_rib, z_rib
+from oagkit.codec import pair_from_data
+from oagkit.errors import (HypothesisViolated, NotFRRError, NotRegularError,
+                           PresentationError)
+from oagkit.group import Generator, GroupSpec, PairSpec, RibEntry
+from oagkit.pseudo import NoMaximum, immediate_ext_check
+from oagkit.rib import (OMEGA_UNIT, RibElement, RibSpec, q_rib,
+                        rib_pair_stably_embedded, window_rib, z_local_rib,
+                        z_rib)
+from oagkit.valuation import check_m, check_ur
 
 
 def test_schematic_prime_ladder_is_open():
@@ -100,9 +113,9 @@ def test_window_extensions_are_tame():
 
 
 def test_elementary_screen():
-    same, _ = check_elementary_pair(builtin_pair("z_window"))
+    same, _ = builtin_pair("z_window").elementary
     assert same is True
-    verdict, _ = check_elementary_pair(builtin_pair("sum_in_hahn"))
+    verdict, _ = builtin_pair("sum_in_hahn").elementary
     assert verdict is not False
 
 
@@ -153,3 +166,138 @@ def test_one_open_rib_pair_at_many_clauses_is_reported_once():
     assert v.status is Status.UNKNOWN
     assert [r.witness for r in v.reasons if r.rule == "rib-pair-open"] == [
         Position(0, 3)]
+
+
+# -- congruence ladders -------------------------------------------------------
+
+
+def test_a_small_group_with_generators_leaves_the_ladders_open():
+    # a generator pair of the generated stream: z widened to the window
+    # under one generator tail; the tail lattice is not searched, so the
+    # ladders stay open rather than reading stably embedded
+    omega = ChainSpec((Segment(SegKind.OMEGA),))
+    gens = (Generator("a", RibElement(2)),)
+    small = GroupSpec("z_a", omega, (RibEntry(rib=z_rib()),), "sum", gens)
+    big = GroupSpec("window_a", omega, (RibEntry(rib=window_rib()),), "sum",
+                    gens)
+    v = classify_pair(PairSpec(small, big, frozenset({"rib_extension"})))
+    assert v.status is Status.UNKNOWN
+    assert v.reasons[-1].rule == "congruence-ladder-open"
+    assert "generators" in v.reasons[-1].detail
+
+
+def _generator_pair(rib_s, rib_b, tail):
+    """fin(1) + omega, z under the window at the first position and
+    ``rib_s`` under ``rib_b`` past it; the big group adds a generator
+    holding W at the first position and ``tail`` past it."""
+    spine = ChainSpec((Segment(SegKind.FIN, 1), Segment(SegKind.OMEGA)))
+    small = GroupSpec("small", spine, (RibEntry(rib=z_rib(), segment=0),
+                                       RibEntry(rib=rib_s)), "sum")
+    w = Generator("w", RibElement(*tail), ((Position(0, 0), OMEGA_UNIT),))
+    big = GroupSpec("big", spine, (RibEntry(rib=window_rib(), segment=0),
+                                   RibEntry(rib=rib_b)), "sum", (w,))
+    return PairSpec(small, big, frozenset({"generator_extension",
+                                           "rib_extension"}))
+
+
+# (small rib, big rib, generator tail as (q, w), least ladder modulus)
+GENERATOR_TAILS = [
+    (z_rib(), window_rib(), (0, 1), 2),
+    (z_rib(), window_rib(), (4, 2), 4),
+    (z_rib(), window_rib(), (59, 1), 7),
+    (z_rib(), window_rib(), (-1, 1), None),
+    (z_rib(), z_rib(), (12, 0), 5),
+    (z_rib(), z_rib(), (840, 0), 9),
+    (z_local_rib(2), z_local_rib(2), (Fraction(8, 3), 0), 16),
+    (z_local_rib(3), z_local_rib(3), (9, 0), 27),
+    (q_rib(), q_rib(), (Fraction(1, 2), 0), None),
+]
+
+
+@pytest.mark.parametrize("rib_s, rib_b, tail, modulus", GENERATOR_TAILS)
+def test_a_generator_ladder_is_found_at_its_least_modulus(rib_s, rib_b, tail,
+                                                          modulus):
+    v = classify_pair(_generator_pair(rib_s, rib_b, tail))
+    ladders = [r.detail for r in v.reasons if r.rule == "congruence-ladder"]
+    if modulus is None:
+        assert v.status is Status.SE and not ladders
+    else:
+        assert v.status is Status.NOT_SE
+        assert ladders == [f"no best approximation of generator w modulo "
+                           f"{modulus}: the residue ladder is pseudo-convergent "
+                           "with no pseudo-limit in the small group, and its "
+                           "trace is not definable"]
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs_to_compare():
+    """The generated pairs of ``verdict_stream`` seeds 0-5 that build, the
+    catalogue pairs and the generator pairs above."""
+    gen = _bench_gen()
+    pairs = [builtin_pair(name) for name in PAIRS]
+    pairs += [_generator_pair(*row[:3]) for row in GENERATOR_TAILS]
+    for seed in range(6):
+        for kind, d in itertools.islice(gen.verdict_stream(seed), 1500):
+            if kind == "pair":
+                try:
+                    pairs.append(pair_from_data(d))
+                except PresentationError:
+                    pass
+    return pairs
+
+
+def _searched(pair, top=30):
+    """``classify_pair``'s rules with each fresh element's congruence
+    ladder looked for by asking best_approx at every modulus from 2 to
+    ``top``: (status, [(rule, modulus or None)])."""
+    if pair.small == pair.big:
+        return Status.SE, [("identity", None)]
+    if pair.elementary[0] is False:
+        return Status.UNKNOWN, [("not-elementary", None)]
+    rules, open_rules = [("elementary", None)], []
+    fresh = [h for _, h in _fresh_elements(pair) if not pair.small.contains(h)]
+    for h in fresh:
+        if immediate_ext_check(pair, h).kind == "no_maximum":
+            return Status.NOT_SE, rules + [("missing-pseudo-limit", None)]
+        rules.append(("adds-width", None))
+    ready = check_ur(pair.small).holds and check_m(pair.small).holds
+    if fresh and pair.small.generators:
+        open_rules.append(("congruence-ladder-open", None))
+        fresh = []
+    for h in fresh:
+        m = next((m for m in range(2, top + 1) if isinstance(
+            best_approx(pair, h, 1, m), NoMaximum)), None)
+        if m is not None and ready:
+            return Status.NOT_SE, rules + [("congruence-ladder", m)]
+        if m is not None:
+            open_rules.append(("congruence-ladder-open", m))
+    seen = set()
+    for _, rib_s, rib_b in pair.rib_pairs():
+        if (rib_s, rib_b) not in seen:
+            seen.add((rib_s, rib_b))
+            ok, _ = rib_pair_stably_embedded(rib_s, rib_b)
+            if ok is False:
+                return Status.NOT_SE, rules + [("rib-pair-cut", None)]
+            if ok is None:
+                open_rules.append(("rib-pair-open", None))
+    rules.append(("spine", None))
+    return Status.UNKNOWN if open_rules else Status.SE, rules + open_rules
+
+
+def test_classify_pair_asks_the_modulus_a_search_to_30_finds():
+    compared = 0
+    for pair in _pairs_to_compare():
+        v = classify_pair(pair)
+        got = [(r.rule, int(m.group(1)) if (m := re.search(
+            r"modulo (\d+)", r.detail)) and "ladder" in r.rule else None)
+            for r in v.reasons]
+        assert (v.status, got) == _searched(pair), pair
+        compared += 1
+    assert compared > 1000

@@ -234,12 +234,21 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
     assert run(capsys, "check-ur", "z")[0] == 0
 
 
-def test_check_m_is_decided_whatever_the_bound(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code, decided", [
+    (("check-m", "g4"), 2, lambda data: data["modulus"] == 2
+     and data["holds"] is False and "bounded" not in data),
+    # the mod-2 ladder of w is found although no modulus up to 1 is 2
+    (("pair-classify", "mod2"), 1, lambda data:
+     data["status"] == "NotStablyEmbedded"
+     and "congruence-ladder: no best approximation of generator w modulo 2"
+     in data["why"]),
+], ids=["check-m", "pair-classify"])
+def test_check_m_is_decided_whatever_the_bound(capsys, monkeypatch, argv,
+                                               code, decided):
     monkeypatch.delenv("OAGKIT_BOUND", raising=False)
-    code, data = run_json(capsys, "--json", "--bound", "1", "check-m", "g4")
-    assert code == 2
-    assert data["modulus"] == 2 and data["holds"] is False
-    assert "bounded" not in data
+    got, data = run_json(capsys, "--json", "--bound", "1", *argv)
+    assert got == code
+    assert decided(data)
 
 
 def test_two_tails_hold_the_limit_at_a_large_prime_at_once(capsys):

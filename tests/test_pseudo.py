@@ -6,14 +6,13 @@ import pytest
 
 from oracles import mod2_staircase as _mod2_staircase
 
-from oagkit.approx import ApproxSample
 from oagkit.catalogue import builtin_group, builtin_pair
 from oagkit.chain import Position
 from oagkit.errors import ElementInG, NotPseudoCauchy, NotRepresentable, TooShort
 from oagkit.group import ZERO_ELEMENT, Element
-from oagkit.pseudo import (NoMaximum, PseudoSequence, TruncationRule,
-                           delta_max, hahn_pseudo_limit, immediate_ext_check,
-                           is_pseudo_cauchy, is_pseudo_limit, lift_mod_m)
+from oagkit.pseudo import (PseudoSequence, TruncationRule, hahn_pseudo_limit,
+                           immediate_ext_check, is_pseudo_cauchy,
+                           is_pseudo_limit, lift_mod_m)
 from oagkit.rib import RIB_ONE
 from oagkit.valuation import val_m
 
@@ -108,25 +107,6 @@ def test_lift_rejects_non_pseudo_cauchy_input():
     seq = PseudoSequence((x, y, x, y))
     with pytest.raises(NotPseudoCauchy):
         lift_mod_m(G1, seq, 2)
-
-
-# -- distance maxima ----------------------------------------------------------
-
-
-def test_delta_max_attained_at_positions():
-    g = builtin_group("z")
-    a = g.el([((0, 0), 5)])
-    got = delta_max(g, a, 2)
-    assert not isinstance(got, NoMaximum)
-
-
-def test_delta_max_cofinal_without_witness():
-    g = builtin_group("g4")
-    a = g.el([], tail=2)
-    got = delta_max(g, a, 2, depth=4)
-    assert isinstance(got, NoMaximum)
-    assert len(got.samples) >= 3
-    assert all(isinstance(smp, ApproxSample) for smp in got.samples)
 
 
 # -- immediate extensions -----------------------------------------------------

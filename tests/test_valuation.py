@@ -24,8 +24,9 @@ from oagkit.codec import dumps, group_from_data, group_to_data, load_group
 from oagkit.errors import OagError
 from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
                           SchematicRib, _primes_of)
-from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib,
-                        script_z_rib, window_rib, z_local_rib, z_rib)
+from oagkit.rib import (RIB_ONE, RibElement, RibSpec, q_rib, r_proxy_rib,
+                        rib_divides, script_z_rib, window_rib, z_local_rib,
+                        z_rib)
 from oagkit.valuation import (SV_INF, _m_hits, check_m, check_ur,
                               compare_spine_values, lead_m, pred_cong_bullet,
                               pred_eq_bullet, regular_spine, relevant_primes,
@@ -134,8 +135,9 @@ def test_glued_ladders_fail_uniformity():
 
 
 def _factoring_hits(rib, m):
-    """The rule _m_hits replaced: factor m and ask each prime's index."""
-    return any(rib.index_at(p) > 1 for p in _primes_of(m))
+    """The rule _m_hits replaced: factor m and ask each prime's index,
+    which is above 1 exactly when the prime does not divide 1."""
+    return any(not rib_divides(rib, RIB_ONE, p) for p in _primes_of(m))
 
 
 def test_m_hits_matches_the_factoring_rule():
