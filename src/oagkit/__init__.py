@@ -47,7 +47,7 @@ from .valuation import (HypothesisResult, SpineQuotient,
                         SpineValue, SpineValueKind, SV_INF, ValueSet, check_m,
                         check_ur, compare_spine_values, lead_m,
                         pred_cong_bullet, pred_eq_bullet, regular_spine,
-                        relevant_primes, spine_m, sv_limit, sv_pos, t_spine,
-                        val_m, value_set_contains)
+                        relevant_primes, spine_m, sv_limit, sv_pos, val_m,
+                        value_set_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

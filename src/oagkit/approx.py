@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Tuple
 
-from .chain import Position
+from .chain import Position, once_property
 from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
                       lead_holds, make_term)
@@ -158,7 +157,7 @@ class Scheme:
             return (ApproxSample(self.approx, self.beta, self.rho),)
         return self.ladder.samples(8)
 
-    @cached_property
+    @once_property
     def _relation(self):
         """The relation on one element, as a formula atom on the zero
         term: t > 0, t ===_m k or t =** k once a term t is put in."""

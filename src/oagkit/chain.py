@@ -19,10 +19,30 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .errors import PositionOutOfDomain, PresentationError
+
+
+class once_property:
+    """``functools.cached_property`` as Python 3.12 has it, without the
+    class-wide lock 3.11 takes on every first read: the first read stores
+    the value in the instance dict, where later reads find it ahead of
+    this non-data descriptor.  Every value stored is pure, or a store of
+    pure answers, so two threads racing on a first read only compute it
+    twice."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class SegKind(enum.Enum):
@@ -157,7 +177,7 @@ class ChainSpec:
 
     # -- basic geometry ------------------------------------------------
 
-    @cached_property
+    @once_property
     def _coord_bounds(self) -> tuple:
         """Per segment, (lo, hi, dense): an int coordinate c lies on it
         when lo <= c < hi, and a dense one also takes any Fraction."""
@@ -206,7 +226,7 @@ class ChainSpec:
         self.check_position(p)
         return self.unchecked_key(p)
 
-    @cached_property
+    @once_property
     def _reversed_segments(self) -> frozenset:
         return frozenset(i for i, s in enumerate(self.segments)
                          if s.kind is SegKind.OMEGA_STAR)

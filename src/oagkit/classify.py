@@ -19,8 +19,8 @@ from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
 from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, RibSpec, rib_contains,
                   rib_pair_stably_embedded, rib_stably_embedded)
-from .valuation import (_finite_spine_classes, check_m, check_ur,
-                        finite_positions, regular_spine, spine_m)
+from .valuation import (_finite_spine_classes, _union_piece, check_m,
+                        check_ur, finite_positions, regular_spine)
 
 
 class Status(enum.Enum):
@@ -168,8 +168,11 @@ def classify_main(g: GroupSpec) -> Verdict:
             Reason("value-sets-open", ur.witness,
                    ur.note + "; no spine cut witnesses a failure"),))
     detail = f"value sets stabilize at modulus {ur.modulus}"
-    dense = {p[1] for p in spine_m(g, ur.modulus or 2).pieces
-             if p[0] == "dense"}
+    # the union pieces are those of spine_m(g, ur.modulus) (see check_ur),
+    # and only a dense colour piece of a layout makes a dense one
+    pieces = (_union_piece(g, i) for i, lay in enumerate(g.layouts)
+              if lay.piece[0] == "dense")
+    dense = {p[1] for p in pieces if p[0] == "dense"}
     if dense:
         detail += ("; the value set is the dense-codense locus "
                    + ", ".join(sorted(dense)))
@@ -274,7 +277,7 @@ def _fresh_elements(pair: PairSpec):
             big.terminal_omega is not None:
         out.append(("constant-1 thread", Element((), RIB_ONE)))
     seen = set()
-    for _, p, rib_s, rib_b in pair.located_rib_pairs():
+    for _, p, rib_s, rib_b in pair.located_rib_pairs:
         if p is None or rib_s == rib_b or (rib_s, rib_b) in seen:
             continue
         seen.add((rib_s, rib_b))

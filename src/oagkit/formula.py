@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .chain import Coord, Position
+from .chain import Coord, Position, once_property
 from .errors import FormulaSyntaxError, PresentationError, UnboundVariable
 from .group import Element, GroupSpec
 from .rib import RibElement
@@ -63,7 +62,7 @@ class Term:
         if len(set(names)) != len(names) or sorted(names) != names:
             raise FormulaSyntaxError("variables must be sorted and distinct")
 
-    @cached_property
+    @once_property
     def _checked(self) -> dict:
         """``const`` as the last group it was evaluated in checked it, as
         ``id`` of that group to (group, element): a term evaluated again

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
-                    _complement_piece, _piece_nonempty, piece_contains)
+                    _complement_piece, _piece_nonempty, once_property,
+                    piece_contains)
 from .errors import PositionOutOfDomain, PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, _exact, _primes_of,
                   nth_prime, prime_index, rib_contains, rib_divides,
@@ -87,8 +87,8 @@ class SchematicRib:
         return tuple(sorted(bad))
 
 
-# the rib at a coordinate: one rib, a schematic rib read there, or None
-Rule = Union[RibSpec, SchematicRib, None]
+# the rib at a coordinate: one rib, or a schematic rib read there
+Rule = Union[RibSpec, SchematicRib]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,10 @@ class SegmentLayout:
     ``ribs`` maps each coordinate an explicit position clause reaches to
     its rule.  Off those coordinates the rule is ``on`` where ``piece``
     holds and ``off`` elsewhere; ``piece`` is the piece on this segment
-    of the one splitting ``colour``, or ALL when no colour splits it.
+    of the one splitting ``colour``, or ALL when no colour splits it.  A
+    side no clause reaches holds no point off ``ribs`` (``GroupSpec``
+    refuses the segment otherwise) and takes another side's rule, so
+    every coordinate has a rule.
     """
 
     ribs: dict
@@ -126,13 +129,13 @@ class SegmentLayout:
     on: Rule
     off: Rule
 
-    @cached_property
+    @once_property
     def named(self) -> frozenset:
         """The coordinates an exception or a finite colour piece names."""
         finite = self.piece[1] if self.piece[0] in ("only", "minus") else ()
         return frozenset(self.ribs).union(finite)
 
-    @cached_property
+    @once_property
     def horizon(self):
         """One past the largest named coordinate."""
         return max(self.named, default=-1) + 1
@@ -141,13 +144,13 @@ class SegmentLayout:
         return self.ribs.get(coord) or (
             self.on if piece_contains(self.piece, coord) else self.off)
 
-    @cached_property
+    @once_property
     def eventual(self) -> Rule:
         """The rule off the named coordinates of a segment without a
         dense colour; on an omega segment, the rule past ``horizon``."""
         return self.rule_at(self.horizon)
 
-    @cached_property
+    @once_property
     def uniform(self) -> Optional[RibSpec]:
         """The one rib at every coordinate of the segment, when there is
         one: no position clause, and no colour split or the same rule on
@@ -156,11 +159,10 @@ class SegmentLayout:
             return self.on
         return None
 
-    @cached_property
+    @once_property
     def rules(self) -> Tuple[Rule, ...]:
         """Every rule the clauses put on the segment, once each."""
-        return tuple(rule for rule in dict.fromkeys(
-            (self.on, self.off, *self.ribs.values())) if rule is not None)
+        return tuple(dict.fromkeys((self.on, self.off, *self.ribs.values())))
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ class Element:
     fp: Tuple[Tuple[Position, RibElement], ...] = ()
     tail: RibElement = RIB_ZERO
 
-    @cached_property
+    @once_property
     def _index(self) -> dict:
         # built on first lookup, outside the fields, so == and hash stay on
         # (fp, tail)
@@ -255,7 +257,7 @@ class GroupSpec:
 
     # -- geometry ------------------------------------------------------
 
-    @cached_property
+    @once_property
     def terminal_omega(self) -> Optional[int]:
         """Index of the last segment if it is an omega segment."""
         segs = self.spine.segments
@@ -263,14 +265,15 @@ class GroupSpec:
             return len(segs) - 1
         return None
 
-    @cached_property
+    @once_property
     def value_sets(self) -> dict:
         """Answers ``valuation`` stores for this presentation: value sets,
-        relevant primes, union pieces and limit searches, each immutable
-        and computed once (outside the fields, so == and hash ignore it)."""
+        relevant primes, union pieces, limit searches and the M and UR
+        checks, each immutable and computed once (outside the fields, so
+        == and hash ignore it)."""
         return {}
 
-    @cached_property
+    @once_property
     def layouts(self) -> Tuple[SegmentLayout, ...]:
         """One layout per segment: the only reader of ``ribs``."""
         for entry in self.ribs:
@@ -285,7 +288,8 @@ class GroupSpec:
 
     def _compile(self, i: int) -> SegmentLayout:
         """Segment i's layout: the first clause that matches a coordinate
-        sets its rule."""
+        sets its rule.  A side of the colour that holds a point no clause
+        reaches is refused."""
         exceptions, piece, colour, on, off = {}, ALL, None, None, None
         for entry in self.ribs:
             rule = entry.rib if entry.rib is not None else entry.schematic
@@ -310,6 +314,15 @@ class GroupSpec:
                     raise PresentationError(
                         f"segment {i}: colours {colour!r} and "
                         f"{entry.colour!r} both split its rib clauses")
+        if on is None or off is None:
+            seg = self.spine.segments[i]
+            for side, rule in ((piece, on), (_complement_piece(piece), off)):
+                if rule is None and _free_point(seg, side, exceptions):
+                    raise PresentationError(
+                        f"no rib clause covers part of segment {i}")
+            # the side without a rule holds only excepted points
+            fill = next(r for r in (on, off, *exceptions.values()) if r is not None)
+            on, off = (fill if on is None else on), (fill if off is None else off)
         return SegmentLayout(exceptions, colour, piece, on, off)
 
     def rib_at(self, p: Position) -> RibSpec:
@@ -321,8 +334,6 @@ class GroupSpec:
         rule = self.layouts[p.seg].rule_at(p.coord)
         if isinstance(rule, RibSpec):
             return rule
-        if rule is None:
-            raise PresentationError(f"no rib assigned at {p}")
         if not isinstance(p.coord, int):
             raise PresentationError("schematic ribs need integer coordinates")
         return rule.rib_for(p.coord)
@@ -340,7 +351,7 @@ class GroupSpec:
             if not cofinal:
                 listed = set(rule.bad_coords(v)) - lay.named
         else:
-            cofinal = rule is None or not rib_contains(rule, v)
+            cofinal = not rib_contains(rule, v)
         listed.update(c for c in lay.named
                       if rib_contains(self._rib_at(Position(t, c)), v) == cofinal)
         return cofinal, tuple(sorted(listed))
@@ -735,9 +746,13 @@ class PairSpec:
             raise PresentationError(f"unknown pair flags {set(self.flags) - PAIR_FLAGS}")
         if self.small.spine.segments != self.big.spine.segments:
             raise PresentationError("the two spines must share their segments")
-        for where, rib_s, rib_b in self.rib_pairs():
+        located = []
+        for where, p, rib_s, rib_b in self._walk_rib_pairs():
             if not _rib_extends(rib_s, rib_b):
                 raise PresentationError(f"rib at {where} does not extend")
+            located.append((where, p, rib_s, rib_b))
+        # the one walk, kept outside the fields so == and hash ignore it
+        object.__setattr__(self, "located_rib_pairs", tuple(located))
 
     def rib_pairs(self) -> Iterator[Tuple[object, RibSpec, RibSpec]]:
         """(where, small rib, big rib) for every pair of ribs the two
@@ -748,13 +763,14 @@ class PairSpec:
         rule against rule off them, where ``where`` names the segment and
         the side of its colour."""
         return ((where, rib_s, rib_b)
-                for where, _, rib_s, rib_b in self.located_rib_pairs())
+                for where, _, rib_s, rib_b in self.located_rib_pairs)
 
-    def located_rib_pairs(self) -> Iterator[
+    def _walk_rib_pairs(self) -> Iterator[
             Tuple[object, Optional[Position], RibSpec, RibSpec]]:
         """``rib_pairs`` with a position holding each pair: ``where``
         itself, or for a pair of sides the first coordinate off the named
-        ones that lies on both (None when they hold only phantom points)."""
+        ones that lies on both (None when they hold only phantom points).
+        ``__post_init__`` walks it once into ``located_rib_pairs``."""
         for i, seg in enumerate(self.small.spine.segments):
             s, b = self.small.layouts[i], self.big.layouts[i]
             named = s.named | b.named
@@ -785,20 +801,19 @@ class PairSpec:
                     yield where, None if c is None else Position(i, c), rule_s, rule_b
                 elif rule_s != rule_b:
                     raise PresentationError(
-                        f"{where}: a schematic or missing rule meets another rule")
+                        f"{where}: a schematic rule meets another rule")
 
-    @cached_property
+    @once_property
     def elementary(self) -> Tuple[Optional[bool], str]:
         """(True | False | None, detail) for the small group sitting
         elementarily in the big one, decided once per pair."""
         if self.small == self.big:
             return True, "the two groups are the same presentation"
-        rib_pairs = list(self.rib_pairs())
-        for where, rib_s, rib_b in rib_pairs:
+        for where, rib_s, rib_b in self.rib_pairs():
             if not rib_elem_equiv(rib_s, rib_b):
                 return False, (f"at {where} the ribs are not elementarily "
                                "equivalent")
-        for where, rib_s, rib_b in rib_pairs:
+        for where, rib_s, rib_b in self.rib_pairs():
             # integers under a nonstandard window are a known change
             if rib_s != rib_b and not (rib_s.domain == "int" and rib_b.nonstandard):
                 return None, f"rib change at {where} is outside the known rules"
@@ -816,6 +831,16 @@ def _sides(lay: SegmentLayout) -> list:
         return [("", ALL, lay.on)]
     return [(f" on colour {lay.colour}", lay.piece, lay.on),
             (f" off colour {lay.colour}", _complement_piece(lay.piece), lay.off)]
+
+
+def _free_point(seg, piece, ribs) -> bool:
+    """Whether the side of a segment that the piece describes holds a
+    point off the coordinates ``ribs`` names; a dense piece holds points
+    no coordinate names on a dense segment."""
+    if piece[0] == "dense" and seg.kind.is_dense:
+        return True
+    size = seg.size if seg.kind is SegKind.FIN else None
+    return next(_free_coords((piece,), ribs, size), None) is not None
 
 
 def _free_coords(pieces, named, size: Optional[int]) -> Iterator[int]:

@@ -240,6 +240,10 @@ class RibSpec:
     false for rational-like ones).  ``nonstandard`` selects the window D
     described in the module docstring; it forces an integer-like domain
     read on q + w.
+
+    ``nondivisible_primes``, the primes with index p (None means all of
+    them), is computed once here, outside the fields, so ==, hash and the
+    JSON form ignore it.
     """
 
     name: str
@@ -253,19 +257,13 @@ class RibSpec:
             raise PresentationError("the nonstandard window extends the integers")
         if self.domain == "int" and not self.cut_complete:
             raise PresentationError("a discrete rank-1 group is cut complete")
+        object.__setattr__(self, "nondivisible_primes", None if self.discrete
+                           else () if self.domain == "rat"
+                           else tuple(sorted(self.domain[1])))
 
     @property
     def discrete(self) -> bool:
         return self.domain == "int"
-
-    @property
-    def nondivisible_primes(self) -> Optional[Tuple[int, ...]]:
-        """Primes with index p; None means all of them."""
-        if self.domain == "int":
-            return None
-        if self.domain == "rat":
-            return ()
-        return tuple(sorted(self.domain[1]))
 
 
 def rib_divides(rib: RibSpec, x: RibElement, m: int) -> bool:

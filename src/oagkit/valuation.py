@@ -194,27 +194,30 @@ def pred_cong_bullet(g: GroupSpec, a: Element, m: int, k: int) -> bool:
 
 def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
     """The piece of segment i on whose ribs the predicate ``holds`` is
-    true; ``schematic_piece(s)`` answers for a schematic rule.  The
-    layout's colour splits the rules, and at each named coordinate the
-    piece is patched to what its own rib says."""
+    true; ``schematic_piece(s)`` answers for a schematic rule at each of
+    its coordinates.  Each distinct rule is asked once.  The layout's
+    colour splits the rules, and each named coordinate is patched to
+    what its own rule says there."""
     lay = g.layouts[i]
 
-    def where(rule):
-        if rule is None:
-            raise PresentationError(f"no rib clause covers part of segment {i}")
+    def read(rule):
         if isinstance(rule, SchematicRib):
             return schematic_piece(rule)
         return ALL if holds(rule) else NONE
 
-    on, off = where(lay.on), where(lay.off)
+    if len(lay.rules) == 1:  # one rule reads alike at every coordinate
+        return read(lay.on)
+    where = {rule: read(rule) for rule in lay.rules}
+    on, off = where[lay.on], where[lay.off]
     if on == off:
         base = on
     elif {on, off} == {ALL, NONE}:
         base = lay.piece if on == ALL else _complement_piece(lay.piece)
     else:  # a schematic rule on one side
-        base = where(lay.eventual)
+        base = where[lay.eventual]
     wrong = frozenset(c for c in lay.named
-                      if holds(g._rib_at(Position(i, c))) != piece_contains(base, c))
+                      if piece_contains(where[lay.rule_at(c)], c)
+                      != piece_contains(base, c))
     if not wrong:
         return base
     tag, coords = {"all": ("minus", ()), "none": ("only", ())}.get(base[0], base[:2])
@@ -405,24 +408,6 @@ def _finite_spine_classes(positions, member) -> tuple:
     return tuple(classes)
 
 
-def t_spine(g: GroupSpec, m: int) -> SpineQuotient:
-    """Quotient of the spine by equality of val_m value sets strictly above."""
-    vs = spine_m(g, m)
-    if all(_piece_identity_like(p) for p in vs.pieces):
-        return SpineQuotient(identity=True, chain=g.spine,
-                             note="every position starts its own class")
-    positions = finite_positions(g.spine)
-    if positions is not None:
-        classes = _finite_spine_classes(
-            positions, lambda p: value_set_contains(g, vs, sv_pos(p)))
-        return SpineQuotient(identity=False, classes=classes,
-                             chain=fin(len(classes)),
-                             note="finite spine: classes listed in ascending order")
-    return SpineQuotient(identity=False,
-                         note="infinite spine with a sparse value set: "
-                              "classes are infinite convex blocks")
-
-
 # Derived colours on the regular spine -------------------------------------
 
 
@@ -491,6 +476,7 @@ class HypothesisResult:
     note: str = ""
 
 
+@_once_per_group
 def check_m(g: GroupSpec) -> HypothesisResult:
     """No modulus puts a limit value into the value set.
 
@@ -523,15 +509,22 @@ def check_m(g: GroupSpec) -> HypothesisResult:
                                  "modulo any prime")
 
 
+@_once_per_group
 def check_ur(g: GroupSpec) -> HypothesisResult:
     """One modulus N whose value set already separates like all of them.
 
-    The product of the finitely many relevant primes works whenever the
-    rib assignment only involves finitely many primes (discrete ribs act
-    alike for every modulus, so one representative prime covers them).  A
-    schematic assignment running through infinitely many primes defeats
-    every finite N: each later prime pins a coordinate no earlier value
-    set sees.  ``spine_m(g, N)`` holds the limit iff some prime of N does.
+    A schematic assignment running through infinitely many primes
+    defeats every finite N: each later prime pins a coordinate no earlier
+    value set sees.  Otherwise N works, in closed form: N is the product
+    of the finitely many relevant primes, with 2 put in when an integer
+    rib adds a wildcard or no prime is relevant.  ``spine_m(g, N)`` and
+    the union of the prime value sets are read off the same layouts,
+    each with one predicate per rib, and the two predicates agree on
+    every rib.  A discrete rib hits N since N >= 2; a rib with nondivisible
+    primes P, not empty, hits N since P lies inside the relevant primes;
+    a divisible rib (P empty) hits neither.  So the two value sets are
+    equal piece for piece, and ``spine_m(g, N)`` holds the limit iff
+    some prime of N does.
     """
     primes, wildcard, unbounded = relevant_primes(g)
     if unbounded:
@@ -541,19 +534,6 @@ def check_ur(g: GroupSpec) -> HypothesisResult:
                                  f"any fixed value set",
             note="rib assignment runs through infinitely many primes")
     n_val = math.prod(primes | ({2} if wildcard or not primes else set()))
-    vs_n = spine_m(g, n_val)
-    for i in range(len(g.spine.segments)):
-        if _normalize_cmp(vs_n.pieces[i]) != _normalize_cmp(_union_piece(g, i)):
-            return HypothesisResult(
-                "UR", False, modulus=n_val,
-                witness=f"segment {i}",
-                note=f"the modulus-{n_val} value set misses part of the union")
     return HypothesisResult("UR", True, modulus=n_val,
                             note=f"value set modulo {n_val} separates like the "
                                  f"union over all primes")
-
-
-def _normalize_cmp(piece):
-    if piece[0] == "only" and not piece[1]:
-        return NONE
-    return piece

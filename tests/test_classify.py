@@ -112,6 +112,19 @@ def test_window_extensions_are_tame():
     assert classify_pair(builtin_pair("z2_window")).status is Status.SE
 
 
+def test_a_pair_walks_its_rib_pairs_once(monkeypatch):
+    walks = []
+    walk = PairSpec._walk_rib_pairs
+    monkeypatch.setattr(PairSpec, "_walk_rib_pairs",
+                        lambda pair: walks.append(pair) or walk(pair))
+    for name in sorted(PAIRS):
+        walks.clear()
+        pair = builtin_pair(name)
+        classify_pair(pair)
+        _fresh_elements(pair)
+        assert len(walks) == 1 and walks[0] is pair, name
+
+
 def test_elementary_screen():
     same, _ = builtin_pair("z_window").elementary
     assert same is True

@@ -346,6 +346,15 @@ def test_the_bad_segment_presentation_is_refused(capsys):
     assert out["kind"] == "PositionOutOfDomain"
 
 
+def test_an_uncovered_segment_is_a_usage_error(capsys):
+    path = str(PRESENTATIONS / "uncovered_segment.json")
+    for command in ("check-m", "check-ur", "classify"):
+        code, out = run_json(capsys, "--json", command, path)
+        assert code == 64
+        assert out == {"error": "no rib clause covers part of segment 1",
+                       "kind": "PresentationError"}
+
+
 def _z_at_ten(edit):
     data = json.loads((PRESENTATIONS / "z_at_ten.json").read_text())
     edit(data)

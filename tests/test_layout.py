@@ -92,6 +92,33 @@ def test_a_colour_empty_on_a_segment_leaves_it_to_the_next_clause():
     assert classify_main(g).status is Status.USE
 
 
+def test_a_segment_part_no_clause_covers_is_refused():
+    two = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA)))
+    with pytest.raises(PresentationError,
+                       match="no rib clause covers part of segment 1"):
+        GroupSpec("u", two, (RibEntry(rib=z_rib(), segment=0),), "hahn")
+    three = ChainSpec((Segment(SegKind.FIN, 3),),
+                      (ColourRule("c", (("only", frozenset({0, 1})),)),))
+    with pytest.raises(PresentationError, match="segment 0"):
+        GroupSpec("c", three, (RibEntry(rib=z_rib(), colour="c"),), "sum")
+
+
+def test_a_side_without_a_clause_but_without_a_free_point_builds():
+    # off the colour, segment 0 is the one point a position clause names
+    three = ChainSpec((Segment(SegKind.FIN, 3),),
+                      (ColourRule("c", (("only", frozenset({0, 1})),)),))
+    g = GroupSpec("c", three, (RibEntry(rib=z_rib(), colour="c"),
+                               RibEntry(rib=q_rib(), position=Position(0, 2))),
+                  "sum")
+    assert [g.rib_at(Position(0, c)) for c in range(3)] == [z_rib(), z_rib(), q_rib()]
+    assert classify_main(g).reasons[-1].rule == "rib-cut"
+    # a colour holding all of an omega segment leaves nothing off it
+    every = ChainSpec((Segment(SegKind.OMEGA),), (ColourRule("c", (ALL,)),))
+    g = GroupSpec("c", every, (RibEntry(rib=z_rib(), colour="c"),), "hahn")
+    assert g.layouts[0].uniform == z_rib()
+    assert classify_main(g).status is Status.SE
+
+
 def test_colours_on_different_segments_each_split_their_own():
     spine = ChainSpec((Segment(SegKind.OMEGA), Segment(SegKind.OMEGA)),
                       (ColourRule("a", (("only", frozenset({0})),)),

@@ -7,6 +7,9 @@ candidate quotient is q/m, and membership is a plain denominator check
 per domain tag.
 """
 
+import importlib.util
+import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,19 +21,20 @@ from oracles import oracle_val_m, random_element
 
 from oagkit.catalogue import GROUPS as CATALOGUE
 from oagkit.catalogue import builtin_group
-from oagkit.chain import ChainSpec, Position, Segment, SegKind, omega
+from oagkit.chain import NONE, ChainSpec, Position, Segment, SegKind, omega
 from oagkit.classify import Status, classify_main
-from oagkit.codec import dumps, group_from_data, group_to_data, load_group
-from oagkit.errors import OagError
+from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
+                          pair_from_data)
+from oagkit.errors import OagError, PresentationError
 from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
                           SchematicRib, _primes_of)
 from oagkit.rib import (RIB_ONE, RibElement, RibSpec, q_rib, r_proxy_rib,
                         rib_divides, script_z_rib, window_rib, z_local_rib,
                         z_rib)
-from oagkit.valuation import (SV_INF, _m_hits, check_m, check_ur,
+from oagkit.valuation import (SV_INF, _m_hits, _union_piece, check_m, check_ur,
                               compare_spine_values, lead_m, pred_cong_bullet,
                               pred_eq_bullet, regular_spine, relevant_primes,
-                              spine_m, sv_pos, t_spine, val_m,
+                              spine_m, sv_pos, val_m,
                               value_set_contains)
 
 PRESENTATIONS = Path(__file__).parent / "presentations"
@@ -131,6 +135,79 @@ def test_glued_ladders_fail_uniformity():
     assert res.witness is not None
 
 
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _groups_to_compare():
+    """The catalogue, the presentations that build, and every group and
+    pair side of ``verdict_stream`` seeds 0-5 that builds."""
+    groups = [builtin_group(name) for name in sorted(CATALOGUE)]
+    for path in sorted(PRESENTATIONS.glob("*.json")):
+        try:
+            groups.append(load_group(str(path)))
+        except OagError:
+            pass
+    gen = _bench_gen()
+    for seed in range(6):
+        for kind, d in itertools.islice(gen.verdict_stream(seed), 1500):
+            try:
+                if kind == "group":
+                    groups.append(group_from_data(d))
+                else:
+                    pair = pair_from_data(d)
+                    groups += [pair.small, pair.big]
+            except PresentationError:
+                pass
+    return groups
+
+
+def _compared_ur(g):
+    """(holds, modulus) of UR as ``check_ur`` read it before its closed
+    form: spine_m(g, N) against the union of the prime value sets,
+    segment by segment, an empty ``only`` piece reading as none."""
+    primes, wildcard, unbounded = relevant_primes(g)
+    if unbounded:
+        return False, None
+    n = math.prod(primes | ({2} if wildcard or not primes else set()))
+
+    def normal(piece):
+        return NONE if piece[0] == "only" and not piece[1] else piece
+
+    pieces = spine_m(g, n).pieces
+    return all(normal(pieces[i]) == normal(_union_piece(g, i))
+               for i in range(len(pieces))), n
+
+
+def test_uniform_value_sets_in_closed_form_match_the_comparison():
+    groups = _groups_to_compare()
+    assert len(groups) > 9000
+    schematic = 0
+    for g in groups:
+        ur = check_ur(g)
+        holds, n = _compared_ur(g)
+        assert (ur.holds, ur.modulus) == (holds, n), g.name
+        if holds:
+            assert spine_m(g, n).pieces == tuple(
+                _union_piece(g, i) for i in range(len(g.spine.segments))), g.name
+        schematic += not holds
+    assert schematic >= 2
+
+
+def test_check_ur_reads_no_value_set_and_each_check_is_stored():
+    for name in ("g1", "h235", "z2r", "g4"):
+        g = group_from_data(group_to_data(builtin_group(name)))
+        ur = check_ur(g)
+        assert ur.holds and ur.modulus is not None, name
+        assert not any(key[0] == "spine_m" for key in g.value_sets), name
+        assert check_ur(g) is ur
+        assert check_m(g) is check_m(g)
+
+
 # -- the index rule and the stored value sets ----------------------------------
 
 
@@ -193,12 +270,6 @@ def test_stored_value_sets_change_no_answer(name, decode):
 
 
 # -- quotients ----------------------------------------------------------------
-
-
-def test_t_spine_identifies_divisible_positions():
-    assert not t_spine(builtin_group("h235"), 2).identity
-    assert t_spine(builtin_group("z2"), 2).identity
-    assert regular_spine(builtin_group("z")) is not None
 
 
 def test_every_relevant_prime_colours_the_regular_spine():
