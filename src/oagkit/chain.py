@@ -177,6 +177,10 @@ class ChainSpec:
 
     # -- basic geometry ------------------------------------------------
 
+    @property
+    def finite(self) -> bool:
+        return all(seg.kind is SegKind.FIN for seg in self.segments)
+
     @once_property
     def _coord_bounds(self) -> tuple:
         """Per segment, (lo, hi, dense): an int coordinate c lies on it

@@ -2,7 +2,7 @@
 
 A verdict is assembled from independent pieces of evidence: value-set
 uniformity, absence of limit values, maximality, the ribs on their own,
-and definability of cuts on the coloured spine quotient.  Each piece is
+and definability of cuts on the coloured regular spine.  Each piece is
 recorded as a reason, so a verdict can be audited step by step.
 """
 
@@ -13,14 +13,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .chain import CutStatus, chain_stably_embedded
-from .errors import HypothesisViolated, NotFRRError, NotRegularError
+from .chain import CutStatus, Position, chain_stably_embedded, piece_contains
+from .errors import NotFRRError
 from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
 from .rib import (OMEGA_UNIT, RIB_ONE, RibElement, RibSpec, rib_contains,
                   rib_pair_stably_embedded, rib_stably_embedded)
-from .valuation import (_finite_spine_classes, _union_piece, check_m,
-                        check_ur, finite_positions, regular_spine)
+from .valuation import _union_piece, check_m, check_ur, regular_spine
 
 
 class Status(enum.Enum):
@@ -56,18 +55,32 @@ class Verdict:
 # -- finite decompositions ----------------------------------------------------
 
 
-def frr_classes(g: GroupSpec):
-    """Convex blocks of the spine, each closed on top at a resisting
-    position (whose rib resists division by some prime); a trailing block
-    of divisible positions may remain."""
-    positions = finite_positions(g.spine)
-    if positions is None:
+def frr_classes(g: GroupSpec) -> tuple:
+    """Convex blocks of a finite spine, ascending, each closed on top at a
+    resisting position; a trailing block of divisible positions may
+    remain.
+
+    The resisting positions are the points of the union of the prime
+    value sets, ``_union_piece``: its predicate on a rib is
+    ``nondivisible_primes != ()`` (the rib resists division by some
+    prime), and coordinate n under a schematic rule resists by its own
+    prime, so the schematic piece is everything.
+    """
+    if not g.spine.finite:
         raise NotFRRError(
             f"{g.name}: the spine is infinite, so the chain of full convex "
             "subgroups picked out by resisting positions does not terminate")
-    opens = {q for p, q in zip(positions, positions[1:])
-             if g.rib_at(p).nondivisible_primes != ()}
-    return _finite_spine_classes(positions, opens.__contains__)
+    blocks, block = [], []
+    for i, seg in enumerate(g.spine.segments):
+        piece = _union_piece(g, i)
+        for c in range(seg.size):
+            block.append(Position(i, c))
+            if piece_contains(piece, c):
+                blocks.append(tuple(block))
+                block = []
+    if block:
+        blocks.append(tuple(block))
+    return tuple(blocks)
 
 
 def _class_verdict(g: GroupSpec, cls) -> Tuple[Status, Reason]:
@@ -95,33 +108,6 @@ def _class_verdict(g: GroupSpec, cls) -> Tuple[Status, Reason]:
     return Status.NOT_SE, Reason(
         "gap-cut", p,
         "the rib has a gap cut; a pair can pinch it from outside")
-
-
-def classify_regular(g: GroupSpec) -> Verdict:
-    """Verdict for a group whose resisting positions fill one block."""
-    classes = frr_classes(g)
-    if len(classes) > 1:
-        raise NotRegularError(
-            f"{g.name}: {len(classes)} convex blocks; not regular")
-    status, reason = _class_verdict(g, classes[0])
-    return Verdict(status, (reason,))
-
-
-@dataclass(frozen=True)
-class RankReport:
-    finite: bool
-    classes: Optional[Tuple] = None
-    note: str = ""
-
-
-def regular_rank(g: GroupSpec) -> RankReport:
-    try:
-        classes = frr_classes(g)
-    except NotFRRError as e:
-        return RankReport(False, None, str(e))
-    return RankReport(True, classes,
-                      f"{len(classes)} convex blocks between 0 and the "
-                      "whole group")
 
 
 def classify_frr(g: GroupSpec) -> Verdict:
@@ -213,8 +199,7 @@ def classify_main(g: GroupSpec) -> Verdict:
                     "rib-cut", rib, why)))
     reasons.append(Reason("ribs", None, "every rib is stably embedded"))
 
-    rs = regular_spine(g)
-    rep = chain_stably_embedded(rs.chain)
+    rep = chain_stably_embedded(regular_spine(g))
     if rep.status is CutStatus.NOT_DEFINABLE:
         return Verdict(Status.NOT_SE, (*reasons, Reason(
             "spine-cut", rep.witness, rep.detail)))
@@ -223,40 +208,10 @@ def classify_main(g: GroupSpec) -> Verdict:
             "spine-cut-open", rep.witness, rep.detail)))
     reasons.append(Reason("spine-cuts", None, rep.detail))
 
-    if finite_positions(g.spine) is not None:
+    if g.spine.finite:
         frr = classify_frr(g)
         return Verdict(frr.status, (*reasons, *frr.reasons))
     return Verdict(Status.SE, tuple(reasons))
-
-
-@dataclass(frozen=True)
-class CutReport:
-    definable: Optional[bool]
-    witness: object = None
-    detail: str = ""
-
-
-def all_cuts_definable(g: GroupSpec) -> CutReport:
-    """Whether every parameter cut over the group is definable.  Only
-    meaningful under the two value-set hypotheses; raises otherwise."""
-    ur = check_ur(g)
-    if not ur.holds:
-        raise HypothesisViolated(
-            f"{g.name}: value sets do not stabilize; " + ur.note,
-            check="uniform value sets", witness=ur.witness)
-    mres = check_m(g)
-    if not mres.holds:
-        raise HypothesisViolated(
-            f"{g.name}: a combination has a limit value; " + mres.note,
-            check="no limit values", witness=mres.witness)
-    verdict = classify_main(g)
-    if verdict.status in (Status.SE, Status.USE):
-        return CutReport(True, None,
-                         "stably embedded: every cut trace is definable")
-    if verdict.status is Status.NOT_SE:
-        bad = verdict.reasons[-1]
-        return CutReport(False, bad.witness, bad.detail)
-    return CutReport(None, None, verdict.why())
 
 
 # -- pairs --------------------------------------------------------------------

@@ -20,13 +20,12 @@ from .catalogue import GROUPS, PAIRS
 from .classify import STATUS_NAMES
 from .codec import dumps, load_group, load_pair, to_jsonable
 from .corpus import CASES
-from .errors import (FormulaSyntaxError, HypothesisViolated, NotRepresentable,
-                     OagError, PositionOutOfDomain, PresentationError,
-                     UnboundVariable)
+from .errors import (FormulaSyntaxError, NotRepresentable, OagError,
+                     PositionOutOfDomain, PresentationError, UnboundVariable)
 from .formula import (eval_formula, formula_text, parse_element,
                       parse_formula)
-from .pseudo import (NoMaximum, PseudoSequence, hahn_pseudo_limit,
-                     immediate_ext_check, is_pseudo_cauchy, lift_mod_m)
+from .pseudo import (PseudoSequence, hahn_pseudo_limit, is_pseudo_cauchy,
+                     lift_mod_m)
 from .valuation import (check_m, check_ur, pred_cong_bullet, pred_eq_bullet,
                         spine_m, val_m)
 
@@ -121,10 +120,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_classify_frr(args) -> int:
     g = load_group(args.group)
-    rank = cls.regular_rank(g)
     v = cls.classify_frr(g)
     data = _verdict_data(v, args.trace)
-    data["blocks"] = to_jsonable(rank.classes)
+    data["blocks"] = to_jsonable(cls.frr_classes(g))
     _emit(args, data)
     return STATUS_EXITS[v.status]
 
@@ -174,12 +172,7 @@ def _cmd_lift(args) -> int:
 def _cmd_best_approx(args) -> int:
     pair = load_pair(args.pair)
     a = parse_element(args.element, pair.big)
-    res = best_approx(pair, a, args.n, args.m)
-    data = to_jsonable(res)
-    if isinstance(res, NoMaximum):
-        rep = immediate_ext_check(pair, pair.big.scale(a, args.n))
-        data["immediate_ext"] = to_jsonable(rep)
-    _emit(args, data)
+    _emit(args, to_jsonable(best_approx(pair, a, args.n, args.m)))
     return 0
 
 
@@ -371,10 +364,6 @@ def main(argv=None) -> int:
             PositionOutOfDomain) as e:
         print(dumps({"error": str(e), "kind": type(e).__name__}))
         return USAGE_EXIT
-    except HypothesisViolated as e:
-        print(dumps({"error": str(e), "kind": "HypothesisViolated",
-                     "check": e.check, "witness": to_jsonable(e.witness)}))
-        return 2
     except OagError as e:
         print(dumps({"error": str(e), "kind": type(e).__name__}))
         return 2

@@ -34,22 +34,8 @@ class ElementInG(OagError):
     immediate-extension question is vacuous."""
 
 
-class NotRegularError(OagError):
-    """The group is not regular, so the regular-case classifier does not
-    apply."""
-
-
 class NotFRRError(OagError):
     """The group does not have finite regular rank."""
-
-
-class HypothesisViolated(OagError):
-    """A required structural hypothesis failed; carries the failed check."""
-
-    def __init__(self, message: str, check=None, witness=None):
-        super().__init__(message)
-        self.check = check
-        self.witness = witness
 
 
 class LiftObstruction(OagError):

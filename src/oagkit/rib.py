@@ -289,16 +289,6 @@ def rib_contains(rib: RibSpec, x: RibElement) -> bool:
     return rib_divides(rib, x, 1)
 
 
-def rib_divisible(rib: RibSpec, x: RibElement, m: int):
-    """Whether x is an m-th multiple within the rib.
-
-    Returns (True, witness) with witness*m == x, or (False, None).
-    """
-    if not rib_divides(rib, x, m):
-        return False, None
-    return True, x if m == 1 else x.scale(Fraction(1, m))
-
-
 def rib_min_positive(rib: RibSpec) -> Optional[RibElement]:
     return RIB_ONE if rib.discrete else None
 

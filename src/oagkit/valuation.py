@@ -1,4 +1,4 @@
-"""Natural and congruence valuations, induced spines, and spine quotients.
+"""Natural and congruence valuations, value sets, and the regular spine.
 
 ``val_m(g, e, m)`` is the coarsened valuation modulo m: the supremum of
 positions delta such that e splits as (something supported at delta and
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position, SegKind,
-                    _complement_piece, fin, piece_contains)
+from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position,
+                    _complement_piece, piece_contains)
 from .errors import PresentationError
 from .group import Element, GroupSpec, SchematicRib
 from .rib import (RibElement, RibSpec, _primes_of, nth_prime, prime_index,
@@ -362,53 +362,7 @@ def _union_piece(g: GroupSpec, i: int):
 
 
 # ---------------------------------------------------------------------------
-# Spine quotients.
-
-
-@dataclass(frozen=True)
-class SpineQuotient:
-    """Quotient of the spine by "same value-set points strictly above".
-
-    Classes are convex, closed at the bottom at each value-set point.
-    ``identity`` means every class is a single position.  For finite
-    spines the classes are listed explicitly; other non-identity
-    quotients are only described.
-    """
-
-    identity: bool
-    classes: Optional[tuple] = None   # tuple of tuples of positions, ascending
-    chain: Optional[ChainSpec] = None  # order type of the quotient, when known
-    note: str = ""
-
-
-def _piece_identity_like(piece) -> bool:
-    return piece[0] in ("all", "dense")
-
-
-def finite_positions(chain: ChainSpec) -> Optional[list]:
-    """Every position of a finite spine, in order; None when infinite."""
-    if any(seg.kind is not SegKind.FIN for seg in chain.segments):
-        return None
-    return [Position(i, c) for i, seg in enumerate(chain.segments)
-            for c in range(seg.size)]
-
-
-def _finite_spine_classes(positions, member) -> tuple:
-    """Bottom-closed classes of a finite spine, listed in order, under the
-    point set given by the membership predicate."""
-    classes = []
-    current = []
-    for p in positions:
-        if member(p) and current:
-            classes.append(tuple(current))
-            current = []
-        current.append(p)
-    if current:
-        classes.append(tuple(current))
-    return tuple(classes)
-
-
-# Derived colours on the regular spine -------------------------------------
+# The regular spine.
 
 
 def _informative(pieces: Sequence) -> bool:
@@ -416,26 +370,23 @@ def _informative(pieces: Sequence) -> bool:
     return not (tags <= {"all"} or tags <= {"none"})
 
 
-def regular_spine(g: GroupSpec) -> SpineQuotient:
-    """The spine quotient under the union of all prime value sets, carrying
-    the colours a classifier needs: the original ones, the images of the
-    prime value sets for the finitely many relevant primes, and the locus
-    of discrete ribs."""
+def regular_spine(g: GroupSpec) -> Optional[ChainSpec]:
+    """The spine, coloured for a classifier: the original colours, the
+    images of the prime value sets for the finitely many relevant primes,
+    and the locus of discrete ribs.
+
+    The classifier reads cuts on the quotient of the spine under the
+    union of the prime value sets (``_union_piece``).  Where each union
+    piece is ``all`` or ``dense`` that quotient is the spine itself.  On
+    a finite spine every cut is principal whatever the quotient, so the
+    coloured spine answers as the quotient ``fin(k)`` would.  None is
+    left: an infinite spine whose union is sparse, whose quotient is not
+    finitely presented.
+    """
     n = len(g.spine.segments)
-    union_pieces = tuple(_union_piece(g, i) for i in range(n))
-    identity = all(_piece_identity_like(p) for p in union_pieces)
-    if not identity:
-        positions = finite_positions(g.spine)
-        if positions is not None:
-            classes = _finite_spine_classes(
-                positions,
-                lambda p: piece_contains(union_pieces[p.seg], p.coord))
-            return SpineQuotient(identity=False, classes=classes,
-                                 chain=fin(len(classes)),
-                                 note="finite spine: classes listed ascending")
-        return SpineQuotient(identity=False,
-                             note="sparse prime value sets over an infinite "
-                                  "spine: quotient not finitely presented")
+    tags = {_union_piece(g, i)[0] for i in range(n)}
+    if not tags <= {"all", "dense"} and not g.spine.finite:
+        return None
     colours = list(g.spine.colours)
     primes, wildcard, unbounded = relevant_primes(g)
     probe = primes | ({2} if wildcard else set()) | (
@@ -450,9 +401,7 @@ def regular_spine(g: GroupSpec) -> SpineQuotient:
     disc = tuple(_discreteness_piece(g, i) for i in range(n))
     if _informative(disc) and disc not in existing:
         colours.append(ColourRule("discrete ribs", disc))
-    chain = ChainSpec(g.spine.segments, tuple(colours))
-    return SpineQuotient(identity=True, chain=chain,
-                         note="identity quotient with derived colours")
+    return ChainSpec(g.spine.segments, tuple(colours))
 
 
 def _discreteness_piece(g: GroupSpec, i: int):

@@ -9,20 +9,21 @@ from pathlib import Path
 import pytest
 
 from oagkit.approx import best_approx
-from oagkit.catalogue import PAIRS, builtin_group, builtin_pair, sigma_group
-from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
-from oagkit.classify import (Status, _fresh_elements, all_cuts_definable,
-                             classify_frr, classify_main, classify_pair,
-                             classify_regular, frr_classes, regular_rank)
-from oagkit.codec import pair_from_data
-from oagkit.errors import (HypothesisViolated, NotFRRError, NotRegularError,
-                           PresentationError)
-from oagkit.group import Generator, GroupSpec, PairSpec, RibEntry
+from oagkit.catalogue import (GROUPS, PAIRS, builtin_group, builtin_pair,
+                              sigma_group)
+from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind, fin
+from oagkit.classify import (Status, _fresh_elements, classify_frr,
+                             classify_main, classify_pair, frr_classes)
+from oagkit.codec import group_from_data, load_group, pair_from_data
+from oagkit.errors import NotFRRError, OagError, PresentationError
+from oagkit.group import Generator, GroupSpec, PairSpec, RibEntry, SchematicRib
 from oagkit.pseudo import NoMaximum, immediate_ext_check
-from oagkit.rib import (OMEGA_UNIT, RibElement, RibSpec, q_rib,
+from oagkit.rib import (OMEGA_UNIT, RibElement, RibSpec, q_rib, r_proxy_rib,
                         rib_pair_stably_embedded, window_rib, z_local_rib,
                         z_rib)
-from oagkit.valuation import check_m, check_ur
+from oagkit.valuation import _union_piece, check_m, check_ur, regular_spine
+
+PRESENTATIONS = Path(__file__).parent / "presentations"
 
 
 def test_schematic_prime_ladder_is_open():
@@ -40,21 +41,16 @@ def test_local_ring_product_has_rib_cuts():
 
 
 def test_regular_verdicts():
-    assert classify_regular(builtin_group("z")).status is Status.USE
-    assert classify_regular(builtin_group("q")).status is Status.NOT_SE
-    assert classify_regular(builtin_group("r")).status is Status.USE
-
-
-def test_regular_rejects_wide_groups():
-    with pytest.raises(NotRegularError):
-        classify_regular(builtin_group("z2"))
+    assert classify_frr(builtin_group("z")).status is Status.USE
+    assert classify_frr(builtin_group("q")).status is Status.NOT_SE
+    assert classify_frr(builtin_group("r")).status is Status.USE
 
 
 def test_rank_counts_convex_blocks():
-    assert len(regular_rank(builtin_group("z")).classes) == 1
-    assert len(regular_rank(builtin_group("z2")).classes) == 2
-    assert len(regular_rank(builtin_group("z2r")).classes) == 3
-    assert len(regular_rank(builtin_group("qqz")).classes) == 1
+    assert len(frr_classes(builtin_group("z"))) == 1
+    assert len(frr_classes(builtin_group("z2"))) == 2
+    assert len(frr_classes(builtin_group("z2r"))) == 3
+    assert len(frr_classes(builtin_group("qqz"))) == 1
 
 
 def test_frr_needs_a_finite_spine():
@@ -68,27 +64,67 @@ def test_frr_block_structure():
     assert len(frr_classes(builtin_group("qz"))) == 1
 
 
-# -- cut definability and hypotheses ------------------------------------------
+# a schematic rule under two position clauses: Q at 2 and R at 3 are
+# divisible, and each other coordinate n resists by its own prime
+FIN6 = GroupSpec("fin6", fin(6), (
+    RibEntry(rib=q_rib(), position=Position(0, 2)),
+    RibEntry(rib=r_proxy_rib(), position=Position(0, 3)),
+    RibEntry(schematic=SchematicRib("z_local"))), "sum")
 
 
-def test_cut_definability_summary():
-    assert all_cuts_definable(builtin_group("g1")).definable
-    rep = all_cuts_definable(builtin_group("sigma"))
-    assert not rep.definable
-    assert rep.witness is not None
+def _blocks_per_position(g):
+    """Convex blocks of a finite spine read position by position, each
+    closed on top where the rib there resists division by some prime."""
+    blocks, block = [], []
+    for i, seg in enumerate(g.spine.segments):
+        for c in range(seg.size):
+            p = Position(i, c)
+            block.append(p)
+            if g.rib_at(p).nondivisible_primes != ():
+                blocks.append(tuple(block))
+                block = []
+    return tuple(blocks + [tuple(block)] if block else blocks)
 
 
-def test_limit_values_block_the_cut_analysis():
-    with pytest.raises(HypothesisViolated) as exc:
-        all_cuts_definable(builtin_group("g4"))
-    assert exc.value.check == "no limit values"
-    assert exc.value.witness is not None
+def _groups_for_blocks():
+    """The catalogue, the presentations that build, the group draws of
+    ``verdict_stream`` seeds 0-5 that build, and FIN6."""
+    groups = [builtin_group(name) for name in sorted(GROUPS)]
+    for path in sorted(PRESENTATIONS.glob("*.json")):
+        try:
+            groups.append(load_group(str(path)))
+        except OagError:
+            pass
+    gen = _bench_gen()
+    for seed in range(6):
+        for kind, d in itertools.islice(gen.verdict_stream(seed), 1500):
+            if kind == "group":
+                try:
+                    groups.append(group_from_data(d))
+                except PresentationError:
+                    pass
+    return groups + [FIN6]
 
 
-def test_unstable_value_sets_block_the_cut_analysis():
-    with pytest.raises(HypothesisViolated) as exc:
-        all_cuts_definable(builtin_group("g3"))
-    assert exc.value.check == "uniform value sets"
+def test_convex_blocks_close_at_the_union_of_the_prime_value_sets():
+    assert frr_classes(FIN6) == ((Position(0, 0),), (Position(0, 1),),
+                                 tuple(Position(0, c) for c in (2, 3, 4)),
+                                 (Position(0, 5),))
+    assert frr_classes(load_group(str(PRESENTATIONS / "q_at_one.json"))) \
+        == ((Position(0, 0),), (Position(0, 1), Position(0, 2)))
+    finite = sparse = 0
+    for g in _groups_for_blocks():
+        if g.spine.finite:
+            finite += 1
+            assert frr_classes(g) == _blocks_per_position(g), g.name
+            assert regular_spine(g) is not None, g.name
+            continue
+        n = len(g.spine.segments)
+        identity = all(_union_piece(g, i)[0] in ("all", "dense")
+                       for i in range(n))
+        sparse += not identity
+        assert (regular_spine(g) is None) is not identity, g.name
+    assert finite > 500 and sparse > 100
 
 
 # -- pairs ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ from oagkit.errors import PresentationError
 from oagkit.group import SchematicRib
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
                         q_rib, r_proxy_rib, rib_contains, rib_divides,
-                        rib_divisible, rib_elem_equiv, rib_min_positive,
+                        rib_elem_equiv, rib_min_positive,
                         rib_pair_stably_embedded, rib_residue,
                         rib_stably_embedded, script_z_rib, window_rib,
                         z_local_rib, z_rib)
@@ -68,17 +68,12 @@ def test_membership_per_domain():
     assert not rib_contains(window_rib(), RibElement(Fraction(1, 2)))
 
 
-def test_divisibility_and_witnesses():
-    ok, w = rib_divisible(z_rib(), RibElement(Fraction(6)), 3)
-    assert ok and w == RibElement(Fraction(2))
-    ok, w = rib_divisible(z_rib(), RibElement(Fraction(5)), 3)
-    assert not ok
-    ok, w = rib_divisible(q_rib(), RibElement(Fraction(5)), 3)
-    assert ok and w == RibElement(Fraction(5, 3))
-    ok, w = rib_divisible(z_local_rib(3), RibElement(Fraction(5)), 2)
-    assert ok and w == RibElement(Fraction(5, 2))
-    ok, w = rib_divisible(z_local_rib(3), RibElement(Fraction(5)), 3)
-    assert not ok
+def test_divisibility_per_domain():
+    assert rib_divides(z_rib(), RibElement(Fraction(6)), 3)
+    assert not rib_divides(z_rib(), RibElement(Fraction(5)), 3)
+    assert rib_divides(q_rib(), RibElement(Fraction(5)), 3)
+    assert rib_divides(z_local_rib(3), RibElement(Fraction(5)), 2)
+    assert not rib_divides(z_local_rib(3), RibElement(Fraction(5)), 3)
 
 
 SHAPES = [z_rib(), q_rib(), r_proxy_rib(), z_local_rib(2), z_local_rib(3),
@@ -95,12 +90,6 @@ wide_rib_elems = st.builds(
 def test_divides_is_membership_of_the_quotient(rib, x, m):
     want = rib_contains(rib, x.scale(Fraction(1, m)))
     assert rib_divides(rib, x, m) == want
-    ok, witness = rib_divisible(rib, x, m)
-    assert ok == want
-    if ok:
-        assert witness.scale(m) == x
-    else:
-        assert witness is None
 
 
 @given(st.sampled_from([z_rib(), q_rib(), z_local_rib(3), script_z_rib(5),
@@ -127,8 +116,6 @@ def test_divisibility_rejects_nonpositive_moduli():
     for m in (0, -3):
         with pytest.raises(PresentationError):
             rib_divides(z_rib(), RIB_ONE, m)
-        with pytest.raises(PresentationError):
-            rib_divisible(z_rib(), RIB_ONE, m)
 
 
 def test_residue_ranges_over_modulus():

@@ -283,7 +283,7 @@ def test_every_relevant_prime_colours_the_regular_spine():
                   (RibEntry(rib=cut_complete(2, 3, 5, 7, 11, 13, 17), segment=0),
                    RibEntry(rib=cut_complete(2, 3, 5, 7, 11, 13), segment=1)),
                   "hahn")
-    names = [c.name for c in regular_spine(g).chain.colours]
+    names = [c.name for c in regular_spine(g).colours]
     assert names == ["mod-17 values"]
     assert classify_main(g).status is Status.SE
 
