@@ -18,15 +18,14 @@ from typing import Optional, Tuple
 from .chain import Position, once_property
 from .errors import GuardGap, PresentationError, RibCutNotDefinable
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
-                      lead_holds, make_term)
+                      make_term)
 from .group import Element, PairSpec
 from .pseudo import ApproxSample, Ladder, NoMaximum
 from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
                   rib_divides, rib_min_positive, rib_pair_stably_embedded,
                   rib_residue)
-from .valuation import (SV_INF, SpineValue, SpineValueKind,
-                        coefficient_bullet, compare_spine_values, lead_m,
-                        sv_pos)
+from .valuation import (SV_INF, SpineValue, _lead, coefficient_bullet,
+                        compare_spine_values, lead_m, sv_pos)
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0):
     for g in (small.el(walked, tail=step), base):
         if not small.contains(g):
             continue
-        v = lead_m(big, x, m, g)[0]
-        if v.kind is SpineValueKind.INF:
-            return BestApproximation(n, m, g, SV_INF, None, True)
-        if v.kind is SpineValueKind.LIMIT:
-            return BestApproximation(n, m, g, v, None, False)
+        hit = _lead(big, x, m, g)
+        if type(hit) is not tuple:  # INF or a limit value
+            return BestApproximation(n, m, g, hit, None, hit is SV_INF)
     return NoMaximum(Ladder(base, t, top + 1, step, x.tail),
                      "every rung is matchable but only finitely many at a "
                      "time; the approximation quality climbs cofinally")
@@ -168,10 +165,12 @@ class Scheme:
         return EqBullet(_ZERO_TERM, self.k)
 
 
-def _coefficient_relation(s: Scheme, rib: RibSpec, c: RibElement) -> bool:
-    """The scheme's relation on a leading coefficient c, read in rib."""
+def _coefficient_relation(s: Scheme, rib: Optional[RibSpec],
+                          c: Optional[RibElement]) -> bool:
+    """The scheme's relation on a leading coefficient c, read in rib; c
+    is None where there is no coefficient, at INF or a limit value."""
     if s.kind == "sign":
-        return c.sign > 0
+        return c is not None and c.sign > 0
     return coefficient_bullet(rib, c, s.m, s.k)
 
 
@@ -238,41 +237,47 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
     time, so the first coordinate x does not track decides.  Off its
     deviations x holds its tail, so ``first`` and the coordinate past
     each deviation stand for the rest; when x tracks them all, n*a - x
-    is an m-th multiple everywhere, with no coefficient to read."""
+    is an m-th multiple everywhere, with no coefficient to read.
+
+    Each shape reads one lead kernel pass of g - x at the scheme's
+    modulus and compares its position with the rung's by chain key;
+    ``_coefficient_relation`` reads the coefficient that decides."""
     big = pair.big
     ladder = s.ladder
+    hit = _lead(big, s.approx if ladder is None else ladder.base, s.m, x)
+    p, c = hit if type(hit) is tuple else (None, None)  # None: INF or a limit
     if ladder is not None:
         t = ladder.seg
-        below = lead_m(big, ladder.base, s.m, x)
-        if compare_spine_values(big.spine, below[0],
-                                sv_pos(Position(t, ladder.first))) < 0:
-            return lead_holds(big, s._relation, below)
-        devs = {p.coord: d for p, d in x.fp
-                if p.seg == t and p.coord >= ladder.first}
-        for c in sorted({ladder.first, *devs, *(d + 1 for d in devs)}):
-            rib = big._rib_at(Position(t, c))
-            e = ladder.rho - x.tail - devs.get(c, RIB_ZERO)
+        if p is not None and (p.seg < t or p.coord < ladder.first):
+            return _coefficient_relation(s, big._rib_at(p), c)
+        devs = {q.coord: d for q, d in x.fp
+                if q.seg == t and q.coord >= ladder.first}
+        for n in sorted({ladder.first, *devs, *(d + 1 for d in devs)}):
+            rib = big._rib_at(Position(t, n))
+            e = ladder.rho - x.tail - devs.get(n, RIB_ZERO)
             if not (rib_divides(rib, e, s.m) if s.m else not e):
                 return _coefficient_relation(s, rib, e)
-        return lead_holds(big, s._relation, (SV_INF, None))
-    # the lead of g - x at the scheme's modulus decides its relation
-    lead = lead_m(big, s.approx, s.m, x)
-    if s.rho is None:
-        # an exact or limit-valued approximation has no coefficient to
-        # read: n*a - x and g - x differ by an m-th multiple, or agree
-        # below the limit and have no coordinate at their val_m past it
-        return lead_holds(big, s._relation, lead)
-    cmp = compare_spine_values(big.spine, lead[0], s.beta)
-    if cmp < 0:
-        return lead_holds(big, s._relation, lead)
-    rib = big._rib_at(s.beta.position)
-    c = s.rho
-    if cmp == 0:
-        c = c + lead[1]
-        if rib_divides(rib, c, s.m) if s.m else not c:
-            raise GuardGap(f"{'residue' if s.m else 'coefficient'} "
-                           f"collision at the best approximation")
-    return _coefficient_relation(s, rib, c)
+        return _coefficient_relation(s, None, None)
+    if s.rho is not None:
+        # at beta, or past it (a later position, INF or a limit), rho decides
+        key = big.spine.unchecked_key
+        beta = s.beta.position
+        kp = (1,) if p is None else key(p)  # (1,) sorts above every position
+        kb = key(beta)
+        if kp >= kb:
+            rib = big._rib_at(beta)
+            rho = s.rho
+            if kp == kb:
+                rho = rho + c
+                if rib_divides(rib, rho, s.m) if s.m else not rho:
+                    raise GuardGap(f"{'residue' if s.m else 'coefficient'} "
+                                   f"collision at the best approximation")
+            return _coefficient_relation(s, rib, rho)
+    # below beta, or with no beta (an exact or limit-valued approximation:
+    # n*a - x and g - x differ by an m-th multiple, or agree below the
+    # limit and have no coordinate at their val_m past it), the lead of
+    # g - x decides
+    return _coefficient_relation(s, None if p is None else big._rib_at(p), c)
 
 
 # -- rendering schemes as formulas --------------------------------------------

@@ -26,8 +26,8 @@ from .formula import (eval_formula, formula_text, parse_element,
                       parse_formula)
 from .pseudo import (PseudoSequence, hahn_pseudo_limit, is_pseudo_cauchy,
                      lift_mod_m)
-from .valuation import (check_m, check_ur, pred_cong_bullet, pred_eq_bullet,
-                        spine_m, val_m)
+from .valuation import (check_m, check_ur, lead_bullet, lead_m, spine_m,
+                        val_m)
 
 USAGE_EXIT = 64
 
@@ -97,14 +97,15 @@ def _cmd_preds(args) -> int:
     g = load_group(args.group)
     e = parse_element(args.element, g)
     bound = 4 if args.bound is None else args.bound
+    # one lead per modulus gives its value and every coefficient predicate
+    leads = {m: lead_m(g, e, m) for m in [0, *range(2, bound + 1)]}
     out = {
         "element": to_jsonable(e),
         "sign": g.sign_of(e),
-        "val": {str(m): to_jsonable(val_m(g, e, m))
-                for m in [0, *range(2, bound + 1)]},
-        "eq_bullet": {str(k): pred_eq_bullet(g, e, k)
+        "val": {str(m): to_jsonable(lead[0]) for m, lead in leads.items()},
+        "eq_bullet": {str(k): lead_bullet(g, leads[0], 0, k)
                       for k in range(0, bound)},
-        "cong_bullet": {f"{m},{k}": pred_cong_bullet(g, e, m, k)
+        "cong_bullet": {f"{m},{k}": lead_bullet(g, leads[m], m, k)
                         for m in range(2, bound + 1) for k in range(m)},
     }
     _emit(args, out)

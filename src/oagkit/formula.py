@@ -40,12 +40,12 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .chain import Coord, Position, once_property
-from .errors import FormulaSyntaxError, PresentationError, UnboundVariable
+from .errors import FormulaSyntaxError, UnboundVariable
 from .group import Element, GroupSpec
 from .rib import RibElement
 from .valuation import (SpineValue, SpineValueKind, SV_INF,
-                        compare_spine_values, lead_bullet, lead_m, sv_limit,
-                        sv_pos, val_m)
+                        compare_spine_values, pred_cong_bullet,
+                        pred_eq_bullet, sv_limit, sv_pos, val_m)
 
 # -- abstract syntax ----------------------------------------------------------
 
@@ -538,26 +538,9 @@ def eval_formula(g: GroupSpec, f, env: Optional[Dict[str, Element]] = None) -> b
     raise FormulaSyntaxError(f"not a formula: {f!r}")
 
 
-def lead_modulus(f) -> int:
-    """The modulus of the lead that decides a coefficient atom: 0 for
-    order and equality, the atom's own for a congruence."""
-    if isinstance(f, CongBullet):
-        if f.m <= 1:
-            raise PresentationError("congruence needs a modulus of at least 2")
-        return f.m
-    return 0
-
-
-def lead_holds(g: GroupSpec, f, lead) -> bool:
-    """Whether the atom f (Gt0, CongBullet or EqBullet) holds of a value
-    whose ``lead_m`` at ``lead_modulus(f)`` is ``lead``."""
-    if isinstance(f, Gt0):
-        return lead[1] is not None and lead[1].sign > 0
-    return lead_bullet(g, lead, f.m if isinstance(f, CongBullet) else 0, f.k)
-
-
 def atom_holds(g: GroupSpec, f, value: Element) -> bool:
-    """Whether the atom f holds when its term takes the given value."""
+    """Whether the atom f holds when its term takes the given value; the
+    order and coefficient atoms read the value's lead."""
     if isinstance(f, CongM):
         ok, _ = g.in_m_multiples(value, f.m)
         return ok
@@ -565,4 +548,8 @@ def atom_holds(g: GroupSpec, f, value: Element) -> bool:
         c = compare_spine_values(g.spine, val_m(g, value, f.m), f.target)
         return {"<": c < 0, "<=": c <= 0, "=": c == 0,
                 ">=": c >= 0, ">": c > 0}[f.op]
-    return lead_holds(g, f, lead_m(g, value, lead_modulus(f)))
+    if isinstance(f, Gt0):
+        return g.sign_of(value) > 0
+    if isinstance(f, CongBullet):
+        return pred_cong_bullet(g, value, f.m, f.k)
+    return pred_eq_bullet(g, value, f.k)

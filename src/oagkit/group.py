@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from .chain import (ALL, INF, NONE, ChainSpec, Position, SegKind,
+from .chain import (ALL, NONE, ChainSpec, Position, SegKind,
                     _complement_piece, _piece_nonempty, once_property,
                     piece_contains)
 from .errors import PositionOutOfDomain, PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, _exact, _primes_of,
-                  nth_prime, prime_index, rib_contains, rib_divides,
+                  nth_prime, prime_index, rib_contains,
                   rib_elem_equiv, script_z_rib, z_local_rib)
 
 
@@ -286,6 +286,12 @@ class GroupSpec:
                     f"rib clause segment {entry.segment!r} is no segment index")
         return tuple(self._compile(i) for i in range(len(self.spine.segments)))
 
+    @once_property
+    def _uniform(self) -> Tuple[Optional[RibSpec], ...]:
+        """Each segment's ``SegmentLayout.uniform`` rib, or None: the
+        table the lead kernel and ``_rib_at`` read before a layout."""
+        return tuple(lay.uniform for lay in self.layouts)
+
     def _compile(self, i: int) -> SegmentLayout:
         """Segment i's layout: the first clause that matches a coordinate
         sets its rule.  A side of the colour that holds a point no clause
@@ -331,6 +337,9 @@ class GroupSpec:
 
     def _rib_at(self, p: Position) -> RibSpec:
         """``rib_at`` a position already checked against the chain."""
+        rib = self._uniform[p.seg]
+        if rib is not None:
+            return rib
         rule = self.layouts[p.seg].rule_at(p.coord)
         if isinstance(rule, RibSpec):
             return rule
@@ -433,34 +442,6 @@ class GroupSpec:
         return [(p.seg, -p.coord) if p.seg in rev else (p.seg, p.coord)
                 for p, _ in fp]
 
-    def _aligned(self, a: Element, b: Element) -> Iterator[
-            Tuple[Position, Optional[RibElement], Optional[RibElement]]]:
-        """(position, deviation of a, deviation of b) over both supports in
-        chain order, None on a side without one: a lazy merge of the two
-        sorted deviation lists, for readers that stop at the first
-        position that decides (``_differences``); ``add`` and ``sub``
-        merge eagerly in ``_merge``."""
-        key = self.spine.unchecked_key
-        done = self.spine.sort_key(INF)  # after every position
-        fa, fb = a.fp, b.fp
-        na, nb = len(fa), len(fb)
-        i = j = 0
-        ka = key(fa[0][0]) if na else done
-        kb = key(fb[0][0]) if nb else done
-        while i < na or j < nb:
-            x = y = None
-            if ka <= kb:
-                p, x = fa[i]
-                i += 1
-            if kb <= ka:
-                p, y = fb[j]
-                j += 1
-            yield p, x, y
-            if x is not None:
-                ka = key(fa[i][0]) if i < na else done
-            if y is not None:
-                kb = key(fb[j][0]) if j < nb else done
-
     def add(self, a: Element, b: Element) -> Element:
         return self._merge(a, b, False)
 
@@ -501,17 +482,6 @@ class GroupSpec:
 
     def neg(self, a: Element) -> Element:
         return Element(tuple((p, -v) for p, v in a.fp), -a.tail)
-
-    def _differences(self, a: Element, b: Element
-                     ) -> Iterator[Tuple[Position, RibElement]]:
-        """The deviations of a - b, zeros included, lazily in chain order."""
-        for p, x, y in self._aligned(a, b):
-            if y is None:
-                yield p, x
-            elif x is None:
-                yield p, -y
-            else:
-                yield p, x - y
 
     def scale(self, a: Element, k) -> Element:
         k = _exact(k)
@@ -577,62 +547,15 @@ class GroupSpec:
             coords = range(max((last, past - 1, *listed)) + 2)
         return self._walk(e.fp, e.tail, coords)
 
-    def _first_indivisible(self, devs: Iterable[Tuple[Position, RibElement]],
-                           tail: RibElement, m: int,
-                           scaled_tail: RibElement
-                           ) -> Optional[Tuple[Position, RibElement]]:
-        """The first position whose coordinate is not m times a value of
-        its rib, with that coordinate, or None, for the element with these
-        deviations (in chain order, zeros allowed) and this tail.
-        ``scaled_tail`` is tail / m: off the deviations a terminal
-        coordinate fails where that leaves its rib.  Without a tail the
-        deviations are read directly.  Each segment's
-        ``SegmentLayout.uniform`` rib is looked up once per call and, when
-        there is one, stands for ``_rib_at`` at each of its coordinates."""
-        walk = devs
-        if tail:
-            cofinal, coords = self._tail_exits(scaled_tail)
-            if cofinal:  # it leaves at every other coordinate: one fails
-                listed = coords
-                coords = (n for n in itertools.count() if n not in listed)
-            walk = self._walk(devs, tail, coords)
-        uniform = [lay.uniform for lay in self.layouts]
-        rib_at = self._rib_at
-        for p, c in walk:
-            if not rib_divides(uniform[p.seg] or rib_at(p), c, m):
-                return p, c
-        return None
-
-    def _leading(self, devs: Iterable[Tuple[Position, RibElement]],
-                 tail: RibElement) -> Tuple[object, RibElement]:
-        """The least position with a nonzero coordinate, and that
-        coordinate, of the element with these deviations (in chain order,
-        zeros allowed) and this tail; (INF, RIB_ZERO) for zero."""
-        t = self.terminal_omega
-        n = 0  # the least terminal coordinate not yet passed
-        for p, d in devs:
-            if tail and p.seg == t:
-                if p.coord > n:
-                    break  # coordinate n holds the tail alone
-                d = tail + d
-                n = p.coord + 1
-            if d:
-                return p, d
-        if tail:
-            return Position(t, n), tail
-        return INF, RIB_ZERO
-
-    def nat_val(self, e: Element):
-        """Least position with a nonzero coordinate; INF for zero."""
-        return self._leading(e.fp, e.tail)[0]
-
     def sign_of(self, e: Element) -> int:
-        return self._leading(e.fp, e.tail)[1].sign
+        hit = valuation._lead(self, e, 0)
+        return hit[1].sign if type(hit) is tuple else 0
 
     def compare(self, a: Element, b: Element) -> int:
         """The sign of a - b, read at the first position where a and b
         differ without building a - b."""
-        return self._leading(self._differences(a, b), a.tail - b.tail)[1].sign
+        hit = valuation._lead(self, a, 0, b)
+        return hit[1].sign if type(hit) is tuple else 0
 
     # -- membership ------------------------------------------------------
 
@@ -656,13 +579,10 @@ class GroupSpec:
         return None
 
     def _is_multiple(self, e: Element, m: int) -> bool:
-        """Whether e / m lies in the group, without building e / m."""
-        tail = e.tail if m == 1 or not e.tail else e.tail.scale(Fraction(1, m))
-        if self._first_indivisible(e.fp, e.tail, m, tail) is not None:
-            return False
-        if self.mode == "sum":
-            return self.tail_coefficients(tail) is not None
-        return True
+        """Whether e / m lies in the group, without building e / m: no
+        coordinate of e fails m-divisibility in its rib, and in sum mode
+        the tail over m lands in the generator lattice."""
+        return valuation._lead(self, e, m) is valuation.SV_INF
 
     def contains(self, e: Element) -> bool:
         return self._is_multiple(e, 1)
@@ -856,3 +776,7 @@ def _free_coords(pieces, named, size: Optional[int]) -> Iterator[int]:
             len(p[1]) for p in pieces if p[0] == "minus") + 1)
     return (c for c in coords if (size is None or c < size) and c not in named
             and all(piece_contains(p, c) for p in pieces))
+
+
+# the lead kernel lives in valuation, which imports this module
+from . import valuation  # noqa: E402

@@ -22,8 +22,8 @@ from .errors import (ElementInG, LiftObstruction, NotPseudoCauchy,
                      NotRepresentable, PresentationError, TooShort)
 from .group import Element, GroupSpec, PairSpec
 from .rib import RibElement
-from .valuation import (SpineValue, SpineValueKind, compare_spine_values,
-                        lead_m, sv_pos, val_m)
+from .valuation import (SV_INF, SpineValue, SpineValueKind, _lead,
+                        compare_spine_values, lead_m, sv_pos, val_m)
 
 
 @dataclass(frozen=True)
@@ -265,10 +265,10 @@ def immediate_ext_check(pair: PairSpec, h: Element) -> ImmediateReport:
     deviation, or past coordinate 0.
     """
     small, big = pair.small, pair.big
-    if small.contains(h):
+    hit = _lead(small, h, 1)  # membership: the first coordinate outside
+    if hit is SV_INF:
         raise ElementInG("the candidate already lies in the small group")
-    hit = small._first_indivisible(h.fp, h.tail, 1, h.tail)
-    if hit is not None:
+    if type(hit) is tuple:
         p, c = hit
         return ImmediateReport(
             "not_immediate", position=p, partial=small.el(_below(big, h, p)),

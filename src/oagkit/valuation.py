@@ -11,13 +11,14 @@ genuinely new point: the limit value sitting above the terminal segment.
 
 m = 0 gives the natural valuation, m = 1 is identically INF.
 
-``lead_m(g, e, m, minus)`` is the one reader: it returns the pair
-(val_m(e - minus), the coordinate of e - minus at that value), the
-coordinate None at INF and at a limit value.  One lazy walk over the
-deviations of e and minus gives both and stops at the first coordinate
-that decides, so a - b is never built just to value it.  ``val_m``, the
-coefficient predicates, the formula atoms, the schemes and the
-pseudo-Cauchy checks all read leads.
+``_lead(g, e, m, minus)`` is the one lead kernel: one pass over the
+deviations of e - minus, and the terminal coordinates their tail
+decides at, that stops at the first coordinate that decides and returns
+it with its position, so e - minus is never built just to value it.
+``lead_m`` wraps it as (val_m(e - minus), the coordinate there).  The
+order and membership of ``GroupSpec``, ``val_m``, the coefficient
+predicates, the formula atoms, best approximations, the schemes and the
+pseudo-Cauchy checks all read it.
 """
 
 from __future__ import annotations
@@ -104,34 +105,101 @@ def compare_spine_values(chain: ChainSpec, a: SpineValue, b: SpineValue) -> int:
 # The valuation itself.
 
 
+def _merged(fa, fb, rev):
+    """(position, deviation of a - b) for the deviation lists fa of a and
+    fb of b, in chain order, zeros included, lazily: positions compare by
+    segment, then by coordinate, reversed on the omega* segments ``rev``."""
+    i = j = 0
+    na, nb = len(fa), len(fb)
+    while i < na and j < nb:
+        p, c = fa[i]
+        q, d = fb[j]
+        if p.seg != q.seg:
+            first = p.seg < q.seg
+        elif p.coord != q.coord:
+            first = (p.coord < q.coord) != (p.seg in rev)
+        else:
+            yield p, c - d
+            i += 1
+            j += 1
+            continue
+        if first:
+            yield p, c
+            i += 1
+        else:
+            yield q, -d
+            j += 1
+    yield from fa[i:]
+    for q, d in fb[j:]:
+        yield q, -d
+
+
+def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
+    """The lead kernel: (position, coordinate) at the first position where
+    the coordinate of e - minus (minus defaults to 0) decides at modulus
+    m.  At m = 0 a coordinate decides when it is nonzero; at m >= 1 when
+    it is not m times a value of its rib, so m = 1 reads membership.
+    When none decides: SV_INF if e - minus is an m-th multiple of a group
+    element (zero, for m = 0), else the limit value above the terminal
+    segment.
+
+    One loop reads the deviations of e - minus in chain order (e's own
+    when minus has none, else ``_merged``) and stops at the first
+    coordinate that decides.  Off the deviations a terminal coordinate
+    holds the tail: at m = 0 every such coordinate decides, at m >= 1
+    those where tail / m leaves its rib (``_tail_exits``).  ``free``
+    lists them in order, and the loop reads each before the deviations
+    above it.  A segment's ``uniform`` rib, from the group's table,
+    stands for ``_rib_at`` at each of its coordinates.
+    """
+    fa, fb, tail = e.fp, (), e.tail
+    if minus is not None:
+        fb = minus.fp
+        if minus.tail:
+            tail = tail - minus.tail
+    t, f = -1, None  # -1: no segment, as there is no tail to read
+    if tail:
+        t = g.terminal_omega
+        if m == 0:
+            free = itertools.count()
+        else:
+            scaled = tail if m == 1 else tail.scale(Fraction(1, m))
+            cofinal, listed = g._tail_exits(scaled)
+            free = (n for n in itertools.count() if n not in listed) \
+                if cofinal else iter(listed)
+        f = next(free, None)  # the next free terminal coordinate that decides
+    uniform, rib_at = g._uniform, g._rib_at
+    for p, c in _merged(fa, fb, g.spine._reversed_segments) if fb else fa:
+        if p.seg == t:
+            if f is not None and f < p.coord:
+                return Position(t, f), tail
+            if f == p.coord:  # the deviation stands at f
+                f = next(free, None)
+            c = tail + c
+        if not rib_divides(uniform[p.seg] or rib_at(p), c, m) if m else c:
+            return p, c
+    if f is not None:
+        return Position(t, f), tail
+    if not tail or g.mode == "hahn" or (
+            g.generators and g.tail_coefficients(scaled) is not None):
+        return SV_INF
+    return sv_limit(t)
+
+
 def lead_m(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None
            ) -> Tuple[SpineValue, Optional[RibElement]]:
     """(val_m(e - minus), the coordinate of e - minus at that value), with
     the coordinate None at INF and at a limit value; minus defaults to 0.
-
-    Both come from one lazy walk over the deviations of e and minus that
-    stops at the first coordinate that decides, so e - minus is never
-    built.
-    """
+    The kernel ``_lead`` reads both in one pass, so e - minus is never
+    built."""
     if m < 0:
         raise PresentationError("modulus must be nonnegative")
     if m == 1:
         return SV_INF, None
-    if minus is None:
-        devs, tail = e.fp, e.tail
-    else:
-        devs, tail = g._differences(e, minus), e.tail - minus.tail
-    if m == 0:
-        p, c = g._leading(devs, tail)
-        return (SV_INF, None) if p is INF else (sv_pos(p), c)
-    scaled = tail.scale(Fraction(1, m)) if tail else tail
-    hit = g._first_indivisible(devs, tail, m, scaled)
-    if hit is not None:
+    hit = _lead(g, e, m, minus)
+    if type(hit) is tuple:
         return sv_pos(hit[0]), hit[1]
-    if not tail or g.mode == "hahn" or (
-            g.generators and g.tail_coefficients(scaled) is not None):
-        return SV_INF, None
-    return sv_limit(g.terminal_omega), None
+    return hit, None
 
 
 def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
@@ -143,12 +211,17 @@ def val_m(g: GroupSpec, e: Element, m: int) -> SpineValue:
 # Leading-coefficient predicates.
 
 
-def coefficient_bullet(rib: RibSpec, c: RibElement, m: int, k: int) -> bool:
+def coefficient_bullet(rib: Optional[RibSpec], c: Optional[RibElement],
+                       m: int, k: int) -> bool:
     """Whether the coefficient c is k times the least positive element of
     the rib (m = 0), or congruent to it modulo m (m >= 2).
 
-    False in a rib without a least positive element.
+    With no coefficient (c None: at INF or a limit value) only zero has
+    k == 0 units (m = 0), and a congruence has nothing to read.  False
+    in a rib without a least positive element.
     """
+    if c is None:
+        return m == 0 and k == 0
     one = rib_min_positive(rib)
     if one is None:
         return False
@@ -159,12 +232,10 @@ def coefficient_bullet(rib: RibSpec, c: RibElement, m: int, k: int) -> bool:
 def lead_bullet(g: GroupSpec, lead: Tuple[SpineValue, Optional[RibElement]],
                 m: int, k: int) -> bool:
     """``coefficient_bullet`` on the coefficient of a ``lead_m(.., m)``
-    lead, read in the rib at its value.  With no coefficient, only zero
-    has k == 0 units (m = 0); a congruence has nothing to read."""
+    lead, read in the rib at its value."""
     v, c = lead
-    if c is None:
-        return m == 0 and k == 0
-    return coefficient_bullet(g._rib_at(v.position), c, m, k)
+    rib = None if c is None else g._rib_at(v.position)
+    return coefficient_bullet(rib, c, m, k)
 
 
 def pred_eq_bullet(g: GroupSpec, a: Element, k: int) -> bool:
@@ -378,14 +449,15 @@ def regular_spine(g: GroupSpec) -> Optional[ChainSpec]:
     The classifier reads cuts on the quotient of the spine under the
     union of the prime value sets (``_union_piece``).  Where each union
     piece is ``all`` or ``dense`` that quotient is the spine itself.  On
-    a finite spine every cut is principal whatever the quotient, so the
-    coloured spine answers as the quotient ``fin(k)`` would.  None is
-    left: an infinite spine whose union is sparse, whose quotient is not
-    finitely presented.
+    a finite spine every cut is principal, whatever the quotient and
+    whatever the colours, so the spine is returned as it stands, with no
+    value set computed.  None is left: an infinite spine whose union is
+    sparse, whose quotient is not finitely presented.
     """
+    if g.spine.finite:
+        return g.spine
     n = len(g.spine.segments)
-    tags = {_union_piece(g, i)[0] for i in range(n)}
-    if not tags <= {"all", "dense"} and not g.spine.finite:
+    if not {_union_piece(g, i)[0] for i in range(n)} <= {"all", "dense"}:
         return None
     colours = list(g.spine.colours)
     primes, wildcard, unbounded = relevant_primes(g)

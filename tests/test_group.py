@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import oracle_val_m
+
 from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
 from oagkit.chain import INF, ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.errors import PositionOutOfDomain, PresentationError
@@ -64,8 +66,8 @@ def test_membership_checks_the_rib():
 
 def test_natural_valuation_is_min_support():
     x = H.el([((0, 2), 5), ((0, 4), -1)])
-    assert H.nat_val(x) == Position(0, 2)
-    assert H.nat_val(ZERO_ELEMENT) is INF
+    assert val_m(H, x, 0) == oracle_val_m(H, x, 0) == sv_pos(Position(0, 2))
+    assert val_m(H, ZERO_ELEMENT, 0) == oracle_val_m(H, ZERO_ELEMENT, 0) == SV_INF
 
 
 def test_sign_is_leading_coordinate_sign():

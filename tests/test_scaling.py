@@ -104,17 +104,22 @@ def _differing_first(g, n, tails):
     ("g1", (0, 0)), ("g1", (1, 3)), ("sigma_ext", (0, 0))])
 def test_the_lead_of_a_difference_stops_where_it_is_decided(group, tails, m):
     """a - b is never built to be valued: the walk ends at the first
-    coordinate, however long the shared support behind it."""
+    coordinate, however long the shared support behind it, for
+    ``lead_m`` and for ``compare``, which reads the same kernel."""
     g = builtin_group(group)
-    calls = []
+    calls = {}
     for n in (SMALL, LARGE):
         a, b = _differing_first(g, n, tails)
         assert lead_m(g, a, m, b)[0] == sv_pos(Position(0, 0))
-        calls.append(lambda g=g, a=a, b=b: lead_m(g, a, m, b))
-    small, large = _best_seconds(calls, runs=20)
-    assert large / small < 2.0, (
-        f"lead_m({m}) on {group}: {small * 1e6:.1f} us at N = {SMALL}, "
-        f"{large * 1e6:.1f} us at N = {LARGE}")
+        assert g.compare(a, b) < 0
+        calls[f"lead_m({m})", n] = lambda g=g, a=a, b=b: lead_m(g, a, m, b)
+        calls["compare", n] = lambda g=g, a=a, b=b: g.compare(a, b)
+    best = dict(zip(calls, _best_seconds(list(calls.values()), runs=20)))
+    for op in (f"lead_m({m})", "compare"):
+        small, large = best[op, SMALL], best[op, LARGE]
+        assert large / small < 2.0, (
+            f"{op} on {group}: {small * 1e6:.1f} us at N = {SMALL}, "
+            f"{large * 1e6:.1f} us at N = {LARGE}")
 
 
 def _tail_checks_seconds(p):

@@ -72,7 +72,7 @@ def test_val_m_ultrametric_and_translation():
 def test_val_zero_is_natural_valuation():
     g = builtin_group("g1")
     x = g.el([((0, 3), 4)])
-    assert val_m(g, x, 0) == sv_pos(g.nat_val(x))
+    assert val_m(g, x, 0) == oracle_val_m(g, x, 0) == sv_pos(Position(0, 3))
     assert val_m(g, ZERO_ELEMENT, 0) == SV_INF
 
 
