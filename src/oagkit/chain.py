@@ -111,27 +111,33 @@ class Position:
 # ---------------------------------------------------------------------------
 # Pieces: finitely presented subsets of one segment.
 #
-# Colour rules, the piece sets of the cut classifier and the value sets of
+# Colour rules, the base sets of the cut classifier and the value sets of
 # val_m all describe a subset of a segment the same way, as one tagged
 # tuple per segment:
-#   ("all",)               whole segment
-#   ("none",)              empty on the segment
-#   ("only", S)            exactly the finite coordinate set S
-#   ("minus", S)           all but the finite coordinate set S
-#   ("dense", name, pol)   a dense, codense, cofinal and coinitial subset
-#                          (the class of colour ``name``); ``pol`` says
-#                          whether it holds the points we can name by
-#                          Fraction coordinates (True) or only phantom
-#                          ones (False), so the complement flips ``pol``
-#   ("schematic", params)  one singleton colour per coordinate n, given
-#                          uniformly in n; infinitely many predicates, so
-#                          not one definable set
+#   ("all",)                 whole segment
+#   ("none",)                empty on the segment
+#   ("only", S)              exactly the finite coordinate set S
+#   ("minus", S)             all but the finite coordinate set S
+#   ("dense", name, pol)     a dense, codense, cofinal and coinitial subset
+#                            (the class of colour ``name``); ``pol`` says
+#                            whether it holds the points we can name by
+#                            Fraction coordinates (True) or only phantom
+#                            ones (False), so the complement flips ``pol``
+#   ("dense", name, pol, S)  the same with membership flipped at the
+#                            finite, non-empty coordinate set S
+#   ("schematic", params)    one singleton colour per coordinate n, given
+#                            uniformly in n; infinitely many predicates, so
+#                            not one definable set
+# ``only S`` is ``none`` with S flipped and ``minus S`` is ``all`` with S
+# flipped, so every piece but a schematic one is a base (all, none or a
+# dense class) patched at finitely many coordinates.  Only this section
+# and the codec read a tag; every other module calls the functions here.
 
 ALL = ("all",)
 NONE = ("none",)
 
 
-def piece_contains(piece, coord: Coord) -> bool:
+def contains(piece, coord: Coord) -> bool:
     """Whether the point at local coordinate ``coord`` lies in the piece."""
     tag = piece[0]
     if tag == "all":
@@ -143,12 +149,68 @@ def piece_contains(piece, coord: Coord) -> bool:
     if tag == "minus":
         return coord not in piece[1]
     if tag == "dense":
-        return piece[2]
+        return piece[2] if len(piece) == 3 else piece[2] != (coord in piece[3])
     if tag == "schematic":
         # family of singletons: "some member colours p" is true at
         # every coordinate the family enumerates
         return isinstance(coord, int) and coord >= 0
     raise PresentationError(f"unhandled piece {piece!r}")
+
+
+def flips(piece) -> frozenset:
+    """The finite coordinates a piece names: where it differs from its
+    base (all, none or its dense class)."""
+    if piece[0] in ("only", "minus") or len(piece) == 4:
+        return piece[-1]
+    return frozenset()
+
+
+def patch(piece, coords):
+    """The piece with membership flipped at the finite coordinates
+    ``coords``.  A schematic family has no one membership to flip."""
+    if not coords:
+        return piece
+    tag, left = piece[0], flips(piece) ^ frozenset(coords)
+    if tag == "dense":
+        return piece[:3] + ((left,) if left else ())
+    if tag == "schematic":
+        raise PresentationError(f"a schematic piece cannot be patched: {piece!r}")
+    return ("minus" if tag in ("all", "minus") else "only", left)
+
+
+_OPPOSITE = {"all": "none", "none": "all", "only": "minus", "minus": "only"}
+
+
+def complement(piece):
+    """The rest of the segment; a schematic family stays as it is."""
+    tag = piece[0]
+    if tag == "dense":
+        return (tag, piece[1], not piece[2]) + piece[3:]
+    if tag in _OPPOSITE:
+        return (_OPPOSITE[tag],) + piece[1:]
+    return piece
+
+
+def nonempty(piece) -> bool:
+    """Whether the piece holds a point of an infinite segment: every
+    piece but ``none`` and ``only`` with no coordinates."""
+    return piece != NONE and not (piece[0] == "only" and not piece[1])
+
+
+def finite_on(seg: Segment, piece) -> bool:
+    """Whether a piece holds only finitely many points of its segment.  Any
+    other piece is cofinal and coinitial in a segment with no endpoints."""
+    return seg.kind is SegKind.FIN or piece[0] in ("none", "only")
+
+
+def dense_colour(piece) -> Optional[str]:
+    """The colour whose dense class the piece is read from, or None."""
+    return piece[1] if piece[0] == "dense" else None
+
+
+def is_schematic(piece) -> bool:
+    """Whether the piece is a family of singletons, not one set."""
+    return piece[0] == "schematic"
 
 
 @dataclass(frozen=True)
@@ -324,53 +386,10 @@ class CutClass:
 
 
 # ---------------------------------------------------------------------------
-# Piece sets: finitely presented subsets of the chain.  One piece per
-# segment, and a poison flag for sets with a schematic piece.
-
-
-@dataclass(frozen=True)
-class PieceSet:
-    pieces: tuple
-    poisoned: bool = False
-
-    def piece(self, i: int):
-        return self.pieces[i]
-
-
-def _piece_nonempty(piece) -> bool:
-    tag = piece[0]
-    if tag == "none":
-        return False
-    if tag == "only":
-        return bool(piece[1])
-    return True
-
-
-def _complement_piece(piece):
-    tag = piece[0]
-    if tag == "all":
-        return NONE
-    if tag == "none":
-        return ALL
-    if tag == "only":
-        return ("minus", piece[1])
-    if tag == "minus":
-        return ("only", piece[1])
-    if tag == "dense":
-        return ("dense", piece[1], not piece[2])
-    return piece  # schematic stays poisoned
-
-
-def complement(ps: PieceSet) -> PieceSet:
-    return PieceSet(tuple(_complement_piece(p) for p in ps.pieces),
-                    poisoned=ps.poisoned)
-
-
-# ---------------------------------------------------------------------------
 # The stock definable sets of a coloured chain.
 
 
-def successor_set(chain: ChainSpec) -> PieceSet:
+def successor_set(chain: ChainSpec) -> tuple:
     """Points with an immediate successor in the chain plus INF."""
     n = len(chain.segments)
     pieces = []
@@ -389,10 +408,10 @@ def successor_set(chain: ChainSpec) -> PieceSet:
             pieces.append(ALL if nxt_has_min else ("only", frozenset(range(seg.size - 1))))
         else:
             pieces.append(ALL if nxt_has_min else ("minus", frozenset({0})))
-    return PieceSet(tuple(pieces))
+    return tuple(pieces)
 
 
-def predecessor_set(chain: ChainSpec) -> PieceSet:
+def predecessor_set(chain: ChainSpec) -> tuple:
     pieces = []
     for i, seg in enumerate(chain.segments):
         k = seg.kind
@@ -406,12 +425,7 @@ def predecessor_set(chain: ChainSpec) -> PieceSet:
         # segment's maximum
         prv_has_max = i > 0 and chain.segments[i - 1].kind.has_max
         pieces.append(ALL if prv_has_max else ("minus", frozenset({0})))
-    return PieceSet(tuple(pieces))
-
-
-def colour_piece_set(chain: ChainSpec, colour: ColourRule) -> PieceSet:
-    pieces = tuple(colour.rule_at(i) for i in range(len(chain.segments)))
-    return PieceSet(pieces, poisoned=any(p[0] == "schematic" for p in pieces))
+    return tuple(pieces)
 
 
 def _base_sets(chain: ChainSpec):
@@ -419,25 +433,16 @@ def _base_sets(chain: ChainSpec):
     with a schematic piece is a family of predicates, not one set."""
     base = [("succ", successor_set(chain)), ("pred", predecessor_set(chain))]
     for colour in chain.colours:
-        base.append((f"colour:{colour.name}", colour_piece_set(chain, colour)))
+        pieces = tuple(colour.rule_at(i) for i in range(len(chain.segments)))
+        if not any(map(is_schematic, pieces)):
+            base.append((f"colour:{colour.name}", pieces))
     for name, x in base:
-        if not x.poisoned:
-            yield name, x
-            yield f"not {name}", complement(x)
+        yield name, x
+        yield f"not {name}", tuple(map(complement, x))
 
 
 # ---------------------------------------------------------------------------
 # Cut classification.
-
-# colour pieces that name only finitely many points of a segment
-_PLAIN_TAGS = ("none", "only", "schematic")
-
-
-def _finite_on(seg: Segment, piece) -> bool:
-    """Whether a piece holds only finitely many points of its segment.  Any
-    other piece is cofinal and coinitial in a segment with no endpoints."""
-    return piece[0] in ("none", "only") or seg.kind is SegKind.FIN
-
 
 def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
     n = len(chain.segments)
@@ -459,7 +464,7 @@ def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
     # defines the lower set as the points below one of its members, those
     # finitely many points (parameters) left out; dually from segment j + 1.
     for name, x in _base_sets(chain):
-        finite = [_finite_on(seg, p) for seg, p in zip(chain.segments, x.pieces)]
+        finite = [finite_on(seg, p) for seg, p in zip(chain.segments, x)]
         if not finite[j] and all(finite[j + 1:]):
             return CutClass(CutStatus.DEFINABLE, name,
                             f"{name} is cofinal in segment {j} and finite above it")
@@ -475,9 +480,11 @@ def _classify_boundary(chain: ChainSpec, j: int) -> CutClass:
             f"{dense}, and that run ends at the cut")
     left_ok = left.kind in (SegKind.OMEGA, SegKind.INT, SegKind.DENSE_Q)
     right_ok = right.kind in (SegKind.OMEGA_STAR, SegKind.INT, SegKind.DENSE_Q)
+    # each colour holds finitely many points, or is a family of singletons,
+    # on both sides
     colours_plain = all(
-        c.rule_at(j)[0] in _PLAIN_TAGS and c.rule_at(j + 1)[0] in _PLAIN_TAGS
-        for c in chain.colours)
+        finite_on(chain.segments[k], c.rule_at(k)) or is_schematic(c.rule_at(k))
+        for c in chain.colours for k in (j, j + 1))
     if left_ok and right_ok and colours_plain:
         return CutClass(
             CutStatus.NOT_DEFINABLE, "homogeneous-gap",
@@ -574,9 +581,9 @@ def chain_stably_embedded(chain: ChainSpec) -> ChainSEReport:
 
 def _fin_coords(piece, size: int, offset: int = 0) -> frozenset:
     """The coordinates of a finite segment inside a piece, shifted."""
-    if piece[0] in ("dense", "schematic"):
+    if dense_colour(piece) is not None or is_schematic(piece):
         raise PresentationError("colour rule not usable on a finite segment")
-    return frozenset(c + offset for c in range(size) if piece_contains(piece, c))
+    return frozenset(c + offset for c in range(size) if contains(piece, c))
 
 
 def ordered_sum(a: ChainSpec, b: ChainSpec) -> ChainSpec:

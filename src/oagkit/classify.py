@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .chain import CutStatus, Position, chain_stably_embedded, piece_contains
+from .chain import (CutStatus, Position, chain_stably_embedded, contains,
+                    dense_colour)
 from .errors import NotFRRError
 from .group import Element, GroupSpec, PairSpec, SchematicRib
 from .pseudo import NoMaximum, immediate_ext_check
@@ -75,7 +76,7 @@ def frr_classes(g: GroupSpec) -> tuple:
         piece = _union_piece(g, i)
         for c in range(seg.size):
             block.append(Position(i, c))
-            if piece_contains(piece, c):
+            if contains(piece, c):
                 blocks.append(tuple(block))
                 block = []
     if block:
@@ -156,9 +157,8 @@ def classify_main(g: GroupSpec) -> Verdict:
     detail = f"value sets stabilize at modulus {ur.modulus}"
     # the union pieces are those of spine_m(g, ur.modulus) (see check_ur),
     # and only a dense colour piece of a layout makes a dense one
-    pieces = (_union_piece(g, i) for i, lay in enumerate(g.layouts)
-              if lay.piece[0] == "dense")
-    dense = {p[1] for p in pieces if p[0] == "dense"}
+    dense = {dense_colour(_union_piece(g, i)) for i, lay in enumerate(g.layouts)
+             if dense_colour(lay.piece) is not None} - {None}
     if dense:
         detail += ("; the value set is the dense-codense locus "
                    + ", ".join(sorted(dense)))

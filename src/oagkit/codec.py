@@ -109,11 +109,12 @@ def _colour_rule_data(piece):
     if tag == "minus":
         return {"rule": "cofinite",
                 "excluded": sorted(map(_coord_data, piece[1]), key=str)}
-    if tag == "dense":
+    if tag == "dense" and len(piece) == 3:
         return {"rule": "dense_codense", "representable": piece[2]}
     if tag == "schematic":
         return {"rule": "schematic_singletons", "params": list(piece[1])}
-    raise PresentationError(f"unknown colour rule {piece!r}")
+    # a patched dense piece has no JSON colour rule
+    raise PresentationError(f"no colour rule writes the piece {piece!r}")
 
 
 def _colour_rule_from(d, name: str):

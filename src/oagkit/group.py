@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from .chain import (ALL, NONE, ChainSpec, Position, SegKind,
-                    _complement_piece, _piece_nonempty, once_property,
-                    piece_contains)
+from .chain import (ALL, ChainSpec, Position, SegKind, complement, contains,
+                    finite_on, flips, is_schematic, nonempty, once_property)
 from .errors import PositionOutOfDomain, PresentationError
 from .rib import (RIB_ZERO, RibElement, RibSpec, _exact, _primes_of,
                   nth_prime, prime_index, rib_contains,
@@ -70,21 +69,14 @@ class SchematicRib:
         p = self.prime_for(n)
         return script_z_rib(p) if self.template == "script_z" else z_local_rib(p)
 
-    def bad_coords(self, value: RibElement) -> Tuple[int, ...]:
-        """Coordinates n where the standard value fails to lie in
-        rib_for(n): finitely many, since membership in these templates
-        only constrains the denominator.  (No template rib holds a
-        nonstandard value.)"""
-        bad = set()
-        denom = value.q.denominator
-        for n, p in enumerate(self.primes):
-            if denom % p == 0:
-                bad.add(n)
-        for p in _primes_of(denom):
-            idx = prime_index(p)
-            if idx >= len(self.primes):
-                bad.add(idx)
-        return tuple(sorted(bad))
+    def coords_dividing(self, k: int) -> frozenset:
+        """The coordinates whose prime divides k: listed ones, and past
+        the list the index of each prime of k.  There rib_for(n) has index
+        above 1 at a prime of k, and a standard value with denominator k
+        leaves it."""
+        coords = itertools.chain(range(len(self.primes)),
+                                 map(prime_index, _primes_of(k)))
+        return frozenset(n for n in coords if k % self.prime_for(n) == 0)
 
 
 # the rib at a coordinate: one rib, or a schematic rib read there
@@ -131,9 +123,8 @@ class SegmentLayout:
 
     @once_property
     def named(self) -> frozenset:
-        """The coordinates an exception or a finite colour piece names."""
-        finite = self.piece[1] if self.piece[0] in ("only", "minus") else ()
-        return frozenset(self.ribs).union(finite)
+        """The coordinates an exception or the colour piece names."""
+        return frozenset(self.ribs).union(flips(self.piece))
 
     @once_property
     def horizon(self):
@@ -142,7 +133,7 @@ class SegmentLayout:
 
     def rule_at(self, coord) -> Rule:
         return self.ribs.get(coord) or (
-            self.on if piece_contains(self.piece, coord) else self.off)
+            self.on if contains(self.piece, coord) else self.off)
 
     @once_property
     def eventual(self) -> Rule:
@@ -302,18 +293,18 @@ class GroupSpec:
             p = entry.position
             if p is not None:
                 if p.seg == i and p.coord not in exceptions and not (
-                        colour is not None and piece_contains(piece, p.coord)):
+                        colour is not None and contains(piece, p.coord)):
                     exceptions[p.coord] = rule
             elif entry.segment is None or entry.segment == i:
                 if entry.colour is None:
                     on, off = (rule if colour is None else on), rule
                     break
                 here = self.spine.colour_named(entry.colour).rule_at(i)
-                if not _piece_nonempty(here):
+                if not nonempty(here):
                     continue  # the colour holds nowhere on this segment
                 if colour is None:
                     colour, on, piece = entry.colour, rule, here
-                    if piece[0] == "schematic":
+                    if is_schematic(piece):
                         raise PresentationError(
                             "schematic colours cannot split a rib assignment")
                 elif entry.colour != colour:
@@ -322,7 +313,7 @@ class GroupSpec:
                         f"{entry.colour!r} both split its rib clauses")
         if on is None or off is None:
             seg = self.spine.segments[i]
-            for side, rule in ((piece, on), (_complement_piece(piece), off)):
+            for side, rule in ((piece, on), (complement(piece), off)):
                 if rule is None and _free_point(seg, side, exceptions):
                     raise PresentationError(
                         f"no rib clause covers part of segment {i}")
@@ -358,7 +349,7 @@ class GroupSpec:
         if isinstance(rule, SchematicRib):
             cofinal = bool(v.w)  # no template rib holds a nonstandard value
             if not cofinal:
-                listed = set(rule.bad_coords(v)) - lay.named
+                listed = set(rule.coords_dividing(v.q.denominator)) - lay.named
         else:
             cofinal = not rib_contains(rule, v)
         listed.update(c for c in lay.named
@@ -698,7 +689,7 @@ class PairSpec:
             reads = {c for c in named if not finite or c < seg.size}
             for (_, ps, rs), (_, pb, rb) in itertools.product(_sides(s), _sides(b)):
                 if finite:
-                    free = _free_coords((ps, pb), named, seg.size)
+                    free = _free_coords(seg, (ps, pb), named)
                     schematic = SchematicRib in (type(rs), type(rb))
                     reads.update(free if schematic else itertools.islice(free, 1))
             for c in sorted(reads):
@@ -711,13 +702,12 @@ class PairSpec:
                 raise PresentationError(
                     f"segment {i}: the two groups split it on different colours")
             sides = ([(side, piece, rule) for side, piece, rule in _sides(lay)
-                      if piece != NONE and not (piece[0] == "only" and piece[1] <= named)]
-                     for lay in (s, b))
+                      if _free_point(seg, piece, named)] for lay in (s, b))
             for (side, ps, rule_s), (_, pb, rule_b) in (
                     zip(*sides) if split else itertools.product(*sides)):
                 where = f"segment {i}{side}"
                 if isinstance(rule_s, RibSpec) and isinstance(rule_b, RibSpec):
-                    c = next(_free_coords((ps, pb), named, None), None)
+                    c = next(_free_coords(seg, (ps, pb), named), None)
                     yield where, None if c is None else Position(i, c), rule_s, rule_b
                 elif rule_s != rule_b:
                     raise PresentationError(
@@ -750,32 +740,31 @@ def _sides(lay: SegmentLayout) -> list:
     if lay.colour is None:
         return [("", ALL, lay.on)]
     return [(f" on colour {lay.colour}", lay.piece, lay.on),
-            (f" off colour {lay.colour}", _complement_piece(lay.piece), lay.off)]
+            (f" off colour {lay.colour}", complement(lay.piece), lay.off)]
 
 
-def _free_point(seg, piece, ribs) -> bool:
+def _free_point(seg, piece, named) -> bool:
     """Whether the side of a segment that the piece describes holds a
-    point off the coordinates ``ribs`` names; a dense piece holds points
-    no coordinate names on a dense segment."""
-    if piece[0] == "dense" and seg.kind.is_dense:
+    point off the coordinates ``named``; an infinite piece holds
+    points no coordinate names on a dense segment."""
+    if seg.kind.is_dense and not finite_on(seg, piece):
         return True
-    size = seg.size if seg.kind is SegKind.FIN else None
-    return next(_free_coords((piece,), ribs, size), None) is not None
+    return next(_free_coords(seg, (piece,), named), None) is not None
 
 
-def _free_coords(pieces, named, size: Optional[int]) -> Iterator[int]:
-    """The coordinates below ``size`` (of an infinite segment when None)
-    that lie in every piece and off ``named``, ascending, lazily; finding
-    the first reads at most the listed coordinates and one more."""
-    finite = [p[1] if p[0] == "only" else () for p in pieces
-              if p[0] in ("only", "none")]
-    if finite:
-        coords = sorted(min(finite, key=len))
-    else:  # an infinite segment: more integers than can be excluded
-        coords = range(size if size is not None else len(named) + sum(
-            len(p[1]) for p in pieces if p[0] == "minus") + 1)
-    return (c for c in coords if (size is None or c < size) and c not in named
-            and all(piece_contains(p, c) for p in pieces))
+def _free_coords(seg, pieces, named) -> Iterator[int]:
+    """The integer coordinates of the segment that lie in every piece and
+    off ``named``, ascending, lazily; on an infinite segment finding the
+    first reads at most the listed coordinates and one more."""
+    if seg.kind is SegKind.FIN:
+        coords = range(seg.size)
+    else:
+        finite = [flips(p) for p in pieces if finite_on(seg, p)]
+        # else more integers than can be excluded
+        coords = sorted(min(finite, key=len)) if finite else range(
+            len(named) + sum(len(flips(p)) for p in pieces) + 1)
+    return (c for c in coords
+            if c not in named and all(contains(p, c) for p in pieces))
 
 
 # the lead kernel lives in valuation, which imports this module

@@ -32,11 +32,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position,
-                    _complement_piece, piece_contains)
+                    complement, contains, dense_colour, patch)
 from .errors import PresentationError
 from .group import Element, GroupSpec, SchematicRib
-from .rib import (RibElement, RibSpec, _primes_of, nth_prime, prime_index,
-                  rib_divides, rib_min_positive, rib_residue)
+from .rib import (RibElement, RibSpec, _primes_of, nth_prime, rib_divides,
+                  rib_min_positive, rib_residue)
 
 
 def _once_per_group(fn):
@@ -268,7 +268,7 @@ def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
     true; ``schematic_piece(s)`` answers for a schematic rule at each of
     its coordinates.  Each distinct rule is asked once.  The layout's
     colour splits the rules, and each named coordinate is patched to
-    what its own rule says there."""
+    what its own rule says there, so no piece is refused."""
     lay = g.layouts[i]
 
     def read(rule):
@@ -283,43 +283,18 @@ def _layout_piece(g: GroupSpec, i: int, holds, schematic_piece):
     if on == off:
         base = on
     elif {on, off} == {ALL, NONE}:
-        base = lay.piece if on == ALL else _complement_piece(lay.piece)
+        base = lay.piece if on == ALL else complement(lay.piece)
     else:  # a schematic rule on one side
         base = where[lay.eventual]
-    wrong = frozenset(c for c in lay.named
-                      if piece_contains(where[lay.rule_at(c)], c)
-                      != piece_contains(base, c))
-    if not wrong:
-        return base
-    tag, coords = {"all": ("minus", ()), "none": ("only", ())}.get(base[0], base[:2])
-    if tag not in ("only", "minus"):
-        raise PresentationError(
-            f"a position clause cannot patch the dense colour on segment {i}")
-    return (tag, frozenset(coords) ^ wrong)
+    return patch(base, frozenset(c for c in lay.named
+                                 if contains(where[lay.rule_at(c)], c)
+                                 != contains(base, c)))
 
 
 def _m_hits(rib: RibSpec, m: int) -> bool:
     """Whether the rib contributes values modulo m (some index above 1)."""
     nd = rib.nondivisible_primes
     return m > 1 if nd is None else any(m % p == 0 for p in nd)
-
-
-def _schematic_hit_coords(s: SchematicRib, m: int) -> frozenset:
-    coords = set()
-    primes = _primes_of(m)
-    for n, p in enumerate(s.primes):
-        if p in primes:
-            coords.add(n)
-    for p in primes:
-        idx = prime_index(p)
-        if idx >= len(s.primes) and _m_hits(s.rib_for(idx), m):
-            coords.add(idx)
-    return frozenset(coords)
-
-
-def _segment_value_piece(g: GroupSpec, i: int, m: int):
-    return _layout_piece(g, i, lambda rib: _m_hits(rib, m),
-                         lambda s: ("only", _schematic_hit_coords(s, m)))
 
 
 @_once_per_group
@@ -381,10 +356,33 @@ def spine_m(g: GroupSpec, m: int) -> ValueSet:
         return ValueSet(0, (ALL,) * n, None)
     if m == 1:
         return ValueSet(1, (NONE,) * n, None)
-    pieces = tuple(_segment_value_piece(g, i, m) for i in range(n))
+    pieces = tuple(_layout_piece(g, i, lambda rib: _m_hits(rib, m),
+                                 lambda s: ("only", s.coords_dividing(m)))
+                   for i in range(n))
     limit = g.generators and any(
-        _limit_in_value_set(g, p) is not None for p in _primes_of(m))
+        _limit_in_value_set(g, p) is not None for p in _limit_primes(g, m))
     return ValueSet(m, pieces, g.terminal_omega if limit else None)
+
+
+def _limit_primes(g: GroupSpec, m: int) -> list:
+    """The primes whose value sets decide the limit modulo m, without
+    factoring m: the relevant primes dividing m, and when a factor is
+    left over, the first prime outside the relevant ones, which answers
+    like every other prime outside them (see ``check_m``)."""
+    relevant = relevant_primes(g)[0]
+    primes = [p for p in sorted(relevant) if m % p == 0]
+    rest = m
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    if rest > 1:
+        primes.append(_first_prime_outside(relevant))
+    return primes
+
+
+def _first_prime_outside(primes) -> int:
+    """The least prime not in ``primes``."""
+    return next(p for p in map(nth_prime, itertools.count()) if p not in primes)
 
 
 def value_set_contains(g: GroupSpec, vs: ValueSet, v: SpineValue) -> bool:
@@ -392,7 +390,7 @@ def value_set_contains(g: GroupSpec, vs: ValueSet, v: SpineValue) -> bool:
         return vs.inf
     if v.kind is SpineValueKind.LIMIT:
         return vs.limit_seg == v.seg
-    return piece_contains(vs.pieces[v.position.seg], v.position.coord)
+    return contains(vs.pieces[v.position.seg], v.position.coord)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +435,7 @@ def _union_piece(g: GroupSpec, i: int):
 
 
 def _informative(pieces: Sequence) -> bool:
-    tags = {p[0] for p in pieces}
-    return not (tags <= {"all"} or tags <= {"none"})
+    return not (set(pieces) <= {ALL} or set(pieces) <= {NONE})
 
 
 def regular_spine(g: GroupSpec) -> Optional[ChainSpec]:
@@ -448,16 +445,19 @@ def regular_spine(g: GroupSpec) -> Optional[ChainSpec]:
 
     The classifier reads cuts on the quotient of the spine under the
     union of the prime value sets (``_union_piece``).  Where each union
-    piece is ``all`` or ``dense`` that quotient is the spine itself.  On
-    a finite spine every cut is principal, whatever the quotient and
-    whatever the colours, so the spine is returned as it stands, with no
-    value set computed.  None is left: an infinite spine whose union is
-    sparse, whose quotient is not finitely presented.
+    piece is ``all`` or dense that quotient is the spine itself, also
+    when a dense piece is patched: union points accumulate on each
+    flipped point from both sides, so that point is a convex class of
+    its own.  On a finite spine every cut is principal, whatever the
+    quotient and whatever the colours, so the spine is returned as it
+    stands, with no value set computed.  None is left: an infinite spine
+    whose union is sparse, whose quotient is not finitely presented.
     """
     if g.spine.finite:
         return g.spine
     n = len(g.spine.segments)
-    if not {_union_piece(g, i)[0] for i in range(n)} <= {"all", "dense"}:
+    union = [_union_piece(g, i) for i in range(n)]
+    if not all(p == ALL or dense_colour(p) is not None for p in union):
         return None
     colours = list(g.spine.colours)
     primes, wildcard, unbounded = relevant_primes(g)
@@ -470,15 +470,12 @@ def regular_spine(g: GroupSpec) -> Optional[ChainSpec]:
             continue
         existing.add(vs.pieces)
         colours.append(ColourRule(f"mod-{p} values", vs.pieces))
-    disc = tuple(_discreteness_piece(g, i) for i in range(n))
+    # both schematic templates are dense
+    disc = tuple(_layout_piece(g, i, lambda rib: rib.discrete, lambda s: NONE)
+                 for i in range(n))
     if _informative(disc) and disc not in existing:
         colours.append(ColourRule("discrete ribs", disc))
     return ChainSpec(g.spine.segments, tuple(colours))
-
-
-def _discreteness_piece(g: GroupSpec, i: int):
-    # both schematic templates are dense
-    return _layout_piece(g, i, lambda rib: rib.discrete, lambda s: NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +514,7 @@ def check_m(g: GroupSpec) -> HypothesisResult:
                                 note="finitely supported elements: divisibility "
                                      "is settled coordinate by coordinate")
     primes = relevant_primes(g)[0]
-    outside = next(p for p in map(nth_prime, itertools.count())
-                   if p not in primes)
-    for p in sorted(primes | {outside}):
+    for p in sorted(primes | {_first_prime_outside(primes)}):
         e = _limit_in_value_set(g, p)
         if e is not None:
             return HypothesisResult("M", False, modulus=p, witness=e,

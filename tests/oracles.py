@@ -10,7 +10,7 @@ under test.
 import itertools
 from fractions import Fraction
 
-from oagkit.chain import Position, SegKind, piece_contains
+from oagkit.chain import Position, SegKind, contains
 from oagkit.group import Element
 from oagkit.rib import RibElement
 from oagkit.valuation import SV_INF, sv_limit, sv_pos
@@ -57,11 +57,20 @@ def _clause_rib(g, p):
             hit = e.position == p
         else:
             hit = e.segment in (None, p.seg) and (
-                e.colour is None or piece_contains(
+                e.colour is None or contains(
                     g.spine.colour_named(e.colour).rule_at(p.seg), p.coord))
         if hit:
             return e.rib if e.rib is not None else e.schematic.rib_for(p.coord)
     raise AssertionError(f"no clause covers {p}")
+
+
+def factoring_hits(rib, m):
+    """Whether the rib contributes values modulo m: factor m by trial
+    division and ask at each prime p whether 1 fails to be p-divisible,
+    which is the prime's index being above 1."""
+    primes = (p for p in range(2, m + 1)
+              if m % p == 0 and all(p % d for d in range(2, p)))
+    return any(not coordinate_divisible(rib, RibElement(1), p) for p in primes)
 
 
 def _prime_rank(p):

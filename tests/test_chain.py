@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Cut, CutKind,
                           CutStatus, Position, SegKind, Segment,
-                          chain_stably_embedded, classify_cut, cut_classes,
-                          dense_complete, dense_q, fin, integers, omega,
-                          omega_star, ordered_sum, piece_contains,
-                          predecessor_set, successor_set)
+                          chain_stably_embedded, classify_cut, complement,
+                          contains, cut_classes, dense_complete, dense_q, fin,
+                          finite_on, flips, integers, nonempty, omega,
+                          omega_star, ordered_sum, patch, predecessor_set,
+                          successor_set)
 from oagkit.errors import PositionOutOfDomain
 
 
@@ -57,12 +58,11 @@ def _neighbour(p, step):
 def test_successor_bracket(p):
     succ, pred = successor_set(MIXED), predecessor_set(MIXED)
     s = _neighbour(p, 1)
-    assert piece_contains(succ.piece(p.seg), p.coord) is (s is not None)
-    assert piece_contains(pred.piece(p.seg), p.coord) is \
-        (_neighbour(p, -1) is not None)
+    assert contains(succ[p.seg], p.coord) is (s is not None)
+    assert contains(pred[p.seg], p.coord) is (_neighbour(p, -1) is not None)
     if s is not None:
         assert MIXED.lt(p, s)
-        assert piece_contains(pred.piece(s.seg), s.coord)
+        assert contains(pred[s.seg], s.coord)
 
 
 def test_segments_are_ordered_blocks():
@@ -130,9 +130,9 @@ def test_colour_membership():
     ch = ChainSpec((Segment(SegKind.OMEGA),),
                    (ColourRule("start", (("only", frozenset({0, 2})),)),))
     start = ch.colour_named("start").rule_at(0)
-    assert piece_contains(start, 0)
-    assert not piece_contains(start, 1)
-    assert piece_contains(start, 2)
+    assert contains(start, 0)
+    assert not contains(start, 1)
+    assert contains(start, 2)
 
 
 def test_ordered_sum_reindexes_segments():
@@ -255,14 +255,54 @@ def _pieces(draw, seg):
     elif seg.kind is not SegKind.FIN:
         tags.append("schematic")
     tag = draw(st.sampled_from(tags))
+    coords = frozenset(draw(st.sets(st.sampled_from(_coords(seg)), max_size=3)))
     if tag in ("only", "minus"):
-        return (tag, frozenset(draw(st.sets(st.sampled_from(_coords(seg)),
-                                            max_size=3))))
+        return (tag, coords)
     if tag == "dense":
-        return ("dense", "d", draw(st.booleans()))
+        return ("dense", "d", draw(st.booleans())) + ((coords,) if coords else ())
     if tag == "schematic":
         return ("schematic", (2,))
     return (tag,)
+
+
+def _members(seg, piece):
+    """The points of _coords(seg) in the piece, read off its tag."""
+    coords = set(_coords(seg))
+    tag = piece[0]
+    if tag == "schematic":
+        return {c for c in coords if c >= 0}
+    if tag in ("only", "minus"):
+        base, named = tag == "minus", piece[1]
+    else:
+        base = tag == "all" or (tag == "dense" and piece[2])
+        named = piece[3] if len(piece) == 4 else frozenset()
+    return (coords if base else set()) ^ set(named)
+
+
+@settings(max_examples=300)
+@given(_segments(), st.data())
+def test_the_piece_algebra_agrees_with_plain_sets(seg, data):
+    piece = data.draw(_pieces(seg))
+    coords = set(_coords(seg))
+    members = _members(seg, piece)
+    assert {c for c in coords if contains(piece, c)} == members
+    if members:
+        assert nonempty(piece)
+    if seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR, SegKind.INT):
+        assert nonempty(piece) == bool(members)
+    # a dense class holds infinitely many points even where it names none
+    rest = members - set(flips(piece))
+    assert finite_on(seg, piece) == (
+        seg.kind is SegKind.FIN or not rest and piece[0] != "dense")
+    if piece[0] == "schematic":
+        return
+    assert rest in (set(), coords - set(flips(piece)))
+    assert _members(seg, complement(piece)) == coords - members
+    assert complement(complement(piece)) == piece
+    flipped = frozenset(data.draw(st.sets(st.sampled_from(sorted(coords)),
+                                          max_size=3)))
+    assert _members(seg, patch(piece, flipped)) == members ^ flipped
+    assert patch(piece, frozenset()) == piece
 
 
 @st.composite
@@ -277,15 +317,15 @@ def _mirror(seg, piece):
     """The piece read on the segment turned upside down: omega and omega*
     count from the end that becomes the other one's, so keep their
     coordinates."""
-    if piece[0] not in ("only", "minus"):
+    if not flips(piece):
         return piece
     if seg.kind is SegKind.FIN:
-        coords = (seg.size - 1 - c for c in piece[1])
+        coords = (seg.size - 1 - c for c in flips(piece))
     elif seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR):
-        coords = piece[1]
+        coords = flips(piece)
     else:
-        coords = (-c for c in piece[1])
-    return (piece[0], frozenset(coords))
+        coords = (-c for c in flips(piece))
+    return piece[:-1] + (frozenset(coords),)
 
 
 _TURNED = {SegKind.OMEGA: SegKind.OMEGA_STAR, SegKind.OMEGA_STAR: SegKind.OMEGA}

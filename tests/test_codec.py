@@ -1,15 +1,17 @@
 """JSON presentation round trips for groups and pairs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from oagkit.catalogue import GROUPS, PAIRS, builtin_group, builtin_pair
-from oagkit.chain import INF, Position, piece_contains
+from oagkit.chain import INF, ChainSpec, ColourRule, Position, contains
 from oagkit.classify import Reason, Status
 from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
                           load_pair, pair_from_data, pair_to_data, to_jsonable)
 from oagkit.errors import PresentationError
+from oagkit.group import GroupSpec
 from oagkit.rib import RibElement
 from oagkit.valuation import spine_m, sv_pos, value_set_contains
 from fractions import Fraction
@@ -123,6 +125,15 @@ def test_every_colour_rule_kind_survives_the_codec_and_reads_pointwise():
     for p, (in_c, in_marks) in table.items():
         for name, member in (("c", in_c), ("marks", in_marks)):
             piece = g.spine.colour_named(name).rule_at(p.seg)
-            assert piece_contains(piece, p.coord) is member, p
+            assert contains(piece, p.coord) is member, p
         assert g.rib_at(p).name == ("z" if in_c else "q"), p
         assert value_set_contains(g, vs, sv_pos(p)) is in_c, p
+
+
+def test_a_patched_dense_piece_is_written_to_results_but_not_to_colour_rules():
+    g = load_group(str(Path(__file__).parent / "presentations"
+                       / "patched_dense.json"))
+    assert to_jsonable(spine_m(g, 2))["pieces"] == [["dense", "c", True, ["1/2"]]]
+    patched = ChainSpec(g.spine.segments, (ColourRule("c", spine_m(g, 2).pieces),))
+    with pytest.raises(PresentationError, match="no colour rule writes"):
+        group_to_data(GroupSpec("patched", patched, g.ribs, g.mode))

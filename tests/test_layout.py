@@ -13,12 +13,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import oracle_contains, oracle_limit_witness, oracle_val_m
+from oracles import (_clause_rib, factoring_hits, oracle_contains,
+                     oracle_limit_witness, oracle_val_m)
 
-from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Position, Segment,
-                          SegKind)
+from oagkit.chain import (ALL, NONE, ChainSpec, ColourRule, Cut, CutKind,
+                          LimitSide, Position, Segment, SegKind)
 from oagkit.classify import Status, classify_main
 from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (Generator, GroupSpec, PairSpec, RibEntry,
@@ -205,6 +206,9 @@ def test_limit_values_over_many_primes_answer_at_once():
             generators=(Generator("a", RibElement(1)),))
     assert classify_main(g).status is Status.UNKNOWN
     assert spine_m(g, 104729).limit_seg is None
+    # a modulus too large to factor at once: the relevant primes divide
+    # it out, and one prime outside them stands in for the rest
+    assert spine_m(g, 998244359987710471).limit_seg is None
     assert time.perf_counter() - start < 1.0
 
 
@@ -219,6 +223,29 @@ def test_a_limit_value_off_the_pure_tail_is_in_the_value_set():
     res = check_m(g)
     assert not res.holds and res.modulus == 2
     assert val_m(g, res.witness, 2) == sv_limit(0)
+
+
+def _patched_dense(rib):
+    """One dense_q segment with a dense colour c: Z on c, and ``rib`` at
+    pos(0, 1/2), a point of c, and off c."""
+    spine = ChainSpec((Segment(SegKind.DENSE_Q),),
+                      (ColourRule("c", (("dense", "c", True),)),))
+    return GroupSpec("patched_dense", spine, (
+        RibEntry(rib=rib, position=Position(0, HALF)),
+        RibEntry(rib=z_rib(), colour="c"), RibEntry(rib=rib)), "hahn")
+
+
+@pytest.mark.parametrize("rib, rule, witness", [
+    (q_rib(), "rib-cut", q_rib()),
+    (r_proxy_rib(), "spine-cut",
+     Cut(CutKind.LIMIT, index=0, side=LimitSide.INTERIOR))])
+def test_a_position_clause_patches_a_dense_colour(rib, rule, witness):
+    g = _patched_dense(rib)
+    assert spine_m(g, 2).pieces == (("dense", "c", True, {HALF}),)
+    verdict = classify_main(g)
+    assert verdict.status is Status.NOT_SE
+    last = verdict.reasons[-1]
+    assert (last.rule, last.witness) == (rule, witness)
 
 
 # -- invariance under re-presentation -------------------------------------------
@@ -396,6 +423,19 @@ def test_a_uniform_segment_reads_the_rib_of_every_coordinate(g, data):
              data.draw(st.sampled_from([RibElement(0)] + SHORTCUT_VALUES)))
     assert g.contains(e) == oracle_contains(g, e)
     assert val_m(g, e, 2) == oracle_val_m(g, e, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shortcut_group())
+@example(_patched_dense(q_rib()))
+def test_a_value_set_holds_a_position_exactly_when_its_clause_rib_hits(g):
+    for m in (2, 3, 6):
+        vs = spine_m(g, m)
+        for i, seg in enumerate(g.spine.segments):
+            for c in _window(seg, g.layouts[i].named):
+                p = Position(i, c)
+                assert value_set_contains(g, vs, sv_pos(p)) == factoring_hits(
+                    _clause_rib(g, p), m), (m, p)
 
 
 def test_the_uniform_shortcut_covers_both_kinds_of_segment():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_val_m, random_element
+from oracles import factoring_hits, oracle_val_m, random_element
 
 from oagkit.catalogue import GROUPS as CATALOGUE
 from oagkit.catalogue import builtin_group
@@ -26,11 +26,9 @@ from oagkit.classify import Status, classify_main
 from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
                           pair_from_data)
 from oagkit.errors import OagError, PresentationError
-from oagkit.group import (ZERO_ELEMENT, Element, GroupSpec, RibEntry,
-                          SchematicRib, _primes_of)
-from oagkit.rib import (RIB_ONE, RibElement, RibSpec, q_rib, r_proxy_rib,
-                        rib_divides, script_z_rib, window_rib, z_local_rib,
-                        z_rib)
+from oagkit.group import ZERO_ELEMENT, Element, GroupSpec, RibEntry, SchematicRib
+from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib, script_z_rib,
+                        window_rib, z_local_rib, z_rib)
 from oagkit.valuation import (SV_INF, _m_hits, _union_piece, check_m, check_ur,
                               compare_spine_values, lead_m, pred_cong_bullet,
                               pred_eq_bullet, regular_spine, relevant_primes,
@@ -211,12 +209,6 @@ def test_check_ur_reads_no_value_set_and_each_check_is_stored():
 # -- the index rule and the stored value sets ----------------------------------
 
 
-def _factoring_hits(rib, m):
-    """The rule _m_hits replaced: factor m and ask each prime's index,
-    which is above 1 exactly when the prime does not divide 1."""
-    return any(not rib_divides(rib, RIB_ONE, p) for p in _primes_of(m))
-
-
 def test_m_hits_matches_the_factoring_rule():
     ribs = [z_rib(), q_rib(), r_proxy_rib(), window_rib()]
     for p in (2, 3, 5, 7):
@@ -225,7 +217,7 @@ def test_m_hits_matches_the_factoring_rule():
         ribs += [SchematicRib(template).rib_for(n) for n in range(6)]
     for rib in ribs:
         for m in range(1, 257):
-            assert _m_hits(rib, m) == _factoring_hits(rib, m), (rib, m)
+            assert _m_hits(rib, m) == factoring_hits(rib, m), (rib, m)
 
 
 def _presentations():
