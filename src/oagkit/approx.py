@@ -241,7 +241,19 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
 
     Each shape reads one lead kernel pass of g - x at the scheme's
     modulus and compares its position with the rung's by chain key;
-    ``_coefficient_relation`` reads the coefficient that decides."""
+    ``_coefficient_relation`` reads the coefficient that decides.
+
+    At beta itself n*a - x has coefficient rho + c, c the coefficient
+    of g - x there, and rho alone decides, as past beta.  A rho is a
+    coordinate the small rib fails to match, so it lies in the big rib
+    outside the small one.  Among the pairs a scheme is posed on (ribs
+    that extend and are elementarily equivalent), only Z under the
+    nonstandard window has such a coordinate.  There a coordinate
+    matches modulo every m >= 2 by its residue, so rho arises only at
+    m = 0, and it has a nonzero OMEGA part.  c is a value of Z,
+    because g holds nothing at beta and x lies in the small group.  So
+    rho + c is nonzero, has the sign of rho, and is never k units, the
+    same as rho."""
     big = pair.big
     ladder = s.ladder
     hit = _lead(big, s.approx if ladder is None else ladder.base, s.m, x)
@@ -262,17 +274,8 @@ def scheme_eval(pair: PairSpec, s: Scheme, x: Element) -> bool:
         # at beta, or past it (a later position, INF or a limit), rho decides
         key = big.spine.unchecked_key
         beta = s.beta.position
-        kp = (1,) if p is None else key(p)  # (1,) sorts above every position
-        kb = key(beta)
-        if kp >= kb:
-            rib = big._rib_at(beta)
-            rho = s.rho
-            if kp == kb:
-                rho = rho + c
-                if rib_divides(rib, rho, s.m) if s.m else not rho:
-                    raise GuardGap(f"{'residue' if s.m else 'coefficient'} "
-                                   f"collision at the best approximation")
-            return _coefficient_relation(s, rib, rho)
+        if p is None or key(p) >= key(beta):
+            return _coefficient_relation(s, big._rib_at(beta), s.rho)
     # below beta, or with no beta (an exact or limit-valued approximation:
     # n*a - x and g - x differ by an m-th multiple, or agree below the
     # limit and have no coordinate at their val_m past it), the lead of

@@ -19,9 +19,10 @@ free and makes eventual behaviour a property of the tail alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .chain import (ALL, ChainSpec, Position, SegKind, complement, contains,
                     finite_on, flips, is_schematic, nonempty, once_property)
@@ -364,49 +365,68 @@ class GroupSpec:
 
         Positions may be given as ``(seg, coord)`` tuples and values as
         plain numbers; only those are converted.  Cost: one checked pass
-        over ``pairs`` when they come in chain order, plus a sort only
-        when they do not (see ``_raw``)."""
-        tail = _as_rib_value(tail)
-        t = self.terminal_omega if tail else None  # no tail: nothing to take off
-        devs = []
-        for pos, v in pairs:
-            if type(pos) is not Position:
-                pos = _as_position(pos)
-            if type(v) is not RibElement:
-                v = _as_rib_value(v)
-            devs.append((pos, v - tail if pos.seg == t else v))
-        return self._raw(devs, tail)
+        over ``pairs`` when they come typed and in chain order (see
+        ``_raw``)."""
+        return self._raw(pairs, _as_rib_value(tail), True)
 
-    def _raw(self, devs: Sequence[Tuple[Position, RibElement]],
-             tail: RibElement) -> Element:
-        """Canonicalize deviations read from outside (``el``, parsed
-        literals, term constants): check the tail and every position, zero
-        entries included, refuse repeats, drop zeros and sort.
+    def _raw(self, devs: Iterable[Tuple[Position, RibElement]],
+             tail: RibElement, absolute: bool = False) -> Element:
+        """Canonicalize pairs read from outside: deviations (parsed
+        literals, term constants), or ``el``'s absolute coordinates, whose
+        terminal ones lose the tail.  Check the tail and every position,
+        zero entries included, refuse repeats, drop zeros and sort.
 
-        One pass calls ``check_position`` on each position, builds its
-        chain key inline and compares it with the last one.  Strictly
-        increasing keys mean the input is already in chain order with no
-        repeat, so the nonzero pairs are kept as they stand.  Only
-        out-of-order input is read again, keyed and sorted, and there the
-        first repeat in input order is refused."""
+        One pass reads input that comes typed (``Position``,
+        ``RibElement``) and in chain order.  It checks each position
+        against the chain's ``_coord_bounds`` inline, compares it with
+        the last one by segment, then by coordinate (reversed on omega*
+        segments), takes the tail off as it reads a terminal pair, and
+        keeps every other nonzero pair as it stands.  Any other input
+        breaks off that pass and is read again from the start: converted,
+        checked, keyed and sorted, and there the first repeat in input
+        order is refused, so every input gets the answer or the error of
+        that plain path."""
+        devs = devs if type(devs) in (list, tuple) else list(devs)
+        t = self.terminal_omega if absolute and tail else None
+        if not tail or self.terminal_omega is not None:
+            bounds, rev = self.spine._coord_bounds, self.spine._reversed_segments
+            fp = []
+            append = fp.append
+            # the segment of the last position, and its bounds; before the
+            # first, segment -1 holds no coordinate
+            last, lo, hi, dense = -1, 0, 0, False
+            for pv in devs:
+                p, v = pv
+                if type(p) is not Position or type(v) is not RibElement \
+                        or type(pv) is not tuple:
+                    break
+                s, c = p.seg, p.coord
+                if s != last or type(s) is not int:  # True == 1
+                    if type(s) is not int or not last < s < len(bounds):
+                        break
+                    last, top = s, -math.inf  # ``top``: the last coordinate's key
+                    lo, hi, dense = bounds[s]
+                    back = s in rev
+                if not (lo <= c < hi if type(c) is int
+                        else dense and type(c) is Fraction):
+                    break
+                k = -c if back else c
+                if k <= top:
+                    break
+                top = k
+                if s == t:
+                    if v := v - tail:
+                        append((p, v))
+                elif v:
+                    append(pv)
+            else:
+                return Element(tuple(fp), tail)
+        if absolute:
+            devs = [(pos, v - tail if pos.seg == t else v) for pos, v in (
+                (p if type(p) is Position else _as_position(p),
+                 _as_rib_value(v)) for p, v in devs)]
         if tail and self.terminal_omega is None:
             raise PresentationError("a tail needs a terminal omega segment")
-        check = self.spine.check_position
-        rev = self.spine._reversed_segments
-        fp = []
-        last = (-1,)  # below every key
-        for pv in devs:
-            p, v = pv
-            check(p)
-            s = p.seg
-            k = (s, -p.coord) if s in rev else (s, p.coord)
-            if k <= last:
-                break
-            last = k
-            if v:
-                fp.append(pv)
-        else:
-            return Element(tuple(fp), tail)
         seen = set()
         keyed = []
         for p, v in devs:
@@ -426,13 +446,6 @@ class GroupSpec:
             return RIB_ZERO if dev is None else dev
         return e.tail if dev is None else e.tail + dev
 
-    def _keys(self, fp: Sequence[Tuple[Position, RibElement]]) -> list:
-        """The chain key of each position of ``fp``: (segment, coordinate),
-        the coordinate negated on an omega* segment."""
-        rev = self.spine._reversed_segments
-        return [(p.seg, -p.coord) if p.seg in rev else (p.seg, p.coord)
-                for p, _ in fp]
-
     def add(self, a: Element, b: Element) -> Element:
         return self._merge(a, b, False)
 
@@ -441,30 +454,36 @@ class GroupSpec:
 
     def _merge(self, a: Element, b: Element, minus: bool) -> Element:
         """a + b, or a - b when ``minus``: one eager merge of the two
-        deviation lists over keys computed once per operand.  A position
-        held by one operand alone keeps that operand's own pair (b's is
-        negated when subtracting); where both hold one, b's position
-        stands with the sum or difference, dropped when zero."""
+        deviation lists, comparing positions inline by segment, then by
+        coordinate, reversed on omega* segments (as ``valuation._merged``
+        does).  A position held by one operand alone keeps that operand's
+        own pair (b's is negated when subtracting); where both hold one,
+        b's position stands with the sum or difference, dropped when
+        zero."""
         fa, fb = a.fp, b.fp
-        ka, kb = self._keys(fa), self._keys(fb)
+        rev = self.spine._reversed_segments
         na, nb = len(fa), len(fb)
         out = []
         append = out.append
         i = j = 0
         while i < na and j < nb:
-            x, y = ka[i], kb[j]
-            if x < y:
-                append(fa[i])
-                i += 1
-            elif y < x:
-                pv = fb[j]
-                append((pv[0], -pv[1]) if minus else pv)
-                j += 1
+            pa, pb = fa[i], fb[j]
+            p, q = pa[0], pb[0]
+            if p.seg != q.seg:
+                first = p.seg < q.seg
+            elif p.coord != q.coord:
+                first = (p.coord < q.coord) != (p.seg in rev)
             else:
-                p, v = fb[j]
-                if s := (fa[i][1] - v if minus else fa[i][1] + v):
-                    append((p, s))
+                if s := (pa[1] - pb[1] if minus else pa[1] + pb[1]):
+                    append((q, s))
                 i += 1
+                j += 1
+                continue
+            if first:
+                append(pa)
+                i += 1
+            else:
+                append((q, -pb[1]) if minus else pb)
                 j += 1
         out += fa[i:]
         out += [(p, -v) for p, v in fb[j:]] if minus else fb[j:]

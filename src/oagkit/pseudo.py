@@ -71,15 +71,10 @@ class PseudoSequence:
             n if self.rule is None else max(n + 3, 6)))
 
 
-def is_pseudo_cauchy(g: GroupSpec, seq: PseudoSequence,
-                     m: Optional[int] = None):
-    """Check the pseudo-Cauchy law on the materialized window.
-
-    Returns (True, threshold) with the first index from which consecutive
-    difference values strictly increase through the window, or
-    (False, (i, i+1, i+2)) naming the last violating triple.
-    """
-    m = seq.modulus if m is None else m
+def _steps(g: GroupSpec, seq: PseudoSequence, m: int):
+    """(the window, its consecutive difference values at modulus m, the
+    answer of ``is_pseudo_cauchy``): one kernel pass per difference,
+    which the pseudo-limit check and the lift read again."""
     terms = seq.window(g)
     if len(terms) < 3:
         raise TooShort("need at least three terms")
@@ -90,23 +85,32 @@ def is_pseudo_cauchy(g: GroupSpec, seq: PseudoSequence,
         if compare_spine_values(g.spine, diffs[i], diffs[i + 1]) >= 0:
             threshold = i + 1
     if threshold >= len(diffs) - 1:
-        return False, (threshold - 1, threshold, threshold + 1)
-    return True, threshold
+        return terms, diffs, (False, (threshold - 1, threshold, threshold + 1))
+    return terms, diffs, (True, threshold)
+
+
+def is_pseudo_cauchy(g: GroupSpec, seq: PseudoSequence,
+                     m: Optional[int] = None):
+    """Check the pseudo-Cauchy law on the materialized window.
+
+    Returns (True, threshold) with the first index from which consecutive
+    difference values strictly increase through the window, or
+    (False, (i, i+1, i+2)) naming the last violating triple.
+    """
+    return _steps(g, seq, seq.modulus if m is None else m)[2]
 
 
 def is_pseudo_limit(g: GroupSpec, seq: PseudoSequence, h: Element,
                     m: Optional[int] = None) -> bool:
     """Whether v(h - a_i) tracks the consecutive difference values."""
     m = seq.modulus if m is None else m
-    ok, threshold = is_pseudo_cauchy(g, seq, m)
+    terms, diffs, (ok, threshold) = _steps(g, seq, m)
     if not ok:
         raise NotPseudoCauchy("pseudo-limits only make sense past a "
                               "pseudo-Cauchy threshold")
-    terms = seq.window(g)
     for i in range(threshold, len(terms) - 1):
-        want = lead_m(g, terms[i + 1], m, terms[i])[0]
         got = lead_m(g, h, m, terms[i])[0]
-        if compare_spine_values(g.spine, want, got) != 0:
+        if compare_spine_values(g.spine, diffs[i], got) != 0:
             return False
     return True
 
@@ -156,15 +160,13 @@ def lift_mod_m(g: GroupSpec, seq: PseudoSequence, m: int) -> PseudoSequence:
         raise PresentationError("lifting needs a modulus of at least 2")
     if g.generators:
         raise LiftObstruction("lifting past generators is not supported")
-    ok, witness = is_pseudo_cauchy(g, seq, m)
+    terms, diffs, (ok, witness) = _steps(g, seq, m)
     if not ok:
         raise NotPseudoCauchy(f"difference values stall at indices {witness}")
-    terms = seq.window(g)
-    first = _strip_below(g, terms[0], val_m(g, terms[0], m))
-    out = [first]
+    out = [_strip_below(g, terms[0], val_m(g, terms[0], m))]
     for i in range(1, len(terms)):
-        step = g.sub(terms[i], terms[i - 1])
-        bump = _strip_below(g, step, val_m(g, step, m))
+        # the value of this step is the pseudo-Cauchy check's difference
+        bump = _strip_below(g, g.sub(terms[i], terms[i - 1]), diffs[i - 1])
         out.append(g.add(out[-1], bump))
     return PseudoSequence(tuple(out), rule=None, modulus=0)
 

@@ -266,18 +266,23 @@ class RibSpec:
         return self.domain == "int"
 
 
-def rib_divides(rib: RibSpec, x: RibElement, m: int) -> bool:
-    """Whether x / m lies in the rib, read off x without building x / m."""
+def rib_divides(rib: RibSpec, x: RibElement, m: int,
+                plus: Optional[RibElement] = None) -> bool:
+    """Whether (x + plus) / m lies in the rib, plus defaulting to 0: read
+    off the parts, without building x + plus or the quotient.  The parts
+    of a sum may be a Fraction with denominator 1."""
     if m <= 0:
         raise PresentationError("modulus must be positive")
     q, w = x._q, x._w
+    if plus is not None:
+        q, w = q + plus._q, w + plus._w
     if w:
         if not rib.nonstandard:
             return False
         s = q + w
         return s.denominator == 1 and s.numerator % m == 0
     if rib.nonstandard or rib.domain == "int":
-        return type(q) is int and q % m == 0
+        return (type(q) is int or q.denominator == 1) and q % m == 0
     if rib.domain == "rat":
         return True
     # the reduced denominator of q / m is den(q) * (m / gcd(num(q), m))

@@ -14,7 +14,8 @@ m = 0 gives the natural valuation, m = 1 is identically INF.
 ``_lead(g, e, m, minus)`` is the one lead kernel: one pass over the
 deviations of e - minus, and the terminal coordinates their tail
 decides at, that stops at the first coordinate that decides and returns
-it with its position, so e - minus is never built just to value it.
+it with its position, so e - minus is never built just to value it,
+and at m >= 1 neither is a terminal coordinate tail + c it passes.
 ``lead_m`` wraps it as (val_m(e - minus), the coordinate there).  The
 order and membership of ``GroupSpec``, ``val_m``, the coefficient
 predicates, the formula atoms, best approximations, the schemes and the
@@ -149,8 +150,11 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
     holds the tail: at m = 0 every such coordinate decides, at m >= 1
     those where tail / m leaves its rib (``_tail_exits``).  ``free``
     lists them in order, and the loop reads each before the deviations
-    above it.  A segment's ``uniform`` rib, from the group's table,
-    stands for ``_rib_at`` at each of its coordinates.
+    above it.  At a terminal deviation the coordinate is tail + c: at
+    m >= 1 ``rib_divides`` reads it off the two parts, so the sum is
+    built only at the coordinate returned.  A segment's ``uniform``
+    rib, from the group's table, stands for ``_rib_at`` at each of its
+    coordinates.
     """
     fa, fb, tail = e.fp, (), e.tail
     if minus is not None:
@@ -170,14 +174,18 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
         f = next(free, None)  # the next free terminal coordinate that decides
     uniform, rib_at = g._uniform, g._rib_at
     for p, c in _merged(fa, fb, g.spine._reversed_segments) if fb else fa:
+        plus = None
         if p.seg == t:
             if f is not None and f < p.coord:
                 return Position(t, f), tail
             if f == p.coord:  # the deviation stands at f
                 f = next(free, None)
-            c = tail + c
-        if not rib_divides(uniform[p.seg] or rib_at(p), c, m) if m else c:
-            return p, c
+            if m:
+                plus = tail
+            else:
+                c = tail + c
+        if not rib_divides(uniform[p.seg] or rib_at(p), c, m, plus) if m else c:
+            return p, c if plus is None else tail + c
     if f is not None:
         return Position(t, f), tail
     if not tail or g.mode == "hahn" or (

@@ -11,16 +11,21 @@ neither.
 """
 
 import gc
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from oracles import mod2_staircase
+
 from oagkit import group as group_module
+from oagkit import valuation
 from oagkit.catalogue import builtin_group
 from oagkit.chain import Position
 from oagkit.errors import PresentationError
 from oagkit.group import Element
+from oagkit.pseudo import lift_mod_m
 from oagkit.rib import (SIEVE_LIMIT, RibElement, _primes_of, nth_prime,
                         prime_index)
 from oagkit.valuation import lead_m, sv_pos, val_m
@@ -120,6 +125,46 @@ def test_the_lead_of_a_difference_stops_where_it_is_decided(group, tails, m):
         assert large / small < 2.0, (
             f"{op} on {group}: {small * 1e6:.1f} us at N = {SMALL}, "
             f"{large * 1e6:.1f} us at N = {LARGE}")
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    real, calls = getattr(owner, name), []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_tailed_scan_adds_only_at_the_coordinate_it_returns(monkeypatch):
+    """Work counts, exact where timings are not: at m >= 1 the kernel
+    reads tail + deviation off the parts, so membership of a
+    1600-deviation element with a tail adds nothing, and val_m at 2
+    builds one sum, the coordinate it returns."""
+    g = builtin_group("g1")
+    n = 1600
+    member = g.el([(Position(0, c), 3 * c + 1) for c in range(n)], 5)
+    halves = g.el([(Position(0, c), 2 * c) for c in range(n - 1)]
+                  + [(Position(0, n - 1), 3)], 4)
+    adds = _counting(monkeypatch, RibElement, "__add__")
+    assert g.contains(member)
+    assert len(adds) == 0
+    assert val_m(g, halves, 2) == sv_pos(Position(0, n - 1))
+    assert len(adds) == 1
+
+
+def test_lift_mod_m_reads_each_step_value_once(monkeypatch):
+    """lift_mod_m takes its step values from its pseudo-Cauchy check: one
+    kernel pass per consecutive difference and one for the first term,
+    50 on a 50-term staircase."""
+    g = builtin_group("g1")
+    seq = mod2_staircase(g, random.Random(50), n=50)
+    passes = _counting(monkeypatch, valuation, "_lead")
+    lifted = lift_mod_m(g, seq, 2)
+    assert len(passes) == 50 and len(lifted.terms) == 50
 
 
 def _tail_checks_seconds(p):

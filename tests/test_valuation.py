@@ -27,12 +27,12 @@ from oagkit.codec import (dumps, group_from_data, group_to_data, load_group,
                           pair_from_data)
 from oagkit.errors import OagError, PresentationError
 from oagkit.group import ZERO_ELEMENT, Element, GroupSpec, RibEntry, SchematicRib
-from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib, script_z_rib,
-                        window_rib, z_local_rib, z_rib)
-from oagkit.valuation import (SV_INF, _m_hits, _union_piece, check_m, check_ur,
-                              compare_spine_values, lead_m, pred_cong_bullet,
-                              pred_eq_bullet, regular_spine, relevant_primes,
-                              spine_m, sv_pos, val_m,
+from oagkit.rib import (RibElement, RibSpec, q_rib, r_proxy_rib, rib_contains,
+                        script_z_rib, window_rib, z_local_rib, z_rib)
+from oagkit.valuation import (SV_INF, SpineValueKind, _m_hits, _union_piece,
+                              check_m, check_ur, compare_spine_values, lead_m,
+                              pred_cong_bullet, pred_eq_bullet, regular_spine,
+                              relevant_primes, spine_m, sv_pos, val_m,
                               value_set_contains)
 
 PRESENTATIONS = Path(__file__).parent / "presentations"
@@ -404,3 +404,57 @@ def test_lead_of_a_tail_difference_reads_where_the_tail_leaves(name, dev4,
     assert want == ((SV_INF, None) if where is None else
                     (sv_pos(Position(0, where)),
                      RibElement(12 if where == 0 else Fraction(1, 2))))
+
+
+
+# -- cross-layer laws on elements with a tail ---------------------------------
+
+# per group: the tails its elements carry, and coordinate values every rib
+# holds; an h_primes tail leaves z_(p) only at one of the first eight
+# primes, where the drawn element holds an integer
+LAW_DRAWS = {
+    "g1": ([1, -2, 6, 3], [1, -1, 2, 3, 4, -6, 12]),
+    "sigma_ext": ([RibElement(0, 1), RibElement(0, -2), RibElement(0, 3),
+                   RibElement(0, 6)],
+                  [1, -1, 2, 6, RibElement(1, 1), RibElement(-1, 3),
+                   RibElement(0, 6)]),
+    "h_primes": ([Fraction(1, 3), Fraction(2, 15), Fraction(5, 7),
+                  Fraction(1, 2), 1], [1, -1, 2, 6, 3, 4]),
+    "two_tails": ([1, RibElement(0, 1), RibElement(1, 1), RibElement(2, -3),
+                   RibElement(3, 3)], [1, -1, 2, 6, RibElement(1, 1),
+                                      RibElement(-1, 3)]),
+}
+
+
+def _tailed_member(g, rng, tails, values):
+    """An element of g with a tail from ``tails`` and, on the first eight
+    terminal coordinates, a value from ``values`` wherever the tail
+    leaves the rib and at random elsewhere."""
+    tail = rng.choice(tails)
+    tail = tail if isinstance(tail, RibElement) else RibElement(tail)
+    pairs = [(Position(0, n), rng.choice(values)) for n in range(8)
+             if not rib_contains(g.rib_at(Position(0, n)), tail)
+             or rng.randrange(3) == 0]
+    e = g.el(pairs, tail)
+    assert g.contains(e), e
+    return e
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("name", sorted(LAW_DRAWS))
+def test_val_m_laws_hold_on_elements_with_a_tail(name, m):
+    """val_m(e + m*y, m) == val_m(e, m), and val_m(e, m) lies in
+    spine_m(g, m), for members e and y with tails: the kernel reads
+    every terminal coordinate as tail + deviation."""
+    g = load_group(str(PRESENTATIONS / "two_tails.json")) \
+        if name == "two_tails" else builtin_group(name)
+    rng = random.Random(f"{name}-{m}")
+    values = spine_m(g, m)
+    kinds = set()
+    for _ in range(60):
+        e, y = (_tailed_member(g, rng, *LAW_DRAWS[name]) for _ in range(2))
+        v = val_m(g, e, m)
+        assert val_m(g, g.add(e, g.scale(y, m)), m) == v, (e, y)
+        assert value_set_contains(g, values, v), (e, v)
+        kinds.add(v.kind)
+    assert SpineValueKind.POS in kinds and len(kinds) > 1, kinds
