@@ -25,8 +25,7 @@ from .codec import (dumps, group_from_data, group_to_data, load_group,
 from .errors import (ElementInG, FormulaSyntaxError, GuardGap,
                      LiftObstruction, NotFRRError, NotPseudoCauchy,
                      NotRepresentable, OagError, PositionOutOfDomain,
-                     PresentationError, RibCutNotDefinable, TooShort,
-                     UnboundVariable)
+                     PresentationError, TooShort, UnboundVariable)
 from .formula import (And, Bool, CongBullet, CongM, EqBullet, Gt0, Not, Or,
                       Term, ValCmp, element_text, eval_formula, eval_term,
                       formula_text, make_term, parse_element, parse_formula,

@@ -16,13 +16,12 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .chain import Position, once_property
-from .errors import GuardGap, PresentationError, RibCutNotDefinable
+from .errors import GuardGap, PresentationError
 from .formula import (And, Bool, CongBullet, EqBullet, Gt0, Or, ValCmp,
                       make_term)
 from .group import Element, PairSpec
 from .pseudo import ApproxSample, Ladder, NoMaximum
-from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains,
-                  rib_divides, rib_min_positive, rib_pair_stably_embedded,
+from .rib import (RIB_ZERO, RibElement, RibSpec, rib_contains, rib_divides,
                   rib_residue)
 from .valuation import (SV_INF, SpineValue, _lead, coefficient_bullet,
                         compare_spine_values, lead_m, sv_pos)
@@ -174,23 +173,6 @@ def _coefficient_relation(s: Scheme, rib: Optional[RibSpec],
     return coefficient_bullet(rib, c, s.m, s.k)
 
 
-def _rib_cut_definable(pair: PairSpec, beta: SpineValue,
-                       rho: RibElement) -> None:
-    """The boundary case of a sign scheme asks which small coefficients
-    exceed rho.  That cut must land on the small rib definably."""
-    if rho.w:
-        return  # infinite type: constant on the small rib
-    rib_s, rib_b = pair.rib_pair_at(beta.position)
-    if rib_s.discrete:
-        return  # threshold cut between consecutive multiples
-    verdict, reason = rib_pair_stably_embedded(rib_s, rib_b)
-    if verdict is True:
-        return
-    raise RibCutNotDefinable(
-        f"the coefficient cut at {beta.position} is not definable on the "
-        f"small rib: {reason}")
-
-
 def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int,
             k: int) -> Scheme:
     elem, detail = pair.elementary
@@ -205,10 +187,7 @@ def _scheme(pair: PairSpec, a: Element, kind: str, n: int, m: int,
 
 def scheme_sign(pair: PairSpec, a: Element, n: int = 1) -> Scheme:
     """Decides n*a - x > 0 over small x."""
-    s = _scheme(pair, a, "sign", n, 0, 0)
-    if s.rho is not None:
-        _rib_cut_definable(pair, s.beta, s.rho)
-    return s
+    return _scheme(pair, a, "sign", n, 0, 0)
 
 
 def scheme_cong(pair: PairSpec, a: Element, n: int, m: int,
@@ -343,18 +322,10 @@ def scheme_cases(pair: PairSpec, s: Scheme, var: str = "x"):
 def _boundary_formula(pair: PairSpec, s: Scheme, t, var: str):
     """The relation on rho - c, where c is the coefficient of x - approx
     at beta, as a formula on x."""
-    position = s.beta.position
-    rib_s, rib_b = pair.rib_pair_at(position)
     if s.kind == "sign":
-        if s.rho.w:
-            return Bool(s.rho.w > 0)
-        if not rib_s.discrete:
-            return Bool(False)
-        u = rib_min_positive(rib_s)  # integer threshold between steps
-        steps = -(-s.rho.q // u.q)  # first step above rho
-        shift = pair.small.el([(position, u.scale(int(steps)))])
-        t2 = _term_minus_x(pair.small.add(s.approx, shift), var)
-        return And((ValCmp(t2, 0, "=", s.beta), replace(s._relation, term=t2)))
+        # rho has an OMEGA part, which outweighs c (see scheme_eval)
+        return Bool(s.rho.w > 0)
+    rib_b = pair.big.rib_at(s.beta.position)
     # c must be j units (j modulo m for a congruence); the check fails
     # where rho leaves no such j, as in a dense rib
     j = int(s.rho.q + s.rho.w) - s.k

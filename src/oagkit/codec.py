@@ -58,6 +58,8 @@ _FORMS = (((type(None), bool, int, float, str), lambda obj: obj),
           (Element, element_text),
           (SpineValue, spine_value_text), (GroupSpec, lambda g: {"group": g.name}))
 _ENCODERS = {}  # type -> its encoder, resolved on first sight
+# field types that are JSON as they stand
+_PLAIN = frozenset((type(None), bool, int, str))
 
 
 def _encoder(cls):
@@ -71,8 +73,14 @@ def _encoder(cls):
     if is_dataclass(cls):
         name = cls.__name__
         names = tuple(f.metadata.get("json", f.name) for f in fields(cls))
-        return lambda obj: {"type": name, **{
-            n: to_jsonable(getattr(obj, n)) for n in names}}
+
+        def encode(obj):
+            out = {"type": name}
+            for n in names:
+                v = getattr(obj, n)
+                out[n] = v if type(v) in _PLAIN else to_jsonable(v)
+            return out
+        return encode
     if issubclass(cls, (set, frozenset)):
         return lambda obj: sorted(map(to_jsonable, obj), key=repr)
     if issubclass(cls, (list, tuple)):
@@ -90,7 +98,12 @@ def to_jsonable(obj):
     return encode(obj)
 
 
+_COMPACT = json.JSONEncoder(sort_keys=True)  # json.dumps(.., sort_keys=True)
+
+
 def dumps(obj, indent=None) -> str:
+    if indent is None:
+        return _COMPACT.encode(to_jsonable(obj))
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=indent)
 
 
@@ -155,11 +168,45 @@ def _rib_data(rib: RibSpec):
             "nonstandard": rib.nonstandard}
 
 
+# One instance per distinct decoded rib and segment, so each is checked
+# once and every table keyed by it finds it by identity.  A table stops
+# growing at TABLE_BOUND entries; past that, values are built afresh.
+TABLE_BOUND = 256
+_RIBS = {}      # (name, domain, cut_complete, nonstandard) -> RibSpec
+_SEGMENTS = {}  # (kind, size) -> Segment
+
+
+def _shared(table: dict, fields: tuple, cls):
+    """The one ``cls(*fields)`` stored for these fields, built and stored
+    on first sight while the table has room.  ``fields`` must hold
+    values that equal only values of their own type (str, bool, int,
+    enum members, tuples of them), else a refused input could find an
+    accepted one: 2.0 == 2."""
+    value = table.get(fields)
+    if value is None:
+        value = cls(*fields)
+        if len(table) < TABLE_BOUND:
+            table[fields] = value
+    return value
+
+
 def _rib_from(d) -> RibSpec:
-    return RibSpec(_typed(d["name"], str, "rib name"),
-                   _domain_from(d.get("domain", "int")),
-                   _typed(d.get("cut_complete", True), bool, "cut_complete"),
-                   _typed(d.get("nonstandard", False), bool, "nonstandard"))
+    name = _typed(d["name"], str, "rib name")
+    domain = _domain_from(d.get("domain", "int"))
+    fields = (name, domain,
+              _typed(d.get("cut_complete", True), bool, "cut_complete"),
+              _typed(d.get("nonstandard", False), bool, "nonstandard"))
+    if type(name) is str and (type(domain) is str or type(domain) is tuple
+                              and all(type(p) is int for p in domain[1])):
+        return _shared(_RIBS, fields, RibSpec)
+    return RibSpec(*fields)
+
+
+def _segment_from(s) -> Segment:
+    kind, size = SegKind(s["kind"]), s.get("size", 0)
+    if type(size) is int:
+        return _shared(_SEGMENTS, (kind, size), Segment)
+    return Segment(kind, size)
 
 
 def _rib_elem_from(d) -> RibElement:
@@ -214,8 +261,7 @@ def group_to_data(g: GroupSpec) -> dict:
 def group_from_data(d: dict) -> GroupSpec:
     try:
         name = _typed(d["name"], str, "name")
-        segments = tuple(Segment(SegKind(s["kind"]), s.get("size", 0))
-                         for s in d["spine"]["segments"])
+        segments = tuple(map(_segment_from, d["spine"]["segments"]))
         colours = tuple(
             ColourRule(c["name"],
                        tuple(_colour_rule_from(r, c["name"]) for r in c["rules"]))

@@ -50,11 +50,6 @@ class GuardGap(OagError):
     """A scheme was evaluated outside the region its guard covers."""
 
 
-class RibCutNotDefinable(OagError):
-    """A rib-level cut payload was requested for a rib pair whose cuts are
-    not uniformly definable."""
-
-
 class FormulaSyntaxError(OagError):
     """Parse failure; ``pos`` is the 0-based offset into the source text."""
 

@@ -415,7 +415,8 @@ class GroupSpec:
                     break
                 top = k
                 if s == t:
-                    if v := v - tail:
+                    # a zero difference is the shared RIB_ZERO
+                    if (v := v - tail) is not RIB_ZERO:
                         append((p, v))
                 elif v:
                     append(pv)
@@ -459,7 +460,8 @@ class GroupSpec:
         does).  A position held by one operand alone keeps that operand's
         own pair (b's is negated when subtracting); where both hold one,
         b's position stands with the sum or difference, dropped when
-        zero."""
+        zero: the sum or difference was just built by ``rib``, so a zero
+        one is ``RIB_ZERO`` itself."""
         fa, fb = a.fp, b.fp
         rev = self.spine._reversed_segments
         na, nb = len(fa), len(fb)
@@ -474,7 +476,8 @@ class GroupSpec:
             elif p.coord != q.coord:
                 first = (p.coord < q.coord) != (p.seg in rev)
             else:
-                if s := (pa[1] - pb[1] if minus else pa[1] + pb[1]):
+                s = pa[1] - pb[1] if minus else pa[1] + pb[1]
+                if s is not RIB_ZERO:
                     append((q, s))
                 i += 1
                 j += 1
@@ -748,9 +751,6 @@ class PairSpec:
                 return None, f"rib change at {where} is outside the known rules"
         return True, ("identical spines, with rib changes limited to "
                       "elementary window extensions")
-
-    def rib_pair_at(self, p: Position) -> Tuple[RibSpec, RibSpec]:
-        return self.small.rib_at(p), self.big.rib_at(p)
 
 
 def _sides(lay: SegmentLayout) -> list:

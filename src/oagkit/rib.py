@@ -9,7 +9,14 @@ to 1 modulo every modulus.
 
 A value is a :class:`RibElement`: two slots holding its parts in
 canonical form, normalised inline by ``+`` and ``-`` and built without
-conversion by ``_trusted``.
+conversion by ``_trusted``.  ``_trusted`` hands out one shared instance
+for each standard value with an integer part in [-256, 256), ``RIB_ZERO``
+and ``RIB_ONE`` among them, so the element kernels allocate nothing for
+small values.  A zero that ``_trusted`` has just returned is therefore
+``RIB_ZERO`` itself and may be tested by identity; a value from a caller
+(built by ``RibElement(0)``, unpickled or copied) may not.
+
+A rib is a :class:`RibSpec`, whose hash is computed once.
 
 Ribs carry exactly the structure the rest of the package consumes:
 membership, divisibility with witnesses, least positive element, residues,
@@ -127,17 +134,26 @@ _set_q = RibElement._q.__set__
 _set_w = RibElement._w.__set__
 
 
+# the shared standard values with q in [-SMALL, SMALL): q itself indexes
+# the table, a negative q from its end
+SMALL = 256
+_SMALL = tuple(RibElement(q) for q in (*range(SMALL), *range(-SMALL, 0)))
+
+
 def _trusted(q: Rational, w: Rational) -> RibElement:
     """A RibElement from two parts already in canonical form: it fills
-    the two slots directly, skipping the conversion in ``__init__``."""
+    the two slots directly, skipping the conversion in ``__init__``, or
+    returns the shared instance of a small standard value."""
+    if type(q) is int and not w and -SMALL <= q < SMALL:
+        return _SMALL[q]
     out = _new(RibElement)
     _set_q(out, q)
     _set_w(out, w)
     return out
 
 
-RIB_ZERO = RibElement(0)
-RIB_ONE = RibElement(1)
+RIB_ZERO = _SMALL[0]
+RIB_ONE = _SMALL[1]
 OMEGA_UNIT = RibElement(0, 1)
 
 # ---------------------------------------------------------------------------
@@ -243,7 +259,8 @@ class RibSpec:
 
     ``nondivisible_primes``, the primes with index p (None means all of
     them), is computed once here, outside the fields, so ==, hash and the
-    JSON form ignore it.
+    JSON form ignore it.  So is the hash, which is that of the field
+    tuple: ribs key the layout tables and are looked up often.
     """
 
     name: str
@@ -260,6 +277,17 @@ class RibSpec:
         object.__setattr__(self, "nondivisible_primes", None if self.discrete
                            else () if self.domain == "rat"
                            else tuple(sorted(self.domain[1])))
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.domain, self.cut_complete, self.nonstandard)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled rib hashes its fields
+        # afresh: a str hash differs between processes
+        return RibSpec, (self.name, self.domain, self.cut_complete,
+                         self.nonstandard)
 
     @property
     def discrete(self) -> bool:

@@ -45,10 +45,13 @@ def _once_per_group(fn):
     and every answer stored is immutable, so each is computed once."""
     @functools.wraps(fn)
     def stored(g: GroupSpec, *args):
-        key = (fn.__name__, *args)
-        if key not in g.value_sets:
-            g.value_sets[key] = fn(g, *args)
-        return g.value_sets[key]
+        key, sets = (fn.__name__, *args), g.value_sets
+        try:
+            return sets[key]
+        except KeyError:
+            pass
+        value = sets[key] = fn(g, *args)
+        return value
     return stored
 
 
@@ -164,6 +167,8 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
     t, f = -1, None  # -1: no segment, as there is no tail to read
     if tail:
         t = g.terminal_omega
+        if t is None:  # e is not an element of g
+            raise PresentationError("a tail needs a terminal omega segment")
         if m == 0:
             free = itertools.count()
         else:

@@ -137,3 +137,45 @@ def test_a_patched_dense_piece_is_written_to_results_but_not_to_colour_rules():
     patched = ChainSpec(g.spine.segments, (ColourRule("c", spine_m(g, 2).pieces),))
     with pytest.raises(PresentationError, match="no colour rule writes"):
         group_to_data(GroupSpec("patched", patched, g.ribs, g.mode))
+
+
+def test_decoding_shares_one_rib_and_one_segment_per_distinct_value():
+    """Two decodes of one presentation, and two clauses of one rib, hold
+    the same RibSpec and Segment objects, each checked once; a rib's
+    stored hash is that of its fields."""
+    for name in ("qqz", "h235", "z2r"):
+        data = group_to_data(builtin_group(name))
+        one = group_from_data(data)
+        two = group_from_data(json.loads(dumps(data)))
+        assert all(s is t for s, t in zip(one.spine.segments,
+                                          two.spine.segments))
+        ribs = [e.rib for e in one.ribs]
+        assert all(r is e.rib for r, e in zip(ribs, two.ribs))
+        for r in ribs:
+            assert hash(r) == hash((r.name, r.domain, r.cut_complete,
+                                    r.nonstandard))
+    q_clauses = [e.rib for e in group_from_data(
+        group_to_data(builtin_group("qqz"))).ribs if e.rib.name == "q"]
+    assert len(q_clauses) == 2 and q_clauses[0] is q_clauses[1]
+
+
+@pytest.mark.parametrize("entries,cut_complete,message", [
+    ([[2]], True, "bad rib domain ('coprime', ([2],))"),
+    ([2.0], True, "bad rib domain ('coprime', (2.0,))"),
+    ([True], True, "bad rib domain ('coprime', (True,))"),
+    ([4], True, "4 is not prime"),
+    ([2], 1, "cut_complete must be a bool, got 1"),
+], ids=["list-entry", "float-entry", "bool-entry", "composite-entry",
+        "int-flag"])
+def test_a_malformed_domain_is_refused_after_its_twin_was_decoded(
+        entries, cut_complete, message):
+    """A refused rib finds no stored rib it merely equals: 2.0 == 2 and
+    True == 1, but neither is a prime entry."""
+    def group(entries, cut_complete):
+        return {"name": "x", "spine": {"segments": [{"kind": "omega"}]},
+                "ribs": [{"rib": {"name": "a", "domain": {"coprime": entries},
+                                  "cut_complete": cut_complete}}]}
+    group_from_data(group([2], True))
+    with pytest.raises(PresentationError) as err:
+        group_from_data(group(entries, cut_complete))
+    assert str(err.value) == message

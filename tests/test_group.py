@@ -14,7 +14,8 @@ from oagkit.chain import INF, ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.errors import PositionOutOfDomain, PresentationError
 from oagkit.group import (ZERO_ELEMENT, GroupSpec, PairSpec, RibEntry,
                           SchematicRib)
-from oagkit.rib import RibElement, q_rib, rib_contains, z_rib
+from oagkit.rib import (RIB_ONE, RIB_ZERO, RibElement, q_rib, rib_contains,
+                        z_rib)
 from oagkit.valuation import SV_INF, sv_limit, sv_pos, val_m
 
 H = builtin_group("g1")
@@ -341,6 +342,26 @@ def test_elements_survive_pickle_and_copy():
     for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
         assert twin == e and hash(twin) == hash(e)
         assert H.add(twin, e) == H.scale(e, 2)
+
+
+@pytest.mark.parametrize("fresh", [
+    lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+    lambda v: RibElement(v.q, v.w)],
+    ids=["pickle", "copy", "deepcopy", "init"])
+def test_the_kernels_drop_zero_results_of_values_they_did_not_share(fresh):
+    """Small values that ``rib`` builds are shared, and the kernels test
+    what they just built against RIB_ZERO by identity; operands equal to
+    a shared value but not it still cancel to nothing."""
+    three, zero = fresh(RIB_ONE.scale(3)), fresh(RIB_ZERO)
+    assert three == 3 * RIB_ONE and zero == RIB_ZERO and zero is not RIB_ZERO
+    a = H.el([((0, 1), three), ((0, 2), zero)])
+    b = H.el([((0, 1), fresh(RIB_ONE.scale(3)))])
+    assert a.fp == ((Position(0, 1), three),)
+    assert H.sub(a, b) == H.add(a, H.neg(b)) == ZERO_ELEMENT
+    assert H.sub(a, b).fp == H.add(b, H.neg(a)).fp == ()
+    # el takes the tail off each terminal coordinate: 3 - 3 is dropped
+    assert H.el([((0, 1), three), ((0, 4), 5)], tail=three).fp == (
+        (Position(0, 4), RibElement(2)),)
 
 
 # -- the element layer against its definitions, on every catalogue group --

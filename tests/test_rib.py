@@ -2,7 +2,10 @@
 
 import ast
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from oracles import coordinate_divisible
 
+import oagkit
 from oagkit.errors import PresentationError
 from oagkit.group import SchematicRib
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
@@ -261,3 +265,20 @@ def test_a_rib_element_is_two_slots_and_survives_pickle_and_copy():
         RIB_ONE._q = 2
     assert RibElement(2) == RibElement(Fraction(4, 2))
     assert hash(RibElement(2)) == hash(RibElement(Fraction(4, 2)))
+
+
+def test_a_rib_pickled_in_another_process_hashes_its_fields_here():
+    """A rib stores its hash, and a str hashes differently in each
+    process, so unpickling rebuilds the rib rather than restore it."""
+    code = ("import pickle, sys; from oagkit.rib import z_local_rib; "
+            "sys.stdout.buffer.write(pickle.dumps(z_local_rib(3)))")
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": str(Path(oagkit.__file__).parents[1])}
+    data = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    rib = pickle.loads(data)
+    assert rib == z_local_rib(3) and hash(rib) == hash(z_local_rib(3))
+    assert hash(rib) == hash((rib.name, rib.domain, rib.cut_complete,
+                              rib.nonstandard))
+    for twin in (copy.copy(rib), copy.deepcopy(rib)):
+        assert twin == rib and hash(twin) == hash(rib)

@@ -20,6 +20,7 @@ import pytest
 from oracles import mod2_staircase
 
 from oagkit import group as group_module
+from oagkit import rib as rib_module
 from oagkit import valuation
 from oagkit.catalogue import builtin_group
 from oagkit.chain import Position
@@ -154,6 +155,27 @@ def test_a_tailed_scan_adds_only_at_the_coordinate_it_returns(monkeypatch):
     assert len(adds) == 0
     assert val_m(g, halves, 2) == sv_pos(Position(0, n - 1))
     assert len(adds) == 1
+
+
+def test_the_element_kernels_build_no_small_value(monkeypatch):
+    """Work counts: every standard value with an integer part in
+    [-256, 256) is one shared instance, so ``el`` with a tail, ``add``
+    and ``sub`` on 1600 small deviations allocate no RibElement."""
+    g = builtin_group("g1")
+    n = 1600
+    pairs = [(Position(0, c), RibElement(c % 50 + 10)) for c in range(n)]
+    others = [(Position(0, c), RibElement(c % 30 - 60)) for c in range(n)]
+    tail, other_tail = RibElement(5), RibElement(-2)
+    built = _counting(monkeypatch, rib_module, "_new")
+    a = g.el(pairs, tail)
+    assert len(built) == 0
+    b = g.el(others, other_tail)
+    built.clear()
+    total, diff = g.add(a, b), g.sub(a, b)
+    assert len(built) == 0
+    assert len(total.fp) == len(diff.fp) == n
+    assert g.coordinate(total, Position(0, 7)) == RibElement(17 - 53)
+    assert g.coordinate(diff, Position(0, 7)) == RibElement(17 + 53)
 
 
 def test_lift_mod_m_reads_each_step_value_once(monkeypatch):

@@ -79,6 +79,21 @@ def test_val_one_is_trivial():
     assert val_m(g, g.el([((0, 0), 1)]), 1) == SV_INF
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, e: g.contains(e), lambda g, e: val_m(g, e, 2),
+    lambda g, e: val_m(g, e, 0)], ids=["contains", "val_m2", "val_m0"])
+def test_a_tail_on_a_group_without_a_terminal_omega_is_refused(call):
+    """An element of another group, with a tail, on a group whose spine
+    ends without an omega segment: refused as ``el`` refuses it."""
+    g = builtin_group("z")
+    with pytest.raises(PresentationError,
+                       match="a tail needs a terminal omega segment"):
+        g.el((), 1)
+    with pytest.raises(PresentationError,
+                       match="a tail needs a terminal omega segment"):
+        call(g, Element((), RibElement(1)))
+
+
 # -- spine tables -------------------------------------------------------------
 
 
