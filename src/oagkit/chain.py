@@ -191,10 +191,17 @@ def complement(piece):
     return piece
 
 
-def nonempty(piece) -> bool:
-    """Whether the piece holds a point of an infinite segment: every
-    piece but ``none`` and ``only`` with no coordinates."""
-    return piece != NONE and not (piece[0] == "only" and not piece[1])
+def nonempty(seg: Segment, piece) -> bool:
+    """Whether the piece holds a point of the segment.  On an infinite
+    segment that is every piece but ``none`` and ``only`` with no
+    coordinates.  On a finite one it is a coordinate below the size: a
+    named one, or the first one off them, which reads the base."""
+    if seg.kind is not SegKind.FIN:
+        return piece != NONE and not (piece[0] == "only" and not piece[1])
+    named = flips(piece)
+    base = next((c for c in range(seg.size) if c not in named), None)
+    return any(contains(piece, c) for c in (*named, base)
+               if type(c) is int and 0 <= c < seg.size)
 
 
 def finite_on(seg: Segment, piece) -> bool:

@@ -301,7 +301,7 @@ class GroupSpec:
                     on, off = (rule if colour is None else on), rule
                     break
                 here = self.spine.colour_named(entry.colour).rule_at(i)
-                if not nonempty(here):
+                if not nonempty(self.spine.segments[i], here):
                     continue  # the colour holds nowhere on this segment
                 if colour is None:
                     colour, on, piece = entry.colour, rule, here
@@ -500,6 +500,8 @@ class GroupSpec:
         k = _exact(k)
         if not k:
             return ZERO_ELEMENT
+        if k == 1:
+            return a
         return Element(tuple((p, v.scale(k)) for p, v in a.fp), a.tail.scale(k))
 
     def generator_element(self, g) -> Element:

@@ -32,6 +32,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import length_hint
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import PresentationError
@@ -86,7 +87,13 @@ class RibElement:
         w = self._w + other._w
         if type(w) is not int and w.denominator == 1:
             w = w.numerator
-        return _trusted(q, w)
+        # what ``_trusted`` does, without a second call
+        if type(q) is int and not w and -SMALL <= q < SMALL:
+            return _SMALL[q]
+        out = _new(RibElement)
+        _set_q(out, q)
+        _set_w(out, w)
+        return out
 
     def __sub__(self, other: "RibElement") -> "RibElement":
         q = self._q - other._q
@@ -95,7 +102,13 @@ class RibElement:
         w = self._w - other._w
         if type(w) is not int and w.denominator == 1:
             w = w.numerator
-        return _trusted(q, w)
+        # what ``_trusted`` does, without a second call
+        if type(q) is int and not w and -SMALL <= q < SMALL:
+            return _SMALL[q]
+        out = _new(RibElement)
+        _set_q(out, q)
+        _set_w(out, w)
+        return out
 
     def __neg__(self) -> "RibElement":
         return _trusted(-self._q, -self._w)
@@ -316,6 +329,47 @@ def rib_divides(rib: RibSpec, x: RibElement, m: int,
     # the reduced denominator of q / m is den(q) * (m / gcd(num(q), m))
     denom = q.denominator * (m // math.gcd(q.numerator, m))
     return all(denom % p for p in rib.domain[1])
+
+
+def rib_first_indivisible(rib: RibSpec, pairs, lo: int, hi: int, m: int,
+                          plus: Optional[RibElement] = None) -> int:
+    """The first index i in [lo, hi) such that (value + plus) / m leaves
+    the rib, for the value ``pairs[i][1]`` and plus defaulting to 0; hi
+    when there is none.  This is ``rib_divides`` over a run of
+    (position, value) pairs, with the rib's shape read once.
+
+    A rational s is m times an integer exactly when s % m == 0.  So on
+    the window (q + w integral and divisible by m) and on a standard
+    discrete rib (w = 0, q integral and divisible by m) one remainder
+    decides each value, and on the rationals w = 0 alone does; a coprime
+    domain asks ``rib_divides`` value by value.  The loop reads the
+    pairs themselves, not their indexes: the pairs left after the one
+    that fails, which the iterator's length hint counts exactly, give
+    its index."""
+    if m <= 0:
+        raise PresentationError("modulus must be positive")
+    run = iter(pairs if not lo and hi == len(pairs) else pairs[lo:hi])
+    pq, pw = (0, 0) if plus is None else (plus._q, plus._w)
+    if rib.nonstandard:
+        ps = pq + pw
+        for pv in run:
+            x = pv[1]
+            if (x._q + x._w + ps) % m:
+                return hi - 1 - length_hint(run)
+    elif rib.domain == "int":
+        for pv in run:
+            x = pv[1]
+            if x._w + pw or (x._q + pq) % m:
+                return hi - 1 - length_hint(run)
+    elif rib.domain == "rat":
+        for pv in run:
+            if pv[1]._w + pw:
+                return hi - 1 - length_hint(run)
+    else:
+        for pv in run:
+            if not rib_divides(rib, pv[1], m, plus):
+                return hi - 1 - length_hint(run)
+    return hi
 
 
 def rib_contains(rib: RibSpec, x: RibElement) -> bool:

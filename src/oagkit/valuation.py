@@ -16,6 +16,8 @@ deviations of e - minus, and the terminal coordinates their tail
 decides at, that stops at the first coordinate that decides and returns
 it with its position, so e - minus is never built just to value it,
 and at m >= 1 neither is a terminal coordinate tail + c it passes.
+Without minus, at m >= 1, a run of deviations on one segment with one
+rib is tested in one call of ``rib.rib_first_indivisible``.
 ``lead_m`` wraps it as (val_m(e - minus), the coordinate there).  The
 order and membership of ``GroupSpec``, ``val_m``, the coefficient
 predicates, the formula atoms, best approximations, the schemes and the
@@ -37,7 +39,7 @@ from .chain import (ALL, NONE, ChainSpec, ColourRule, INF, Position,
 from .errors import PresentationError
 from .group import Element, GroupSpec, SchematicRib
 from .rib import (RibElement, RibSpec, _primes_of, nth_prime, rib_divides,
-                  rib_min_positive, rib_residue)
+                  rib_first_indivisible, rib_min_positive, rib_residue)
 
 
 def _once_per_group(fn):
@@ -147,17 +149,25 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
     element (zero, for m = 0), else the limit value above the terminal
     segment.
 
-    One loop reads the deviations of e - minus in chain order (e's own
-    when minus has none, else ``_merged``) and stops at the first
-    coordinate that decides.  Off the deviations a terminal coordinate
-    holds the tail: at m = 0 every such coordinate decides, at m >= 1
-    those where tail / m leaves its rib (``_tail_exits``).  ``free``
-    lists them in order, and the loop reads each before the deviations
-    above it.  At a terminal deviation the coordinate is tail + c: at
-    m >= 1 ``rib_divides`` reads it off the two parts, so the sum is
-    built only at the coordinate returned.  A segment's ``uniform``
-    rib, from the group's table, stands for ``_rib_at`` at each of its
-    coordinates.
+    The deviations of e - minus are read in chain order (e's own when
+    minus has none, else ``_merged``), up to the first coordinate that
+    decides.  Off the deviations a terminal coordinate holds the tail:
+    at m = 0 every such coordinate decides, at m >= 1 those where
+    tail / m leaves its rib (``_tail_exits``).  ``free`` lists them in
+    order, and each is read before the deviations above it.  At a
+    terminal deviation the coordinate is tail + c: at m >= 1 the rib
+    tests read it off the two parts, so the sum is built only at the
+    coordinate returned.  A segment's ``uniform`` rib, from the group's
+    table, stands for ``_rib_at`` at each of its coordinates.
+
+    At m >= 1 with minus holding no deviation, each maximal run of
+    deviations on one segment with a uniform rib goes to
+    ``rib_first_indivisible`` whole, with the tail as ``plus`` on the
+    terminal segment, where the run stops short of the free coordinate
+    f.  The coordinate loop takes over from the first segment with no
+    uniform rib, or from f: it tests one coordinate at a time, as do the
+    merged walks and m = 0, which stop at the first coordinate that
+    decides.
     """
     fa, fb, tail = e.fp, (), e.tail
     if minus is not None:
@@ -178,7 +188,27 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
                 if cofinal else iter(listed)
         f = next(free, None)  # the next free terminal coordinate that decides
     uniform, rib_at = g._uniform, g._rib_at
-    for p, c in _merged(fa, fb, g.spine._reversed_segments) if fb else fa:
+    i = 0
+    if m and not fb:
+        n = len(fa)
+        while i < n and (rib := uniform[s := fa[i][0].seg]) is not None:
+            if s == t:  # the run stops short of the free coordinate f
+                hi, plus = (n if f is None else i), tail
+                while hi < n and fa[hi][0].coord < f:
+                    hi += 1
+            else:
+                hi, plus = (n if fa[-1][0].seg == s else i + 1), None
+                while hi < n and fa[hi][0].seg == s:
+                    hi += 1
+            k = rib_first_indivisible(rib, fa, i, hi, m, plus)
+            if k < hi:
+                p, c = fa[k]
+                return p, c if plus is None else tail + c
+            i = hi
+            if s == t:
+                break  # the coordinate loop reads f next
+    for p, c in _merged(fa, fb, g.spine._reversed_segments) if fb else \
+            fa[i:] if i else fa:
         plus = None
         if p.seg == t:
             if f is not None and f < p.coord:
@@ -193,7 +223,7 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
             return p, c if plus is None else tail + c
     if f is not None:
         return Position(t, f), tail
-    if not tail or g.mode == "hahn" or (
+    if t < 0 or g.mode == "hahn" or (  # t < 0: no tail
             g.generators and g.tail_coefficients(scaled) is not None):
         return SV_INF
     return sv_limit(t)

@@ -287,9 +287,10 @@ def test_the_piece_algebra_agrees_with_plain_sets(seg, data):
     members = _members(seg, piece)
     assert {c for c in coords if contains(piece, c)} == members
     if members:
-        assert nonempty(piece)
-    if seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR, SegKind.INT):
-        assert nonempty(piece) == bool(members)
+        assert nonempty(seg, piece)
+    if seg.kind in (SegKind.OMEGA, SegKind.OMEGA_STAR, SegKind.INT,
+                    SegKind.FIN):
+        assert nonempty(seg, piece) == bool(members)
     # a dense class holds infinitely many points even where it names none
     rest = members - set(flips(piece))
     assert finite_on(seg, piece) == (

@@ -37,6 +37,22 @@ def test_local_ring_product_has_rib_cuts():
     assert any(r.rule == "rib-cut" for r in v.reasons)
 
 
+@pytest.mark.parametrize("mode", ["hahn", "sum"])
+def test_a_colour_holding_no_point_of_a_finite_segment_splits_nothing(mode):
+    """On fin(2) the colour ``minus {0, 1}`` holds no point, so its Q
+    clause reaches no coordinate: the group reads as the plain Z one,
+    USE, with no rib cut citing Q."""
+    spine = ChainSpec((Segment(SegKind.FIN, 2),),
+                      (ColourRule("c", (("minus", frozenset({0, 1})),)),))
+    dead = GroupSpec("dead", spine, (RibEntry(rib=q_rib(), colour="c"),
+                                     RibEntry(rib=z_rib())), mode)
+    plain = GroupSpec("plain", spine, (RibEntry(rib=z_rib()),), mode)
+    assert dead.layouts[0].rules == (z_rib(),)
+    v = classify_main(dead)
+    assert v.status is Status.USE
+    assert v == classify_main(plain)
+
+
 # -- regular and finite-rank groups -------------------------------------------
 
 

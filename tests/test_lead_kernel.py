@@ -14,14 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import direct_relation, oracle_val_m
+from oracles import direct_relation, oracle_contains, oracle_val_m
 
 from oagkit.approx import scheme_cong, scheme_eqk, scheme_eval, scheme_sign
-from oagkit.chain import ChainSpec, Position, Segment, SegKind
+from oagkit import valuation
+from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.errors import PresentationError
 from oagkit.group import Generator, GroupSpec, PairSpec, RibEntry
 from oagkit.rib import (RibElement, q_rib, window_rib, z_local_rib, z_rib)
-from oagkit.valuation import lead_m
+from oagkit.valuation import SV_INF, lead_m
 
 MODULI = (0, 2, 3, 4, 6)
 RIBS = (z_rib, q_rib, lambda: z_local_rib(2), lambda: z_local_rib(3),
@@ -126,6 +127,75 @@ def test_lead_and_compare_match_the_oracle_on_generated_groups(seed):
         tails.add(bool(d.tail))
     assert kinds == set(SegKind) and modes == {"hahn", "sum"}
     assert tails == {True, False}
+
+
+def _handoff_groups():
+    """Groups whose long supports the kernel reads as runs on uniform
+    segments, each cut a different way: by the change to the next
+    segment, by a segment with a position clause or a colour split on
+    it, where the coordinate loop takes over, and by a free terminal
+    coordinate (a colour with the same rule on both sides names 0-2, so
+    a tail that leaves z leaves it first at 3)."""
+    omega, omega_star, ints = (Segment(k) for k in (
+        SegKind.OMEGA, SegKind.OMEGA_STAR, SegKind.INT))
+    yield "segment", GroupSpec("segment", ChainSpec((omega_star, ints, omega)), (
+        RibEntry(rib=window_rib(), segment=0), RibEntry(rib=z_rib())), "hahn")
+    yield "position", GroupSpec("position", ChainSpec((ints, omega, omega)), (
+        RibEntry(rib=q_rib(), position=Position(1, 4)),
+        RibEntry(rib=z_local_rib(3), segment=2), RibEntry(rib=z_rib())), "hahn")
+    yield "colour", GroupSpec("colour", ChainSpec(
+        (omega_star, omega), (ColourRule("c", ((("none",), ("minus", frozenset(
+            {2})))),),)), (RibEntry(rib=z_local_rib(3), colour="c"),
+                           RibEntry(rib=z_rib())), "sum",
+        (Generator("t", RibElement(6)),))
+    yield "free", GroupSpec("free", ChainSpec(
+        (omega,), (ColourRule("c", (("minus", frozenset({0, 1, 2})),)),)),
+        (RibEntry(rib=z_rib(), colour="c"), RibEntry(rib=z_rib())), "hahn")
+
+
+def _long_element(rng, g, m):
+    """Eight coordinates on each segment, absolute values m-divisible
+    nine times in ten, and a tail that leaves z half the time."""
+    t = g.terminal_omega
+    tail = rng.choice((0, 12, 1, 3, Fraction(1, 2))) if t is not None else 0
+    pairs = [(Position(i, c), 12 * rng.randrange(-3, 4) if rng.randrange(10)
+              else rng.choice(VALUES))
+             for i in range(len(g.spine.segments)) for c in range(8)]
+    return g.el(pairs, tail)
+
+
+def test_runs_hand_off_to_the_coordinate_loop_as_the_oracle_reads(monkeypatch):
+    """Reads with no ``minus`` at m >= 1 test each run of deviations on a
+    segment with one rib in one call, and hand the rest to the
+    coordinate loop: ``lead_m``, ``contains`` and ``in_m_multiples``
+    agree with the oracle, and every way a run ends is met."""
+    runs = []
+    real = valuation.rib_first_indivisible
+
+    def recorded(rib, pairs, lo, hi, m, plus=None):
+        out = real(rib, pairs, lo, hi, m, plus)
+        runs.append((name, lo, hi, len(pairs), out))
+        return out
+
+    monkeypatch.setattr(valuation, "rib_first_indivisible", recorded)
+    rng = random.Random(5)
+    for name, g in _handoff_groups():
+        for _ in range(40):
+            for m in (1, 2, 3, 4, 6):
+                a = _long_element(rng, g, m)
+                assert lead_m(g, a, m) == _oracle_lead(g, a, m), (g, a, m)
+                # at m = 1, val_m is INF on every element: read membership
+                want = oracle_contains(g, a) if m == 1 else \
+                    oracle_val_m(g, a, m) == SV_INF
+                assert g.in_m_multiples(a, m)[0] == want, (g, a, m)
+                assert g.contains(a) == oracle_contains(g, a), (g, a)
+    # every run the reader passed whole stops short of the support
+    cut = {name for name, lo, hi, n, out in runs if out == hi < n}
+    assert cut == {"segment", "position", "colour", "free"}
+    # runs past the first segment, and a run that stops before its segment
+    # ends, which only the free terminal coordinate does
+    assert any(lo > 0 for name, lo, hi, n, out in runs if name == "segment")
+    assert any(0 < hi < 8 for name, lo, hi, n, out in runs if name == "free")
 
 
 def _sum_in_hahn(first, window):

@@ -10,16 +10,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import coordinate_divisible
 
 import oagkit
+from oagkit.chain import Position
 from oagkit.errors import PresentationError
 from oagkit.group import SchematicRib
 from oagkit.rib import (OMEGA_UNIT, RIB_ONE, RIB_ZERO, RibElement, RibSpec,
                         q_rib, r_proxy_rib, rib_contains, rib_divides,
-                        rib_elem_equiv, rib_min_positive,
+                        rib_elem_equiv, rib_first_indivisible,
+                        rib_min_positive,
                         rib_pair_stably_embedded, rib_residue,
                         rib_stably_embedded, script_z_rib, window_rib,
                         z_local_rib, z_rib)
@@ -114,6 +116,38 @@ def test_zero_skipping_arithmetic_keeps_fractions(a, b, k):
     assert (a - b).q == a.q - b.q and (a - b).w == a.w - b.w
     assert a.scale(k) == RibElement(a.q * k, a.w * k)
     assert -a == RibElement(-a.q, -a.w)
+
+
+# halves and thirds with an OMEGA part of 0, 1 or a half, so that value +
+# tail is often integral: then a part of the sum is a Fraction with
+# denominator 1
+run_values = st.builds(
+    RibElement,
+    st.integers(-12, 12) | st.fractions(-12, 12, max_denominator=3),
+    st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SHAPES), st.lists(run_values, max_size=12),
+       st.none() | run_values, st.integers(1, 6), st.data())
+@example(q_rib(), [RibElement(1), RibElement(2, -1)], OMEGA_UNIT, 2, None)
+@example(z_rib(), [RibElement(Fraction(3, 2)), RibElement(Fraction(1, 2))],
+         RibElement(Fraction(1, 2)), 2, None)
+@example(window_rib(), [RibElement(Fraction(1, 2), Fraction(3, 2)), OMEGA_UNIT],
+         RibElement(Fraction(1, 2), Fraction(-1, 2)), 2, None)
+def test_the_run_reader_stops_where_rib_divides_first_fails(rib, values, plus,
+                                                            m, data):
+    pairs = tuple((Position(0, c), v) for c, v in enumerate(values))
+    lo, hi = 0, len(pairs)
+    if data is not None:
+        lo = data.draw(st.integers(0, len(pairs)))
+        hi = data.draw(st.integers(lo, len(pairs)))
+    want = next((i for i in range(lo, hi)
+                 if not rib_divides(rib, pairs[i][1], m, plus)), hi)
+    assert rib_first_indivisible(rib, pairs, lo, hi, m, plus) == want
+    assert rib_first_indivisible(rib, list(pairs), lo, hi, m, plus) == want
+    with pytest.raises(PresentationError):
+        rib_first_indivisible(rib, pairs, lo, hi, 1 - m, plus)
 
 
 def test_divisibility_rejects_nonpositive_moduli():

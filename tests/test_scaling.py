@@ -157,6 +157,31 @@ def test_a_tailed_scan_adds_only_at_the_coordinate_it_returns(monkeypatch):
     assert len(adds) == 1
 
 
+def test_a_uniform_run_is_read_in_one_call(monkeypatch):
+    """Work counts: on g1 (one z rib on its one segment) ``val_m`` at 2
+    over 1600 deviations with a tail is one call of the run reader and
+    no per-coordinate ``rib_divides``; the one left is the tail's own
+    test, where ``_tail_exits`` asks whether tail / 2 stays in z.  On
+    h_primes, whose schematic rib gives each coordinate its own, the
+    coordinate loop asks ``rib_divides`` once at each deviation it
+    walks."""
+    n = 1600
+    runs = _counting(monkeypatch, valuation, "rib_first_indivisible")
+    tests = _counting(monkeypatch, valuation, "rib_divides")
+    inner = _counting(monkeypatch, rib_module, "rib_divides")
+    g = builtin_group("g1")
+    e = g.el([(Position(0, c), 2 * c) for c in range(n - 1)]
+             + [(Position(0, n - 1), 3)], 4)
+    assert val_m(g, e, 2) == sv_pos(Position(0, n - 1))
+    assert (len(runs), len(tests), len(inner)) == (1, 0, 1)
+    h = builtin_group("h_primes")
+    for calls in (runs, tests, inner):
+        calls.clear()
+    e = h.el([(Position(0, c), 2 * c + 2) for c in range(n)])
+    assert val_m(h, e, 2) == valuation.SV_INF
+    assert (len(runs), len(tests), len(inner)) == (0, n, 0)
+
+
 def test_the_element_kernels_build_no_small_value(monkeypatch):
     """Work counts: every standard value with an integer part in
     [-256, 256) is one shared instance, so ``el`` with a tail, ``add``
