@@ -63,6 +63,11 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0):
     matches as ``top`` did, by ``step``.  When neither the rungs' limit
     (tail ``step``) nor the first rung approximates x to INF or a limit
     value, no rung is best.
+
+    x lies in the big group, so x.tail leaves its rib at no free
+    terminal coordinate, only at some of x's own deviations: the walk
+    needs no coordinate where the tail exits, and ends one past the
+    last terminal deviation and ``past``.
     """
     if n < 1:
         raise PresentationError("the multiplier must be at least 1")
@@ -83,9 +88,10 @@ def best_approx(pair: PairSpec, a: Element, n: int = 1, m: int = 0):
     if m and x.tail:
         exits = big._tail_exits(x.tail.scale(Fraction(1, m)))[1]
         past = max((past, *(c + 1 for c in exits)))
+    last = x.fp[-1][0].coord if x.fp and x.fp[-1][0].seg == t else -1
     walked = []  # the match at every coordinate walked, zeros included
     top, ok = -1, True
-    for p, c in big.support_walk(x, past):
+    for p, c in big._walk(x.fp, x.tail, range(max(last, past - 1) + 2)):
         if p.seg == t:
             top = p.coord
         ok, gp = _match_coordinate(small._rib_at(p), big._rib_at(p), c, m) \
@@ -277,7 +283,9 @@ def _term_minus_x(e: Element, var: str):
 def scheme_formula(pair: PairSpec, s: Scheme, var: str = "x"):
     """Renders a scheme as a single small-group formula, dropping
     false-payload cases.  Returns (formula, complete); a cofinal ladder
-    renders only its sampled prefix and is flagged incomplete."""
+    renders only its sampled prefix and is flagged incomplete.  A scheme
+    that is not exact has an "lt" row whose payload is an atom, so a
+    case always remains."""
     rows, complete = scheme_cases(pair, s, var)
     clauses = []
     for _, guard, payload in rows:
@@ -286,8 +294,6 @@ def scheme_formula(pair: PairSpec, s: Scheme, var: str = "x"):
         if payload == Bool(False):
             continue
         clauses.append(And((guard, payload)))
-    if not clauses:
-        return Bool(False), complete
     return (Or(tuple(clauses)) if len(clauses) > 1 else clauses[0]), complete
 
 
@@ -295,7 +301,13 @@ def scheme_cases(pair: PairSpec, s: Scheme, var: str = "x"):
     """Guard/payload rows of a scheme, as ("lt" | "eq" | "gt", guard,
     payload) triples; the guard is None for an exact scheme, which holds
     everywhere.  Returns (rows, complete); a cofinal ladder yields one
-    "lt" row per sampled rung and is flagged incomplete."""
+    "lt" row per sampled rung and is flagged incomplete.
+
+    Past a fixed rung's value beta the rung's coefficient rho decides.
+    At beta it decides too: rho arises only at m = 0 and has a nonzero
+    OMEGA part, which outweighs the coefficient of x there (see
+    ``scheme_eval``), so the "eq" row's payload is the "gt" row's
+    ``Bool``.  A limit value has no coordinate, so no "eq" row."""
     rows = []
     for smp in s.samples:
         payload = replace(s._relation, term=_term_minus_x(smp.g, var))
@@ -311,26 +323,8 @@ def scheme_cases(pair: PairSpec, s: Scheme, var: str = "x"):
         # coefficient is congruent to anything
         rows.append(("gt", ValCmp(t, s.m, ">", s.beta), Bool(False)))
         return tuple(rows), True
-    rows.append(("eq", ValCmp(t, s.m, "=", s.beta),
-                 _boundary_formula(pair, s, t, var)))
-    rib_b = pair.big.rib_at(s.beta.position)
-    rows.append(("gt", ValCmp(t, s.m, ">", s.beta),
-                 Bool(_coefficient_relation(s, rib_b, s.rho))))
+    past = Bool(_coefficient_relation(s, pair.big.rib_at(s.beta.position),
+                                      s.rho))
+    rows.append(("eq", ValCmp(t, s.m, "=", s.beta), past))
+    rows.append(("gt", ValCmp(t, s.m, ">", s.beta), past))
     return tuple(rows), True
-
-
-def _boundary_formula(pair: PairSpec, s: Scheme, t, var: str):
-    """The relation on rho - c, where c is the coefficient of x - approx
-    at beta, as a formula on x."""
-    if s.kind == "sign":
-        # rho has an OMEGA part, which outweighs c (see scheme_eval)
-        return Bool(s.rho.w > 0)
-    rib_b = pair.big.rib_at(s.beta.position)
-    # c must be j units (j modulo m for a congruence); the check fails
-    # where rho leaves no such j, as in a dense rib
-    j = int(s.rho.q + s.rho.w) - s.k
-    if s.m:
-        j %= s.m
-    if not _coefficient_relation(s, rib_b, s.rho - RibElement(j)):
-        return Bool(False)
-    return replace(s._relation, term=t, k=j)

@@ -176,17 +176,14 @@ def classify_main(g: GroupSpec) -> Verdict:
                 "maximality-open", None,
                 "a finitely generated extension of a small sum: maximality "
                 "is not settled by the implemented criteria")))
-        pair = _hahnification(g)
-        h = Element((), RIB_ONE)
-        rep = immediate_ext_check(pair, h)
-        if rep.kind == "no_maximum":
-            return Verdict(Status.NOT_SE, (*reasons, Reason(
-                "not-maximal", rep,
-                "the constant-1 thread of the full product is approximated "
-                "cofinally but never reached; the cut under it has no "
-                "definable trace")))
-        return Verdict(Status.UNKNOWN, (*reasons, Reason(
-            "maximality-open", rep, "no missing pseudo-limit was exhibited")))
+        # every rib holds 1 and a sum with no generators holds no tail,
+        # so the constant-1 thread is always a "no_maximum" report
+        rep = immediate_ext_check(_hahnification(g), Element((), RIB_ONE))
+        return Verdict(Status.NOT_SE, (*reasons, Reason(
+            "not-maximal", rep,
+            "the constant-1 thread of the full product is approximated "
+            "cofinally but never reached; the cut under it has no "
+            "definable trace")))
     reasons.append(Reason("maximal", None,
                           "full products and finite sums are "
                           "pseudo-complete"))

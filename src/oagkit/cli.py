@@ -9,7 +9,6 @@ for unknown or a violated hypothesis, 64 for usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -20,12 +19,11 @@ from .catalogue import GROUPS, PAIRS
 from .classify import STATUS_NAMES
 from .codec import dumps, load_group, load_pair, to_jsonable
 from .corpus import CASES
-from .errors import (FormulaSyntaxError, NotRepresentable, OagError,
-                     PositionOutOfDomain, PresentationError, UnboundVariable)
+from .errors import (FormulaSyntaxError, OagError, PositionOutOfDomain,
+                     PresentationError, UnboundVariable)
 from .formula import (eval_formula, formula_text, parse_element,
                       parse_formula)
-from .pseudo import (PseudoSequence, hahn_pseudo_limit, is_pseudo_cauchy,
-                     lift_mod_m)
+from .pseudo import PseudoSequence, is_pseudo_cauchy, lift_mod_m
 from .valuation import (check_m, check_ur, lead_bullet, lead_m, spine_m,
                         val_m)
 
@@ -53,18 +51,9 @@ def _verdict_data(v: cls.Verdict, trace: bool) -> dict:
 
 
 def _bound(args) -> Optional[int]:
-    """``--bound``, else ``OAGKIT_BOUND``, else None; refused if negative."""
+    """``--bound``, or None; refused if negative."""
     bound = args.bound
-    if bound is None:
-        env = os.environ.get("OAGKIT_BOUND")
-        if env is None:
-            return None
-        try:
-            bound = int(env)
-        except ValueError:
-            raise PresentationError(f"OAGKIT_BOUND must be an integer, "
-                                    f"got {env!r}")
-    if bound < 0:
+    if bound is not None and bound < 0:
         raise PresentationError(f"the bound must be nonnegative, "
                                 f"got {bound}")
     return bound
@@ -150,11 +139,8 @@ def _cmd_pseudo(args) -> int:
     data = {"pseudo_cauchy": ok, "m": args.m}
     if ok:
         data["threshold"] = info
-        if g.mode == "hahn":
-            try:
-                data["limit"] = to_jsonable(hahn_pseudo_limit(g, seq))
-            except NotRepresentable:
-                data["limit"] = None  # a bare prefix fixes no coordinates
+        if g.mode == "hahn":  # finitely many terms fix no limit
+            data["limit"] = None
     else:
         data["witness"] = to_jsonable(info)
     _emit(args, data)
@@ -262,8 +248,7 @@ def _build_parser() -> _Parser:
     top.add_argument("--trace", action="store_true",
                      help="include full reason trees in verdicts")
     top.add_argument("--bound", type=int, default=None,
-                     help="largest modulus preds reads (default from "
-                          "OAGKIT_BOUND, else 4)")
+                     help="largest modulus preds reads (default 4)")
     sub = top.add_subparsers(dest="command", required=True)
 
     group_help = ("builtin group name (%s) or a JSON presentation file"

@@ -543,25 +543,6 @@ class GroupSpec:
             yield p, tail + d
             p, d = next(it, (None, None))
 
-    def support_walk(self, e: Element, past: int = 0
-                     ) -> Iterator[Tuple[Position, RibElement]]:
-        """(position, coordinate) wherever the coordinate might be nonzero,
-        in chain order, lazily: the deviations, and a terminal run past
-        every deviation there, every coordinate the tail leaves its rib at
-        and every coordinate below ``past``."""
-        coords = ()
-        t = self.terminal_omega
-        if t is not None and e.tail:
-            last = e.fp[-1][0].coord if e.fp and e.fp[-1][0].seg == t else -1
-            cofinal, listed = self._tail_exits(e.tail)
-            if cofinal:  # the first free coordinate the tail leaves
-                taken = set(listed).union(p.coord for p, _ in e.fp
-                                          if p.seg == t)
-                listed = (next(n for n in itertools.count()
-                               if n not in taken),)
-            coords = range(max((last, past - 1, *listed)) + 2)
-        return self._walk(e.fp, e.tail, coords)
-
     def sign_of(self, e: Element) -> int:
         hit = valuation._lead(self, e, 0)
         return hit[1].sign if type(hit) is tuple else 0

@@ -75,9 +75,7 @@ def _steps(g: GroupSpec, seq: PseudoSequence, m: int):
     """(the window, its consecutive difference values at modulus m, the
     answer of ``is_pseudo_cauchy``): one kernel pass per difference,
     which the pseudo-limit check and the lift read again."""
-    terms = seq.window(g)
-    if len(terms) < 3:
-        raise TooShort("need at least three terms")
+    terms = seq.window(g)  # three terms at least, by PseudoSequence
     diffs = [lead_m(g, terms[i + 1], m, terms[i])[0]
              for i in range(len(terms) - 1)]
     threshold = 0

@@ -163,11 +163,14 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
     At m >= 1 with minus holding no deviation, each maximal run of
     deviations on one segment with a uniform rib goes to
     ``rib_first_indivisible`` whole, with the tail as ``plus`` on the
-    terminal segment, where the run stops short of the free coordinate
-    f.  The coordinate loop takes over from the first segment with no
-    uniform rib, or from f: it tests one coordinate at a time, as do the
-    merged walks and m = 0, which stop at the first coordinate that
-    decides.
+    terminal segment.  A uniform rib reads the same at every
+    coordinate, so tail / m leaves it at every free coordinate or at
+    none: f is 0 or None.  With f = 0 the terminal segment is left to
+    the coordinate loop, which reads f first; with f None its run is
+    the rest of the support.  The coordinate loop takes over from the
+    first segment with no uniform rib, or from f: it tests one
+    coordinate at a time, as do the merged walks and m = 0, which stop
+    at the first coordinate that decides.
     """
     fa, fb, tail = e.fp, (), e.tail
     if minus is not None:
@@ -192,21 +195,17 @@ def _lead(g: GroupSpec, e: Element, m: int, minus: Optional[Element] = None):
     if m and not fb:
         n = len(fa)
         while i < n and (rib := uniform[s := fa[i][0].seg]) is not None:
-            if s == t:  # the run stops short of the free coordinate f
-                hi, plus = (n if f is None else i), tail
-                while hi < n and fa[hi][0].coord < f:
-                    hi += 1
-            else:
-                hi, plus = (n if fa[-1][0].seg == s else i + 1), None
-                while hi < n and fa[hi][0].seg == s:
-                    hi += 1
+            if s == t and f is not None:
+                break  # f = 0: the coordinate loop reads it first
+            hi = n if fa[-1][0].seg == s else i + 1
+            while hi < n and fa[hi][0].seg == s:
+                hi += 1
+            plus = tail if s == t else None
             k = rib_first_indivisible(rib, fa, i, hi, m, plus)
             if k < hi:
                 p, c = fa[k]
                 return p, c if plus is None else tail + c
             i = hi
-            if s == t:
-                break  # the coordinate loop reads f next
     for p, c in _merged(fa, fb, g.spine._reversed_segments) if fb else \
             fa[i:] if i else fa:
         plus = None

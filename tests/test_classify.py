@@ -10,7 +10,7 @@ import pytest
 
 from oagkit.approx import best_approx
 from oagkit.catalogue import (GROUPS, PAIRS, builtin_group, builtin_pair,
-                              sigma_group)
+                              q_group, sigma_group, z_group)
 from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind, fin
 from oagkit.classify import (Status, _fresh_elements, classify_frr,
                              classify_main, classify_pair, frr_classes)
@@ -182,6 +182,12 @@ def test_elementary_screen():
     assert same is True
     verdict, _ = builtin_pair("sum_in_hahn").elementary
     assert verdict is not False
+    # Z inside Q fails the screen, and no verdict is posed
+    z_in_q = PairSpec(z_group(), q_group())
+    assert z_in_q.elementary[0] is False
+    v = classify_pair(z_in_q)
+    assert v.status is Status.UNKNOWN
+    assert [r.rule for r in v.reasons] == ["not-elementary"]
 
 
 @pytest.mark.parametrize("coord", [0, 10, 1000])

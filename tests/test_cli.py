@@ -211,27 +211,20 @@ def test_group_loading_from_file(tmp_path, capsys):
     assert json.loads(out)["segments"] == json.loads(out2)["segments"]
 
 
-def test_bound_flag_and_env(capsys, monkeypatch):
+def test_bound_flag(capsys):
     code, _ = run_json(capsys, "--json", "--bound", "8", "check-ur", "z")
     assert code == 0
-    monkeypatch.setenv("OAGKIT_BOUND", "9")
-    code, _ = run_json(capsys, "--json", "check-ur", "z")
-    assert code == 0
-    monkeypatch.setenv("OAGKIT_BOUND", "frog")
-    code, out, _ = run(capsys, "check-ur", "z")
-    assert code == 64
+    assert run(capsys, "--bound", "frog", "check-ur", "z")[0] == 64
 
 
-def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
+def test_negative_bounds_are_usage_errors(capsys):
     code, data = run_json(capsys, "--json", "--bound", "-1", "check-m", "g4")
     assert code == 64
     assert data["kind"] == "PresentationError"
-    monkeypatch.setenv("OAGKIT_BOUND", "-3")
-    code, data = run_json(capsys, "--json", "classify", "g1")
+    code, data = run_json(capsys, "--json", "--bound", "-3", "classify", "g1")
     assert code == 64
     assert data["kind"] == "PresentationError"
-    monkeypatch.setenv("OAGKIT_BOUND", "0")
-    assert run(capsys, "check-ur", "z")[0] == 0
+    assert run(capsys, "--bound", "0", "check-ur", "z")[0] == 0
 
 
 @pytest.mark.parametrize("argv, code, decided", [
@@ -243,9 +236,7 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
      and "congruence-ladder: no best approximation of generator w modulo 2"
      in data["why"]),
 ], ids=["check-m", "pair-classify"])
-def test_check_m_is_decided_whatever_the_bound(capsys, monkeypatch, argv,
-                                               code, decided):
-    monkeypatch.delenv("OAGKIT_BOUND", raising=False)
+def test_check_m_is_decided_whatever_the_bound(capsys, argv, code, decided):
     got, data = run_json(capsys, "--json", "--bound", "1", *argv)
     assert got == code
     assert decided(data)

@@ -94,14 +94,12 @@ def test_fixture_covers_every_case(golden):
 
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_is_unchanged(argv, golden, monkeypatch):
-    monkeypatch.delenv("OAGKIT_BOUND", raising=False)
     monkeypatch.chdir(ROOT)
     want = next(c for c in golden if c["argv"] == argv)
     assert run_case(argv) == (want["exit"], want["stdout"])
 
 
 if __name__ == "__main__":
-    os.environ.pop("OAGKIT_BOUND", None)
     os.chdir(ROOT)
     rows = []
     for argv in cases():

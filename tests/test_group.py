@@ -418,17 +418,55 @@ def test_sub_is_addition_of_the_negation(name, data):
     assert g.sub(a, a) == ZERO_ELEMENT
 
 
-@given(st.sampled_from(GROUP_NAMES), st.data(), st.integers(1, 6),
+# the catalogue, and two terminal segments with named coordinates: a
+# colour with one rule on both sides keeps the rib uniform, a position
+# clause in a schematic segment does not
+PREMISE_NAMES = GROUP_NAMES + ["z_colour", "z_at_two"]
+
+
+def _premise_group(name):
+    if name == "z_colour":
+        spine = ChainSpec((Segment(SegKind.OMEGA),), (ColourRule(
+            "c", (("minus", frozenset({0, 1, 2})),)),))
+        return GroupSpec(name, spine, (RibEntry(rib=z_rib(), colour="c"),
+                                       RibEntry(rib=z_rib())))
+    return _z_at_two("position") if name == "z_at_two" else \
+        builtin_group(name)
+
+
+def _check_tail_exits(g, e, m):
+    """What ``_tail_exits`` must give the lead kernel and ``best_approx``:
+    on a uniform terminal rib, tail / m leaves it at every free
+    coordinate or at none; the tail of a member of g leaves its rib at
+    no free coordinate, only at some of the member's deviations."""
+    t = g.terminal_omega
+    if t is None or not e.tail:
+        return
+    if g._uniform[t] is not None:
+        assert g._tail_exits(e.tail.scale(Fraction(1, max(m, 1))))[1] == ()
+    # e, and e's tail over zeros below the horizon and three past it
+    zeros = g.el([(Position(t, c), 0)
+                  for c in range(g.layouts[t].horizon + 3)], e.tail)
+    for x in (e, zeros):
+        if g.contains(x):
+            cofinal, listed = g._tail_exits(x.tail)
+            assert not cofinal
+            assert set(listed) <= {p.coord for p, _ in x.fp if p.seg == t}
+
+
+@given(st.sampled_from(PREMISE_NAMES), st.data(), st.integers(1, 6),
        st.booleans())
 def test_in_m_multiples_is_membership_of_the_quotient(name, data, m, lift):
-    g = builtin_group(name)
+    g = _premise_group(name)
     e = data.draw(group_elements(g))
     if lift:  # so that the quotient lands inside when e does
         e = g.scale(e, m)
     ok, witness = g.in_m_multiples(e, m)
     assert ok == g.contains(g.scale(e, Fraction(1, m)))
+    _check_tail_exits(g, e, m)
     if ok:
         assert g.contains(witness) and g.scale(witness, m) == e
+        _check_tail_exits(g, witness, m)
     else:
         assert witness is None
 
@@ -451,11 +489,12 @@ def _brute_val_m(g, e, m):
     return sv_limit(t)
 
 
-@given(st.sampled_from(GROUP_NAMES), st.data(), st.sampled_from([0, 2, 3, 6]))
+@given(st.sampled_from(PREMISE_NAMES), st.data(), st.sampled_from([0, 2, 3, 6]))
 def test_val_m_is_the_first_coordinate_that_fails(name, data, m):
-    g = builtin_group(name)
+    g = _premise_group(name)
     e = data.draw(group_elements(g))
     assert val_m(g, e, m) == _brute_val_m(g, e, m)
+    _check_tail_exits(g, e, m)
 
 
 def test_a_nonstandard_tail_leaves_a_schematic_rib_at_every_free_coordinate():

@@ -21,7 +21,8 @@ from oagkit import valuation
 from oagkit.chain import ChainSpec, ColourRule, Position, Segment, SegKind
 from oagkit.errors import PresentationError
 from oagkit.group import Generator, GroupSpec, PairSpec, RibEntry
-from oagkit.rib import (RibElement, q_rib, window_rib, z_local_rib, z_rib)
+from oagkit.rib import (RibElement, q_rib, rib_contains, window_rib,
+                        z_local_rib, z_rib)
 from oagkit.valuation import SV_INF, lead_m
 
 MODULI = (0, 2, 3, 4, 6)
@@ -132,10 +133,11 @@ def test_lead_and_compare_match_the_oracle_on_generated_groups(seed):
 def _handoff_groups():
     """Groups whose long supports the kernel reads as runs on uniform
     segments, each cut a different way: by the change to the next
-    segment, by a segment with a position clause or a colour split on
-    it, where the coordinate loop takes over, and by a free terminal
-    coordinate (a colour with the same rule on both sides names 0-2, so
-    a tail that leaves z leaves it first at 3)."""
+    segment, or by a segment with a position clause or a colour split
+    on it, where the coordinate loop takes over.  On "free" a colour
+    with the same rule on both sides names 0-2 and leaves the terminal
+    rib uniform, so a tail that leaves z leaves it at every coordinate
+    and the coordinate loop reads the segment from coordinate 0."""
     omega, omega_star, ints = (Segment(k) for k in (
         SegKind.OMEGA, SegKind.OMEGA_STAR, SegKind.INT))
     yield "segment", GroupSpec("segment", ChainSpec((omega_star, ints, omega)), (
@@ -168,21 +170,30 @@ def test_runs_hand_off_to_the_coordinate_loop_as_the_oracle_reads(monkeypatch):
     """Reads with no ``minus`` at m >= 1 test each run of deviations on a
     segment with one rib in one call, and hand the rest to the
     coordinate loop: ``lead_m``, ``contains`` and ``in_m_multiples``
-    agree with the oracle, and every way a run ends is met."""
+    agree with the oracle, and every way a run ends is met.  A uniform
+    terminal segment goes to the reader whole when tail / m stays in
+    its rib, and to the coordinate loop alone when it leaves."""
     runs = []
     real = valuation.rib_first_indivisible
 
     def recorded(rib, pairs, lo, hi, m, plus=None):
         out = real(rib, pairs, lo, hi, m, plus)
         runs.append((name, lo, hi, len(pairs), out))
+        if name == "free":
+            assert lo == 0 and hi == len(pairs), (pairs, m, plus)
+            assert plus is None or rib_contains(
+                rib, plus.scale(Fraction(1, m))), (pairs, m, plus)
         return out
 
     monkeypatch.setattr(valuation, "rib_first_indivisible", recorded)
     rng = random.Random(5)
+    leaves = 0  # "free" reads whose tail leaves z at the modulus
     for name, g in _handoff_groups():
         for _ in range(40):
             for m in (1, 2, 3, 4, 6):
                 a = _long_element(rng, g, m)
+                leaves += name == "free" and not rib_contains(
+                    z_rib(), a.tail.scale(Fraction(1, m)))
                 assert lead_m(g, a, m) == _oracle_lead(g, a, m), (g, a, m)
                 # at m = 1, val_m is INF on every element: read membership
                 want = oracle_contains(g, a) if m == 1 else \
@@ -191,11 +202,10 @@ def test_runs_hand_off_to_the_coordinate_loop_as_the_oracle_reads(monkeypatch):
                 assert g.contains(a) == oracle_contains(g, a), (g, a)
     # every run the reader passed whole stops short of the support
     cut = {name for name, lo, hi, n, out in runs if out == hi < n}
-    assert cut == {"segment", "position", "colour", "free"}
-    # runs past the first segment, and a run that stops before its segment
-    # ends, which only the free terminal coordinate does
+    assert cut == {"segment", "position", "colour"}
     assert any(lo > 0 for name, lo, hi, n, out in runs if name == "segment")
-    assert any(0 < hi < 8 for name, lo, hi, n, out in runs if name == "free")
+    # both ways of reading the uniform terminal segment are met
+    assert leaves and any(name == "free" for name, *_ in runs)
 
 
 def _sum_in_hahn(first, window):

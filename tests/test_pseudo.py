@@ -9,12 +9,13 @@ from oracles import mod2_staircase as _mod2_staircase
 from oagkit.catalogue import builtin_group, builtin_pair
 from oagkit.chain import Position
 from oagkit.errors import ElementInG, NotPseudoCauchy, NotRepresentable, TooShort
+from oagkit.formula import parse_element
 from oagkit.group import ZERO_ELEMENT, Element
 from oagkit.pseudo import (PseudoSequence, TruncationRule, hahn_pseudo_limit,
                            immediate_ext_check, is_pseudo_cauchy,
                            is_pseudo_limit, lift_mod_m)
 from oagkit.rib import RIB_ONE
-from oagkit.valuation import val_m
+from oagkit.valuation import sv_pos, val_m
 
 G1 = builtin_group("g1")
 
@@ -133,3 +134,10 @@ def test_sum_inside_product_is_immediate_without_maximum():
     rep = immediate_ext_check(pair, thread)
     assert rep.kind == "no_maximum"
     assert rep.samples
+    # the last terminal deviation is at coordinate 0, so the first rung
+    # starts at 1 and its base keeps the coordinate 3 + 2 at 0
+    h = parse_element("el(pos(0, 0): 3, tail: 2)", pair.big)
+    rep = immediate_ext_check(pair, h)
+    assert rep.kind == "no_maximum"
+    assert rep.samples[0] == (parse_element("el(pos(0, 0): 5)", pair.small),
+                              sv_pos(Position(0, 1)))
